@@ -30,14 +30,16 @@ from .estimators import (
     variance_decay,
 )
 from .io import fmt, write_csv
-from .kalman import lq_control_riccati, model_kalman, model_riccati
+from .kalman import lq_control_riccati, model_kalman
 from .model import (
     LinearGaussianModelSpec,
     NamedFunction,
+    _parse_params,
     build_model,
     build_space_grid,
     build_time_grid,
     parse_config,
+    scalar_view,
 )
 from .control import (
     ControlRunReport,
@@ -51,12 +53,11 @@ from .control import (
 from .pde_backward import solve_backward_kolmogorov, solve_feynman_kac
 from .sde_sim import (
     ObservationRecord,
+    check_seed,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
 )
-
-log = logging.getLogger("fbsde_filter")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -96,10 +97,6 @@ class Manifest:
         with open(self.out_dir / "run_manifest.json", "w") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _scalar_model_view(model):
-    return model.as_scalar() if isinstance(model, LinearGaussianModelSpec) else model
 
 
 def _write_obs_csv(path, model, obs: ObservationRecord) -> None:
@@ -146,7 +143,7 @@ def _run_estimator(model, parser, args, estimator_id, particles, pi_h_source,
     if estimator_id == "pi_obs" and isinstance(model, LinearGaussianModelSpec):
         mode = getattr(args, "mode", None) or "lg_closed_form"
         return estimate_pi_obs(model, obs, mode=mode)
-    scalar = _scalar_model_view(model)
+    scalar = scalar_view(model)
     sgrid = build_space_grid(parser)
     scalar.validate_on_grid(sgrid)
     if estimator_id in ("sigma_obs", "pi_innovation"):
@@ -198,7 +195,7 @@ def cmd_simulate(args) -> int:
     obs.to_npz(manifest.add(out_dir / "obs.npz"))
     if _flag(parser, "output", "dump_ensembles"):
         particles, _, ess_floor = _estimator_settings(parser, args)
-        ens = simulate_girsanov_ensemble(_scalar_model_view(model), tgrid, obs,
+        ens = simulate_girsanov_ensemble(scalar_view(model), tgrid, obs,
                                          particles, args.seed, ess_floor=ess_floor)
         ens.to_npz(manifest.add(out_dir / "ensemble.npz"))
     manifest.write()
@@ -231,7 +228,7 @@ def cmd_variance(args) -> int:
     cfg_text = Path(args.config).read_text()
     parser = parse_config(cfg_text)
     model = build_model(parser)
-    scalar = _scalar_model_view(model)
+    scalar = scalar_view(model)
     tgrid = build_time_grid(parser)
     sgrid = build_space_grid(parser)
     scalar.validate_on_grid(sgrid)
@@ -255,12 +252,11 @@ def cmd_variance(args) -> int:
 
 def _control_settings(parser):
     sec = parser["control"] if parser.has_section("control") else {}
-    hessian = float(sec.get("terminal_hessian", 1.0)) if hasattr(sec, "get") else 1.0
-    n_runs = int(sec.get("n_runs", 100)) if hasattr(sec, "get") else 100
-    filter_particles = int(sec.get("filter_particles", 1000)) if hasattr(sec, "get") else 1000
+    hessian = float(sec.get("terminal_hessian", 1.0))
+    n_runs = int(sec.get("n_runs", 100))
+    filter_particles = int(sec.get("filter_particles", 1000))
     terminal = None
-    if hasattr(sec, "get") and "terminal" in sec:
-        from .model import _parse_params
+    if "terminal" in sec:
         terminal = NamedFunction(sec["terminal"].strip(),
                                  _parse_params(sec.get("terminal_params", ""),
                                                "terminal_params"))
@@ -321,7 +317,7 @@ def cmd_control(args) -> int:
         return EXIT_OK
 
     if mode == "hjb":
-        scalar = _scalar_model_view(model)
+        scalar = scalar_view(model)
         sgrid = build_space_grid(parser)
         scalar.validate_on_grid(sgrid)
         policy, value = hjb_policy(scalar, sgrid, tgrid, terminal=terminal)
@@ -377,6 +373,13 @@ def _out_dir(args, parser) -> Path:
     return path
 
 
+def _seed(text: str) -> int:
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fbsde-filter",
                                  description="Minimum-variance filtering estimators")
@@ -386,7 +389,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--particles", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--estimator", default=None)

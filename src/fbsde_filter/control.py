@@ -13,18 +13,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import FilterDivergence, GridMismatch, IterationNotConverged
 from .estimators import (
-    EstimatorReport,
     _weighted_fold,
     closed_loop_dual_controls,
+    open_loop_dual_path,
     prior_expectation_of_initial_slice,
 )
 from .io import write_csv
-from .kalman import lq_control_riccati, model_riccati
-from .model import LinearGaussianModelSpec, ScalarModelSpec, SpaceGrid, TimeGrid
+from .kalman import (
+    backward_rk4_sweep,
+    kalman_bucy_mean,
+    lq_control_riccati,
+    model_kalman,
+    model_riccati,
+)
+from .model import (
+    LinearGaussianModelSpec,
+    ScalarModelSpec,
+    SpaceGrid,
+    TimeGrid,
+    gaussian_quadrature,
+)
 from .pde_backward import GridFunction, solve_hjb_quadratic
 from .sde_sim import (
     STREAM_CONTROL_OBS,
@@ -33,8 +44,10 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
-    _sample_prior,
+    log_weight_step,
+    normalized_weights,
     path_generator,
+    resample_indices,
 )
 
 
@@ -114,14 +127,13 @@ def hjb_policy(model: ScalarModelSpec, space_grid: SpaceGrid, time_grid: TimeGri
 # ---------------------------------------------------------------------------
 
 def _policy_filter_mean_lg(policy: PolicyField, k: int, mean: np.ndarray,
-                           var: float, quad):
+                           var: float, n_controls: int):
     """pi_t[a_t] for a Gaussian filter state (vectorized over runs)."""
     if policy.provenance == "zero":
-        return np.zeros((mean.shape[0], 1))
+        return np.zeros((mean.shape[0], n_controls))
     if policy.gains is not None:
         return -np.einsum("pn,sn->sp", policy.gains[k], mean)
-    nodes, wts = quad
-    xq = mean[:, 0][:, None] + math.sqrt(2.0 * max(var, 0.0)) * nodes[None, :]
+    xq, wts = gaussian_quadrature(mean[:, 0], var)
     aq = np.interp(xq.ravel(), policy.space_grid.points(), policy.values[k])
     return (aq.reshape(xq.shape) @ wts)[:, None]
 
@@ -146,18 +158,15 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
     Qf = np.atleast_2d(np.asarray(terminal_hessian, dtype=float))
 
     Sigma = model_riccati(model, grid)
-    quad = hermgauss(64)
-    quad = (quad[0], quad[1] / math.sqrt(math.pi))
 
     # per-seed noise; state stream also carries the prior draw
     X = np.empty((S, n))
     xi = np.empty((S, K, n))
     eta = np.empty((S, K, m_obs))
-    L0 = np.linalg.cholesky(model.Sigma0 + 1e-15 * np.eye(n))
     for s, seed in enumerate(seeds):
         gx = path_generator(seed, STREAM_CONTROL_STATE, 0)
         gz = path_generator(seed, STREAM_CONTROL_OBS, 0)
-        X[s] = model.m0 + L0 @ gx.standard_normal(n)
+        X[s] = model.draw_initial_state(gx)
         xi[s] = gx.standard_normal((K, n))
         eta[s] = gz.standard_normal((K, m_obs))
 
@@ -165,11 +174,10 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
     cost = np.zeros(S)
     trace = np.empty((K + 1, n))
     trace[0] = m[0]
-    A_T = model.A.T
     H = model.H
     G = model.G
     for k in range(K):
-        alpha = _policy_filter_mean_lg(policy, k, m, float(Sigma[k][0, 0]), quad)
+        alpha = _policy_filter_mean_lg(policy, k, m, float(Sigma[k][0, 0]), p)
         cost += 0.5 * np.einsum("sp,sp->s", alpha, alpha) * dt
         drift_truth = X @ model.A + alpha @ G.T
         dZ = (X @ H) * dt + sqdt * eta[:, k, :]
@@ -214,41 +222,34 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
     gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
     gen_f = path_generator(seed, STREAM_FILTER, 0)
     gen_r = path_generator(seed, STREAM_RESAMPLE, 0)
-    x_truth = float(_sample_prior(model, np.array([gen_x.random()]),
-                                  np.array([gen_x.standard_normal()]))[0])
+    x_truth = float(model.prior.sample(gen_x, 1)[0])
     xi = gen_x.standard_normal(K)
     eta = gen_z.standard_normal(K)
-    particles = _sample_prior(model, gen_f.random(n_particles),
-                              gen_f.standard_normal(n_particles))
+    particles = model.prior.sample(gen_f, n_particles)
     lw = np.zeros(n_particles)
     pf_noise = gen_f.standard_normal((K, n_particles))
 
     cost = 0.0
     trace = np.empty(K + 1)
     for k in range(K):
-        w = np.exp(lw - lw.max())
-        wsum = w.sum()
+        w, wsum, _ = normalized_weights(lw)
         trace[k] = float(np.dot(w, particles) / wsum)
         a_part = policy.policy_at(k, particles)
         alpha = float(np.dot(w, a_part) / wsum)
         cost += 0.5 * alpha * alpha * dt
         dZ = model.obs(x_truth) * dt + sqdt * eta[k]
         x_truth = x_truth + (model.drift(x_truth) + g * alpha) * dt + model.sigma * sqdt * xi[k]
-        hk = np.asarray(model.obs(particles), dtype=float)
-        lw = lw + hk * dZ - 0.5 * hk * hk * dt
+        lw = log_weight_step(lw, np.asarray(model.obs(particles), dtype=float), dZ, dt)
         particles = particles + (np.asarray(model.drift(particles), dtype=float)
                                  + g * alpha) * dt + model.sigma * sqdt * pf_noise[k]
-        w = np.exp(lw - lw.max())
-        wsum = w.sum()
-        ess = wsum * wsum / np.dot(w, w)
+        w, wsum, ess = normalized_weights(lw)
         if ess < 1.0 + 1e-9:
             raise FilterDivergence("particle filter collapsed to a single path")
         if ess < ess_floor * n_particles:
-            counts = gen_r.multinomial(n_particles, w / wsum)
-            particles = np.repeat(particles, counts)
+            particles = particles[resample_indices(gen_r, w, wsum)]
             lw = np.zeros(n_particles)
-    w = np.exp(lw - lw.max())
-    trace[K] = float(np.dot(w, particles) / w.sum())
+    w, wsum, _ = normalized_weights(lw)
+    trace[K] = float(np.dot(w, particles) / wsum)
     cost += float(f_cost(x_truth))
     return ControlRunReport(realized_cost=cost, filter_trace=trace, seed=seed)
 
@@ -270,8 +271,9 @@ def separated_cost_estimate(model: ScalarModelSpec, policy: PolicyField,
     """
     if ensemble.innovation_increments is None:
         raise GridMismatch("separated cost needs an innovation-weighted ensemble")
-    acc, _control = _weighted_fold(model, obs, y_value, ensemble, "innovation",
-                                   True, ensemble.innovation_increments)
+    dI = ensemble.innovation_increments
+    acc, _control = _weighted_fold(model, y_value, ensemble, "innovation", True,
+                                   lambda k, h: dI[k])
     mu = prior_expectation_of_initial_slice(model, y_value)
     n = ensemble.n_paths
     return ControlRunReport(
@@ -301,28 +303,12 @@ def _policy_value_path(A, G, gains, Qf, grid: TimeGrid) -> np.ndarray:
     -dP/dt = F^T P + P F + K^T K with F = A^T - G K, P_T = Q_f; RK4 with the
     gain path interpolated linearly at half steps.
     """
-    K_steps = grid.n_steps
-    dt = grid.dt
-    P = np.atleast_2d(np.asarray(Qf, dtype=float)).copy()
-    out = np.empty((K_steps + 1,) + P.shape)
-    out[K_steps] = P
-
     def rate(P, Kg):
         F = A.T - G @ Kg
         return -(F.T @ P + P @ F + Kg.T @ Kg)
 
-    for k in range(K_steps - 1, -1, -1):
-        K_right = gains[k + 1]
-        K_left = gains[k]
-        K_mid = 0.5 * (K_left + K_right)
-        k1 = rate(P, K_right)
-        k2 = rate(P - 0.5 * dt * k1, K_mid)
-        k3 = rate(P - 0.5 * dt * k2, K_mid)
-        k4 = rate(P - dt * k3, K_left)
-        P = P - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        P = 0.5 * (P + P.T)
-        out[k] = P
-    return out
+    return backward_rk4_sweep(rate, np.atleast_2d(np.asarray(Qf, dtype=float)), grid,
+                              coeffs=gains, finish=lambda P: 0.5 * (P + P.T))
 
 
 def lqg_alternating_iteration(model: LinearGaussianModelSpec, grid: TimeGrid,
@@ -346,7 +332,7 @@ def lqg_alternating_iteration(model: LinearGaussianModelSpec, grid: TimeGrid,
     P = None
     for sweep in range(max_sweeps):
         if obs is not None:
-            trace = _kalman_trace_under_law(model, Sigma, gains, obs)
+            trace = kalman_bucy_mean(A, model.H, Sigma, model.m0, obs, G=G, gains=gains).mean
         P = _policy_value_path(A, G, gains, terminal_hessian, grid)
         new_gains = np.einsum("ij,kjl->kil", G.T, P)
         change = float(np.max(np.abs(new_gains - gains)))
@@ -359,22 +345,6 @@ def lqg_alternating_iteration(model: LinearGaussianModelSpec, grid: TimeGrid,
     raise IterationNotConverged(
         f"gain change {convergence[-1]:.3e} after {max_sweeps} sweeps"
     )
-
-
-def _kalman_trace_under_law(model, Sigma, gains, obs):
-    K = obs.grid.n_steps
-    dt = obs.grid.dt
-    n = model.n_state
-    dZ = np.asarray(obs.dZ, dtype=float).reshape(K, model.n_obs)
-    m = model.m0.copy()
-    trace = np.empty((K + 1, n))
-    trace[0] = m
-    for k in range(K):
-        alpha = -(gains[k] @ m)
-        dI = dZ[k] - (model.H.T @ m) * dt
-        m = m + (model.A.T @ m + model.G @ alpha) * dt + Sigma[k] @ (model.H @ dI)
-        trace[k + 1] = m
-    return trace
 
 
 def lqg_optimal_cost(model: LinearGaussianModelSpec, terminal_hessian,
@@ -426,26 +396,16 @@ def remark_consistency_check(model: LinearGaussianModelSpec,
     innovation estimator identity).  All quantities come from the Kalman-Bucy
     closed forms on the observation grid.
     """
-    from .kalman import model_kalman
-
     grid = obs.grid
     dt = grid.dt
-    K = grid.n_steps
     Sigma = model_riccati(model, grid)
     state = model_kalman(model, obs, Sigma)
     dI = np.diff(state.innovation, axis=0)
 
     if alpha == "optimal":
-        ybar, u = closed_loop_dual_controls(model.A, model.H, Sigma, model.f_bar, grid)
-        alpha_path = u
+        ybar, alpha_path = closed_loop_dual_controls(model.A, model.H, Sigma, model.f_bar, grid)
     elif alpha == "zero":
-        # open-loop dual recursion
-        n = model.n_state
-        ybar = np.empty((K + 1, n))
-        ybar[K] = model.f_bar
-        for k in range(K - 1, -1, -1):
-            ybar[k] = ybar[k + 1] + dt * (model.A @ ybar[k + 1])
-        alpha_path = np.zeros((K, model.G.shape[1] if model.G is not None else 1))
+        ybar = open_loop_dual_path(model.A, model.f_bar, grid)
     else:
         raise ValueError(f"unknown alpha mode {alpha!r}")
 

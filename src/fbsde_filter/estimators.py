@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
     FixedPointNotConverged,
@@ -34,10 +33,17 @@ from .errors import (
     ResamplingForbiddenInEstimatorMode,
 )
 from .io import write_csv
-from .kalman import model_riccati
-from .model import LinearGaussianModelSpec, ScalarModelSpec, SpaceGrid, TimeGrid
+from .kalman import covariance_path, model_riccati
+from .model import (
+    LinearGaussianModelSpec,
+    ScalarModelSpec,
+    SpaceGrid,
+    TimeGrid,
+    gaussian_quadrature,
+    scalar_view,
+)
 from .pde_backward import GridFunction, solve_backward_with_source
-from .sde_sim import ObservationRecord, PathEnsemble, compute_observation_error
+from .sde_sim import ObservationRecord, PathEnsemble, cumulative_path, per_step_path
 
 ESTIMATOR_IDS = ("sigma_obs", "pi_innovation", "pi_obs", "sigma_obs_error")
 
@@ -115,42 +121,30 @@ def prior_expectation_of_initial_slice(model, y: GridFunction) -> float:
     return prior.expectation(lambda x: y.eval(0, x))
 
 
-def _scalar_obs(model):
-    if isinstance(model, LinearGaussianModelSpec):
-        return model.as_scalar().obs_fn
-    return model.obs_fn
+def _weighted_fold(model, y, ensemble, weight_kind, centered, driver):
+    """Per-path Ito fold sum_k w_k y_k(X_k) c_k d_k and the averaged control.
 
-
-def _weighted_fold(model, obs, y, ensemble, weight_kind, centered, driver):
-    """Per-path Ito fold sum_k w_k y_k(X_k) c_k d_k and the averaged control."""
-    lw = (ensemble.log_weights_girsanov if weight_kind == "girsanov"
-          else ensemble.log_weights_innovation)
-    if lw is None:
-        raise ValueError(f"ensemble carries no {weight_kind} weights")
+    c_k = h(X_k), minus pi_k[h] when `centered`; the increment d_k =
+    driver(k, h(X_k)) is one number per step or one per path.
+    """
+    lw = ensemble.log_weights(weight_kind)
     K = ensemble.grid.n_steps
-    n = ensemble.n_paths
-    h_fn = _scalar_obs(model)
-    acc = np.zeros(n)
+    h_fn = scalar_view(model).obs_fn
+    acc = np.zeros(ensemble.n_paths)
     control = np.empty(K)
-    pih = ensemble.pi_h_path
     for k in range(K):
         xk = ensemble.states[:, k]
-        coeff = np.asarray(h_fn(xk), dtype=float)
-        if centered:
-            coeff = coeff - pih[k]
+        hk = np.asarray(h_fn(xk), dtype=float)
+        coeff = hk - ensemble.pi_h_path[k] if centered else hk
         integrand = np.exp(lw[:, k]) * y.eval(k, xk) * coeff
         control[k] = -integrand.mean()
-        acc += integrand * driver[k]
+        acc += integrand * driver(k, hk)
     return acc, control
 
 
 def _finish_report(estimator_id, model, y, ensemble, acc, control, seed=None):
     n = ensemble.n_paths
-    w0 = np.exp(
-        (ensemble.log_weights_girsanov
-         if ensemble.log_weights_girsanov is not None
-         else ensemble.log_weights_innovation)[:, 0]
-    ).mean()
+    w0 = np.exp(ensemble.log_weights()[:, 0]).mean()
     mu_term = w0 * prior_expectation_of_initial_slice(model, y)
     integral = float(acc.mean())
     return EstimatorReport(
@@ -181,7 +175,7 @@ def estimate_sigma_obs(model, obs: ObservationRecord, y: GridFunction,
     _require_raw(ensemble)
     _check_grids(obs, ensemble, y)
     dZ = np.asarray(obs.dZ, dtype=float).reshape(-1)
-    acc, control = _weighted_fold(model, obs, y, ensemble, "girsanov", False, dZ)
+    acc, control = _weighted_fold(model, y, ensemble, "girsanov", False, lambda k, h: dZ[k])
     return _finish_report("sigma_obs", model, y, ensemble, acc, control)
 
 
@@ -200,13 +194,11 @@ def estimate_pi_innovation(model, obs: ObservationRecord, y: GridFunction,
     if ensemble.pi_h_path is None or ensemble.innovation_increments is None:
         raise ValueError("ensemble was not simulated with innovation weights")
     if pi_h_source is not None:
-        given = np.asarray(pi_h_source, dtype=float).reshape(-1)
-        if given.shape[0] == ensemble.grid.n_steps + 1:
-            given = given[:-1]
+        given = per_step_path(pi_h_source, ensemble.grid, "pi_h source")
         if not np.allclose(given, ensemble.pi_h_path, atol=1e-12):
             raise GridMismatch("pi_h source differs from the ensemble's realized path")
     dI = ensemble.innovation_increments
-    acc, control = _weighted_fold(model, obs, y, ensemble, "innovation", True, dI)
+    acc, control = _weighted_fold(model, y, ensemble, "innovation", True, lambda k, h: dI[k])
     return _finish_report("pi_innovation", model, y, ensemble, acc, control)
 
 
@@ -228,21 +220,10 @@ def estimate_sigma_obs_error(model, obs: ObservationRecord, y_fk: GridFunction,
     _check_grids(obs, ensemble, y_fk)
     if obs.X_truth is None:
         raise MissingTruthPath("estimator needs a synthetic observation record")
-    lw = ensemble.log_weights_girsanov
-    if lw is None:
-        raise ValueError("ensemble carries no girsanov weights")
     dZ = np.asarray(obs.dZ, dtype=float).reshape(-1)
     dt = ensemble.grid.dt
-    h_fn = _scalar_obs(model)
-    K = ensemble.grid.n_steps
-    acc = np.zeros(ensemble.n_paths)
-    control = np.empty(K)
-    for k in range(K):
-        xk = ensemble.states[:, k]
-        hk = np.asarray(h_fn(xk), dtype=float)
-        integrand = np.exp(lw[:, k]) * y_fk.eval(k, xk) * hk
-        control[k] = -integrand.mean()
-        acc += integrand * (dZ[k] - hk * dt)
+    acc, control = _weighted_fold(model, y_fk, ensemble, "girsanov", False,
+                                  lambda k, h: dZ[k] - h * dt)
     return _finish_report("sigma_obs_error", model, y_fk, ensemble, acc, control)
 
 
@@ -264,12 +245,8 @@ def closed_loop_dual_controls(A, H, Sigma_path, f_bar, grid: TimeGrid):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
-    Sigma = np.asarray(Sigma_path, dtype=float)
-    if Sigma.ndim == 1:
-        Sigma = Sigma.reshape(-1, 1, 1)
+    Sigma = covariance_path(Sigma_path, grid)
     K = grid.n_steps
-    if Sigma.shape[0] != K + 1:
-        raise GridMismatch("Sigma path does not cover the grid")
     dt = grid.dt
     n = A.shape[0]
     m_obs = H.shape[1]
@@ -283,39 +260,106 @@ def closed_loop_dual_controls(A, H, Sigma_path, f_bar, grid: TimeGrid):
     return ybar, u
 
 
+def open_loop_dual_path(A, f_bar, grid: TimeGrid) -> np.ndarray:
+    """Open-loop dual recursion ybar_k = (I + A dt) ybar_{k+1}, ybar_K = f_bar."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
+    K = grid.n_steps
+    ybar = np.empty((K + 1, f_bar.shape[0]))
+    ybar[K] = f_bar
+    for k in range(K - 1, -1, -1):
+        ybar[k] = ybar[k + 1] + grid.dt * (A @ ybar[k + 1])
+    return ybar
+
+
 def open_loop_dual_estimate(A, H, Sigma_path, f_bar, m0, innovation_increments,
                             grid: TimeGrid) -> float:
     """Averaged innovation estimator in closed form.
 
-    Uses the open-loop dual recursion ybar_k = (I + A dt) ybar_{k+1} and the
-    left-point sum of ybar_{k+1}^T Sigma_k H dI_k, which telescopes exactly
-    against the filtered-mean recursion (duality identity).
+    Uses the open-loop dual path and the left-point sum of
+    ybar_{k+1}^T Sigma_k H dI_k, which telescopes exactly against the
+    filtered-mean recursion (duality identity).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
-    Sigma = np.asarray(Sigma_path, dtype=float)
-    if Sigma.ndim == 1:
-        Sigma = Sigma.reshape(-1, 1, 1)
+    Sigma = covariance_path(Sigma_path, grid)
     K = grid.n_steps
-    dt = grid.dt
     dI = np.asarray(innovation_increments, dtype=float).reshape(K, H.shape[1])
-    ybar = f_bar.copy()
-    total = 0.0
-    # accumulate backward: integrand at step k uses ybar_{k+1}
-    terms = np.empty(K)
-    for k in range(K - 1, -1, -1):
-        terms[k] = float(ybar @ (Sigma[k] @ (H @ dI[k])))
-        ybar = ybar + dt * (A @ ybar)
-    total = terms.sum()
+    ybar = open_loop_dual_path(A, f_bar, grid)
+    total = np.sum([float(ybar[k + 1] @ (Sigma[k] @ (H @ dI[k]))) for k in range(K)])
     m0 = np.asarray(m0, dtype=float).reshape(-1)
-    return float(ybar @ m0) + total
+    return float(ybar[0] @ m0) + total
 
 
-def _pi_source_moments(pi_source, k):
-    mean = pi_source.mean[k]
-    cov = pi_source.covariance[k]
-    return float(mean[0]), float(cov[0, 0])
+def _iterate_control(step, u, tol: float, max_iter: int):
+    """Iterate u <- step(u)[0] until the largest change falls below tol;
+    returns u, the solution step(u)[1] it came from and the iteration count."""
+    change = math.inf
+    for it in range(max_iter):
+        u_new, solution = step(u)
+        change = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if change < tol:
+            return u, solution, it + 1
+    raise FixedPointNotConverged(f"control iteration stalled at change {change:.3e}")
+
+
+def _lg_fixed_point(model: LinearGaussianModelSpec, Sigma, grid: TimeGrid,
+                    tol: float, max_iter: int):
+    """Frozen-data control iteration at the ODE level (see estimate_pi_obs)."""
+    dt = grid.dt
+    K = grid.n_steps
+    H = model.H
+    ident = np.eye(model.n_state)
+    left_inv = np.linalg.inv(ident - 0.5 * dt * model.A)
+    right = ident + 0.5 * dt * model.A
+
+    def step(u):
+        ybar = np.empty((K + 1, model.n_state))
+        ybar[K] = model.f_bar
+        for k in range(K - 1, -1, -1):
+            src = 0.5 * dt * (H @ (u[k] + u[k + 1]))
+            ybar[k] = left_inv @ (right @ ybar[k + 1] + src)
+        return -np.einsum("ji,kjl,kl->ki", H, Sigma, ybar), ybar
+
+    return _iterate_control(step, np.zeros((K + 1, model.n_obs)), tol, max_iter)
+
+
+def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: SpaceGrid,
+                        ensemble, pi_source, tol: float, max_iter: int):
+    """Frozen-data control iteration on the backward grid PDE (see estimate_pi_obs)."""
+    K = grid.n_steps
+    h_fn = model.obs_fn
+    if pi_source is not None:
+        quad = [gaussian_quadrature(float(pi_source.mean[k][0]),
+                                    float(pi_source.covariance[k][0, 0]))
+                for k in range(K + 1)]
+        pih = np.array([float(np.dot(wq, h_fn(xq))) for xq, wq in quad])
+    else:
+        w = np.exp(ensemble.log_weights("innovation"))
+        wsum = w.sum(axis=0)
+        hvals = np.asarray(h_fn(ensemble.states), dtype=float)
+        pih = np.einsum("ik,ik->k", w, hvals) / wsum
+
+    def project(y: GridFunction):
+        """pi_k[y_k (h - pi_k[h])] for every k."""
+        if pi_source is not None:
+            return np.array([float(np.dot(wq, y.eval(k, xq) * (h_fn(xq) - pih[k])))
+                             for k, (xq, wq) in enumerate(quad)])
+        out = np.empty(K + 1)
+        for k in range(K + 1):
+            xk = ensemble.states[:, k]
+            vals = y.eval(k, xk) * (np.asarray(h_fn(xk), dtype=float) - pih[k])
+            out[k] = float(np.dot(w[:, k], vals) / wsum[k])
+        return out
+
+    def step(u):
+        y = solve_backward_with_source(
+            model, space_grid, grid,
+            running_cost=lambda k, xs, a: u[k] * np.asarray(h_fn(xs), dtype=float),
+        )
+        return -project(y), y
+
+    return _iterate_control(step, np.zeros(K + 1), tol, max_iter)
 
 
 def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None = None,
@@ -337,141 +381,40 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
     GaussianState, evaluated by quadrature) or from the weighted `ensemble`.
     """
     grid = obs.grid
-    dt = grid.dt
     K = grid.n_steps
-    dZ = np.asarray(obs.dZ, dtype=float).reshape(-1)
+    if mode not in ("lg_closed_form", "fixed_point"):
+        raise ModeModelMismatch(f"unknown mode {mode!r}")
+    lg = isinstance(model, LinearGaussianModelSpec)
+    if mode == "lg_closed_form" and not lg:
+        raise ModeModelMismatch("lg_closed_form requires a linear-Gaussian model")
 
-    if mode == "lg_closed_form":
-        if not isinstance(model, LinearGaussianModelSpec):
-            raise ModeModelMismatch("lg_closed_form requires a linear-Gaussian model")
-        Sigma = Sigma_path if Sigma_path is not None else model_riccati(model, grid)
-        ybar, u = closed_loop_dual_controls(model.A, model.H, Sigma, model.f_bar, grid)
+    n_iterations = None
+    n_paths = 0
+    if lg:
+        Sigma = covariance_path(
+            Sigma_path if Sigma_path is not None else model_riccati(model, grid), grid)
+        if mode == "lg_closed_form":
+            ybar, u = closed_loop_dual_controls(model.A, model.H, Sigma, model.f_bar, grid)
+        else:
+            u, ybar, n_iterations = _lg_fixed_point(model, Sigma, grid, tol, max_iter)
         mu_term = float(ybar[0] @ model.m0)
         dZm = np.asarray(obs.dZ, dtype=float).reshape(K, model.n_obs)
-        integral = -float(np.einsum("km,km->", u, dZm))
-        return EstimatorReport(
-            estimator_id="pi_obs",
-            point_estimate=mu_term + integral,
-            mc_std_err=0.0,
-            y0_prior_term=mu_term,
-            stochastic_integral_term=integral,
-            control_path=u,
-            n_paths=0,
-            seed=obs.seed,
-            dt=dt,
-        )
-
-    if mode != "fixed_point":
-        raise ModeModelMismatch(f"unknown mode {mode!r}")
-
-    if isinstance(model, LinearGaussianModelSpec):
-        Sigma = Sigma_path if Sigma_path is not None else model_riccati(model, grid)
-        Sigma = np.asarray(Sigma, dtype=float)
-        if Sigma.ndim == 1:
-            Sigma = Sigma.reshape(-1, 1, 1)
-        A = model.A
-        H = model.H
-        n = model.n_state
-        m_obs = model.n_obs
-        ident = np.eye(n)
-        left = ident - 0.5 * dt * A
-        right = ident + 0.5 * dt * A
-        left_inv = np.linalg.inv(left)
-        u = np.zeros((K + 1, m_obs))
-        for it in range(max_iter):
-            ybar = np.empty((K + 1, n))
-            ybar[K] = model.f_bar
-            for k in range(K - 1, -1, -1):
-                src = 0.5 * dt * (H @ (u[k] + u[k + 1]))
-                ybar[k] = left_inv @ (right @ ybar[k + 1] + src)
-            u_new = -np.einsum("ji,kjl,kl->ki", H, Sigma, ybar)
-            change = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            if change < tol:
-                break
-        else:
-            raise FixedPointNotConverged(
-                f"control iteration stalled at change {change:.3e}"
-            )
-        mu_term = float(ybar[0] @ model.m0)
-        dZm = np.asarray(obs.dZ, dtype=float).reshape(K, m_obs)
-        integral = -float(np.einsum("km,km->", u[:-1], dZm))
-        return EstimatorReport(
-            estimator_id="pi_obs",
-            point_estimate=mu_term + integral,
-            mc_std_err=0.0,
-            y0_prior_term=mu_term,
-            stochastic_integral_term=integral,
-            control_path=u,
-            n_paths=0,
-            seed=obs.seed,
-            dt=dt,
-            n_iterations=it + 1,
-        )
-
-    # scalar model: frozen-data fixed point on the grid PDE
-    if not isinstance(model, ScalarModelSpec):
-        raise ModeModelMismatch("fixed_point requires a scalar or linear-Gaussian model")
-    if space_grid is None:
-        raise ValueError("fixed_point mode on scalar models needs a space grid")
-    if pi_source is None and ensemble is None:
-        raise ValueError("fixed_point mode needs a pi source (GaussianState or ensemble)")
-    if ensemble is not None:
-        _require_raw(ensemble)
-        _check_grids(obs, ensemble)
-
-    h_fn = model.obs_fn
-    nodes, wts = hermgauss(64)
-    wts = wts / math.sqrt(math.pi)
-
-    if pi_source is not None:
-        pih = np.empty(K + 1)
-        for k in range(K + 1):
-            mk, vk = _pi_source_moments(pi_source, k)
-            pih[k] = float(np.dot(wts, h_fn(mk + math.sqrt(2.0 * max(vk, 0.0)) * nodes)))
+        integral = -float(np.einsum("km,km->", u[:K], dZm))
     else:
-        lw = ensemble.log_weights_innovation
-        if lw is None:
-            raise ValueError("ensemble must carry innovation weights")
-        w = np.exp(lw)
-        hvals = np.asarray(h_fn(ensemble.states), dtype=float)
-        pih = np.einsum("ik,ik->k", w, hvals) / w.sum(axis=0)
-
-    def project(y: GridFunction, u_ignored):
-        """pi_k[y_k (h - pi_k[h])] for every k."""
-        out = np.empty(K + 1)
-        if pi_source is not None:
-            for k in range(K + 1):
-                mk, vk = _pi_source_moments(pi_source, k)
-                xq = mk + math.sqrt(2.0 * max(vk, 0.0)) * nodes
-                out[k] = float(np.dot(wts, y.eval(k, xq) * (h_fn(xq) - pih[k])))
-        else:
-            w = np.exp(ensemble.log_weights_innovation)
-            wsum = w.sum(axis=0)
-            for k in range(K + 1):
-                xk = ensemble.states[:, k]
-                vals = y.eval(k, xk) * (np.asarray(h_fn(xk), dtype=float) - pih[k])
-                out[k] = float(np.dot(w[:, k], vals) / wsum[k])
-        return out
-
-    u = np.zeros(K + 1)
-    y = None
-    for it in range(max_iter):
-        u_frozen = u
-        y = solve_backward_with_source(
-            model, space_grid, grid,
-            running_cost=lambda k, xs, a: u_frozen[k] * np.asarray(h_fn(xs), dtype=float),
-        )
-        u_new = -project(y, u)
-        change = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        if change < tol:
-            break
-    else:
-        raise FixedPointNotConverged(f"control iteration stalled at change {change:.3e}")
-
-    mu_term = prior_expectation_of_initial_slice(model, y)
-    integral = -float(np.dot(u[:-1], dZ))
+        if not isinstance(model, ScalarModelSpec):
+            raise ModeModelMismatch("fixed_point requires a scalar or linear-Gaussian model")
+        if space_grid is None:
+            raise ValueError("fixed_point mode on scalar models needs a space grid")
+        if pi_source is None and ensemble is None:
+            raise ValueError("fixed_point mode needs a pi source (GaussianState or ensemble)")
+        if ensemble is not None:
+            _require_raw(ensemble)
+            _check_grids(obs, ensemble)
+            n_paths = ensemble.n_paths
+        u, y, n_iterations = _scalar_fixed_point(model, grid, space_grid, ensemble,
+                                                 pi_source, tol, max_iter)
+        mu_term = prior_expectation_of_initial_slice(model, y)
+        integral = -float(np.dot(u[:-1], np.asarray(obs.dZ, dtype=float).reshape(-1)))
     return EstimatorReport(
         estimator_id="pi_obs",
         point_estimate=mu_term + integral,
@@ -479,10 +422,10 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
         y0_prior_term=mu_term,
         stochastic_integral_term=integral,
         control_path=u,
-        n_paths=0 if ensemble is None else ensemble.n_paths,
+        n_paths=n_paths,
         seed=obs.seed,
-        dt=dt,
-        n_iterations=it + 1,
+        dt=grid.dt,
+        n_iterations=n_iterations,
     )
 
 
@@ -498,14 +441,11 @@ def cost_functional_per_path(model, estimator_id: str, ensemble: PathEnsemble,
     `perturbation` (a constant or a callable (t, x, w) -> shift), so the
     second term reduces to the squared perturbation.
     """
-    if estimator_id in ("sigma_obs", "sigma_obs_error"):
-        lw = ensemble.log_weights_girsanov
-    elif estimator_id == "pi_innovation":
-        lw = ensemble.log_weights_innovation
-    else:
+    kind = {"sigma_obs": "girsanov", "sigma_obs_error": "girsanov",
+            "pi_innovation": "innovation"}.get(estimator_id)
+    if kind is None:
         raise ValueError(f"cost functional undefined for {estimator_id!r}")
-    if lw is None:
-        raise ValueError("ensemble weight kind does not match the estimator")
+    lw = ensemble.log_weights(kind)
     sigma = model.sigma
     grid = ensemble.grid
     dt = grid.dt
@@ -543,17 +483,11 @@ def variance_decay(model, y: GridFunction, ensemble: PathEnsemble,
     w y h (sigma flavor) or w y (h - pi[h]) (pi flavor); cumulative_rhs is
     its left-point time integral.
     """
-    if flavor == "sigma":
-        lw = ensemble.log_weights_girsanov
-        centered = False
-    elif flavor == "pi":
-        lw = ensemble.log_weights_innovation
-        centered = True
-    else:
+    if flavor not in ("sigma", "pi"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    if lw is None:
-        raise ValueError("ensemble weight kind does not match the requested flavor")
-    h_fn = _scalar_obs(model)
+    centered = flavor == "pi"
+    lw = ensemble.log_weights("innovation" if centered else "girsanov")
+    h_fn = scalar_view(model).obs_fn
     grid = ensemble.grid
     K = grid.n_steps
     n = ensemble.n_paths
@@ -577,6 +511,6 @@ def variance_decay(model, y: GridFunction, ensemble: PathEnsemble,
         v = w * y.eval(k, xk) * coeff
         v_centered = v - v.mean()
         rhs[k] = sigma2 * np.mean(q * q) + np.mean(v_centered * v_centered)
-    cumulative = np.concatenate([[0.0], np.cumsum(rhs[:-1]) * grid.dt])
+    cumulative = cumulative_path(rhs[:-1]) * grid.dt
     return VarianceDecayReport(grid=grid, var_y=var_y, var_std_err=var_se,
                                dirichlet_rhs=rhs, cumulative_rhs=cumulative)

@@ -12,6 +12,10 @@ and the filtered mean is stepped as
 
 The transpose conventions are pinned by the cross-module consistency tests
 rather than assumed.
+
+Shared linear-Gaussian kernels: `rk4_step` and `backward_rk4_sweep` (every
+Runge-Kutta loop), `covariance_path` (every Sigma-path check) and
+`kalman_bucy_mean` (every filtered-mean loop, optionally under a linear law).
 """
 
 from __future__ import annotations
@@ -94,6 +98,48 @@ def _clip_psd(path: np.ndarray) -> np.ndarray:
     return out
 
 
+def covariance_path(Sigma, grid: TimeGrid) -> np.ndarray:
+    """Sigma as an (n_steps + 1, n, n) path (a 1-D path holds variances)."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    if Sigma.ndim == 1:
+        Sigma = Sigma.reshape(-1, 1, 1)
+    if Sigma.shape[0] != grid.n_steps + 1:
+        raise GridMismatch("Sigma path does not cover the grid")
+    return Sigma
+
+
+def rk4_step(rate, y, h: float, c0=None, c_half=None, c1=None):
+    """One classical RK4 step of dy/dt = rate(y, c) over a signed step h, with
+    c = c0, c_half and c1 at the start, midpoint and end of the step."""
+    k1 = rate(y, c0)
+    k2 = rate(y + 0.5 * h * k1, c_half)
+    k3 = rate(y + 0.5 * h * k2, c_half)
+    k4 = rate(y + h * k3, c1)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def backward_rk4_sweep(rate, y_end, grid: TimeGrid, coeffs=None, finish=None) -> np.ndarray:
+    """RK4 path of dy/dt = rate(y, c_t) backward from y(T) = y_end.
+
+    The coefficient path `coeffs` (None: constant rate) is interpolated
+    linearly at half steps; `finish` post-processes every new value.
+    """
+    K = grid.n_steps
+    y = np.asarray(y_end, dtype=float)
+    path = np.empty((K + 1,) + y.shape)
+    path[K] = y
+    for k in range(K - 1, -1, -1):
+        if coeffs is None:
+            y = rk4_step(rate, y, -grid.dt)
+        else:
+            y = rk4_step(rate, y, -grid.dt, coeffs[k + 1],
+                         0.5 * (coeffs[k] + coeffs[k + 1]), coeffs[k])
+        if finish is not None:
+            y = finish(y)
+        path[k] = y
+    return path
+
+
 def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
     """Integrate the filter covariance ODE with classical Runge-Kutta.
 
@@ -112,15 +158,8 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
     norm_A = np.linalg.norm(A, 2)
     norm_HHt = np.linalg.norm(HHt, 2)
 
-    def rate(S):
+    def rate(S, _):
         return A.T @ S + S @ A + Q - S @ HHt @ S
-
-    def rk4(S, h):
-        k1 = rate(S)
-        k2 = rate(S + 0.5 * h * k1)
-        k3 = rate(S + 0.5 * h * k2)
-        k4 = rate(S + h * k3)
-        return _symmetrize(S + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
     path = np.empty((grid.n_steps + 1, n, n))
     path[0] = S
@@ -128,28 +167,28 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
         stiffness = 2.0 * (norm_A + norm_HHt * np.linalg.norm(S, 2))
         n_sub = max(1, int(np.ceil(4.0 * dt * stiffness)))
         for _ in range(n_sub):
-            S = rk4(S, dt / n_sub)
+            S = _symmetrize(rk4_step(rate, S, dt / n_sub))
         if np.any(np.abs(S) > RICCATI_OVERFLOW):
             raise RiccatiBlowup(f"covariance entry exceeded {RICCATI_OVERFLOW:g}")
         path[k + 1] = S
     return _clip_psd(path)
 
 
-def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord) -> GaussianState:
+def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord,
+                     G=None, gains=None) -> GaussianState:
     """Run the Kalman-Bucy mean recursion along an observation record.
 
-    Emits the realized innovation path alongside the Gaussian state.
+    With a linear law (control matrix G and a gain path of shape
+    (n_steps + 1, p, n)) the mean is driven by alpha_k = -gains_k m_k as well:
+    m_{k+1} = m_k + (A^T m_k + G alpha_k) dt + Sigma_k H dI_k.  Emits the
+    realized innovation path alongside the Gaussian state.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n = A.shape[0]
     m_obs = H.shape[1]
-    Sigma = np.asarray(Sigma_path, dtype=float)
+    Sigma = covariance_path(Sigma_path, obs.grid)
     K = obs.grid.n_steps
-    if Sigma.ndim == 1:
-        Sigma = Sigma.reshape(-1, 1, 1)
-    if Sigma.shape[0] != K + 1:
-        raise GridMismatch("Sigma path and observation record use different grids")
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K, m_obs)
     dt = obs.grid.dt
 
@@ -160,7 +199,8 @@ def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord) -> GaussianSt
         m = mean[k]
         dI = dZ[k] - (H.T @ m) * dt
         innovation[k + 1] = innovation[k] + dI
-        mean[k + 1] = m + (A.T @ m) * dt + Sigma[k] @ (H @ dI)
+        drift = A.T @ m if gains is None else A.T @ m + G @ -(gains[k] @ m)
+        mean[k + 1] = m + drift * dt + Sigma[k] @ (H @ dI)
     return GaussianState(grid=obs.grid, mean=mean, covariance=Sigma,
                          innovation=innovation)
 
@@ -178,28 +218,22 @@ def lq_control_riccati(A, G, terminal_hessian, grid: TimeGrid,
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    n = A.shape[0]
     Qf = _symmetrize(np.atleast_2d(np.asarray(terminal_hessian, dtype=float)))
     GGt = G @ G.T
     dt = grid.dt
     K = grid.n_steps
 
-    def rate(P):
+    def rate(P, _):
         # forward-time derivative dP/dt, integrated backward
         return -(A @ P + P @ A.T - P @ GGt @ P)
 
-    path = np.empty((K + 1, n, n))
-    path[K] = Qf
-    P = Qf.copy()
-    for k in range(K - 1, -1, -1):
-        k1 = rate(P)
-        k2 = rate(P - 0.5 * dt * k1)
-        k3 = rate(P - 0.5 * dt * k2)
-        k4 = rate(P - dt * k3)
-        P = _symmetrize(P - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    def finish(P):
+        P = _symmetrize(P)
         if np.any(np.abs(P) > RICCATI_OVERFLOW):
             raise RiccatiBlowup(f"Riccati entry exceeded {RICCATI_OVERFLOW:g}")
-        path[k] = P
+        return P
+
+    path = backward_rk4_sweep(rate, Qf, grid, finish=finish)
     gains = np.einsum("ij,kjl->kil", G.T, path)
     trace = 0.5 * sigma * sigma * np.trace(path, axis1=1, axis2=2)
     offset = np.zeros(K + 1)

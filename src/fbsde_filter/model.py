@@ -25,7 +25,16 @@ from .errors import (
     UnknownFunctionName,
 )
 
-_HERMITE_ORDER = 64
+# One Gauss-Hermite rule (weight exp(-x^2)) serves every Gaussian expectation.
+_GH_NODES, _GH_WEIGHTS = hermgauss(64)
+_GH_NODES.setflags(write=False)
+_GH_WEIGHTS.setflags(write=False)
+
+
+def gaussian_quadrature(mean, var: float):
+    """Gauss-Hermite nodes (one row per entry of `mean`) and weights for N(mean, var)."""
+    nodes = np.asarray(mean, dtype=float)[..., None] + math.sqrt(2.0 * max(var, 0.0)) * _GH_NODES
+    return nodes, _GH_WEIGHTS / math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +221,11 @@ class GaussianMixturePrior:
 
     def expectation(self, fn) -> float:
         """E[fn(X)] by Gauss-Hermite quadrature, exact enough to serve as an oracle."""
-        nodes, wts = hermgauss(_HERMITE_ORDER)
         total = 0.0
         for w, m, v in zip(self.weights, self.means, self.variances):
-            x = m + math.sqrt(2.0 * v) * nodes
-            total += w * float(np.dot(wts, np.asarray(fn(x), dtype=float))) / math.sqrt(math.pi)
+            x = m + math.sqrt(2.0 * v) * _GH_NODES
+            fx = np.asarray(fn(x), dtype=float)
+            total += w * float(np.dot(_GH_WEIGHTS, fx)) / math.sqrt(math.pi)
         return total
 
     def mass_outside(self, lo: float, hi: float) -> float:
@@ -231,8 +240,10 @@ class GaussianMixturePrior:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # Fixed draw order (uniform then normal) keeps streams reproducible.
-        u = gen.random(size)
-        z = gen.standard_normal(size)
+        return self.from_draws(gen.random(size), gen.standard_normal(size))
+
+    def from_draws(self, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Map uniforms u (component choice) and normals z to prior samples."""
         means = np.asarray(self.means)
         sds = np.sqrt(np.asarray(self.variances))
         edges = np.cumsum(np.asarray(self.weights))
@@ -384,6 +395,16 @@ class LinearGaussianModelSpec:
             raise DimensionMismatch("scalar prior view requires a 1-D state")
         return GaussianMixturePrior.gaussian(float(self.m0[0]), float(self.Sigma0[0, 0]))
 
+    def draw_initial_state(self, gen: np.random.Generator) -> np.ndarray:
+        """One draw of X0 ~ N(m0, Sigma0); a singular PSD Sigma0 (eigenvalues down
+        to -1e-10 pass validation) falls back to a clipped eigen-factor."""
+        try:
+            L = np.linalg.cholesky(self.Sigma0)
+        except np.linalg.LinAlgError:
+            w, V = np.linalg.eigh(self.Sigma0)
+            L = V * np.sqrt(np.maximum(w, 0.0))
+        return self.m0 + L @ gen.standard_normal(self.n_state)
+
     def as_scalar(self) -> ScalarModelSpec:
         """Scalar-model view of a 1-D linear-Gaussian spec (for grid solvers)."""
         if self.n_state != 1 or self.n_obs != 1:
@@ -398,28 +419,13 @@ class LinearGaussianModelSpec:
         )
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    """Running + terminal cost for the control application.
-
-    The default running cost is the quadratic 0.5 ||alpha||^2; the terminal
-    cost is a registry function of the state.
-    """
-
-    running: str = "quadratic_control"
-    terminal_fn: NamedFunction = field(
-        default_factory=lambda: NamedFunction("quadratic", {"weight": 1.0})
-    )
-
-    def __post_init__(self):
-        if self.running != "quadratic_control":
-            raise ValueError(f"unsupported running cost {self.running!r}")
-
-    def running_cost(self, x, alpha):
-        return 0.5 * np.asarray(alpha, dtype=float) ** 2
-
-    def terminal(self, x):
-        return self.terminal_fn(x)
+def scalar_view(model) -> ScalarModelSpec:
+    """The scalar-model view that grid solvers and ensembles run on."""
+    if isinstance(model, ScalarModelSpec):
+        return model
+    if isinstance(model, LinearGaussianModelSpec):
+        return model.as_scalar()
+    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

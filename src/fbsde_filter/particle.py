@@ -16,15 +16,16 @@ import numpy as np
 
 from .errors import GridMismatch, WeightCollapse
 from .io import write_csv
-from .model import TimeGrid
+from .model import TimeGrid, scalar_view
 from .sde_sim import (
     STREAM_FILTER,
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
-    _sample_prior,
-    _scalar_view,
+    log_weight_step,
+    normalized_weights,
     path_generator,
+    resample_indices,
 )
 
 
@@ -46,22 +47,6 @@ class ConditionalEstimate:
         write_csv(path, ["t", "value", "std_err", "ess"], rows)
 
 
-def _weights_matrix(ensemble: PathEnsemble, kind: str) -> np.ndarray:
-    lw = {"innovation": ensemble.log_weights_innovation,
-          "girsanov": ensemble.log_weights_girsanov}[kind]
-    if lw is None:
-        raise ValueError(f"ensemble carries no {kind} weights")
-    return np.exp(lw)
-
-
-def _pick_weights(ensemble: PathEnsemble) -> np.ndarray:
-    if ensemble.log_weights_innovation is not None:
-        return np.exp(ensemble.log_weights_innovation)
-    if ensemble.log_weights_girsanov is not None:
-        return np.exp(ensemble.log_weights_girsanov)
-    raise ValueError("ensemble carries no weight process")
-
-
 def _ess_path(w: np.ndarray) -> np.ndarray:
     s = w.sum(axis=0)
     return s * s / np.einsum("ij,ij->j", w, w)
@@ -69,7 +54,7 @@ def _ess_path(w: np.ndarray) -> np.ndarray:
 
 def sigma_estimate(ensemble: PathEnsemble, g) -> ConditionalEstimate:
     """Unnormalized conditional expectation: mean of girsanov-weight * g(X)."""
-    w = _weights_matrix(ensemble, "girsanov")
+    w = np.exp(ensemble.log_weights("girsanov"))
     vals = w * np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
     mean = vals.mean(axis=0)
@@ -85,7 +70,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
     "external" divides the plain mean of w g(X) by a supplied per-time
     normalizer path (e.g. a sigma_t[1] estimate).
     """
-    w = _pick_weights(ensemble)
+    w = np.exp(ensemble.log_weights())
     gv = np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
     ess = _ess_path(w)
@@ -122,17 +107,8 @@ def resample_multinomial(ensemble: PathEnsemble, seed: int,
     minimum-variance estimators.
     """
     k = ensemble.grid.n_steps if at_step is None else at_step
-    lw = (ensemble.log_weights_innovation
-          if ensemble.log_weights_innovation is not None
-          else ensemble.log_weights_girsanov)
-    if lw is None:
-        raise ValueError("ensemble carries no weight process")
-    n = ensemble.n_paths
-    w = np.exp(lw[:, k] - lw[:, k].max())
-    p = w / w.sum()
-    gen = path_generator(seed, STREAM_RESAMPLE, 0)
-    counts = gen.multinomial(n, p)
-    idx = np.repeat(np.arange(n), counts)
+    w, wsum, _ = normalized_weights(ensemble.log_weights()[:, k])
+    idx = resample_indices(path_generator(seed, STREAM_RESAMPLE, 0), w, wsum)
 
     def reindex(mat):
         if mat is None:
@@ -172,7 +148,7 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     """
     if not obs.grid.matches(grid):
         raise GridMismatch("observation record does not cover the requested grid")
-    sm = _scalar_view(model)
+    sm = scalar_view(model)
     fns = {"x": lambda x: x}
     if observables:
         fns.update(observables)
@@ -182,7 +158,7 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
 
     gen0 = path_generator(seed, STREAM_FILTER, 0)
-    x = _sample_prior(sm, gen0.random(n_paths), gen0.standard_normal(n_paths))
+    x = sm.prior.sample(gen0, n_paths)
     lw = np.zeros(n_paths)
     gen_resample = path_generator(seed, STREAM_RESAMPLE, 1)
 
@@ -192,9 +168,7 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     resample_steps = []
 
     def record(k):
-        w = np.exp(lw - lw.max())
-        wsum = w.sum()
-        ess_path[k] = wsum * wsum / np.dot(w, w)
+        w, wsum, ess_path[k] = normalized_weights(lw)
         for name, fn in fns.items():
             gv = np.asarray(fn(x), dtype=float)
             ratio = np.dot(w, gv) / wsum
@@ -204,18 +178,13 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
 
     record(0)
     for k in range(K):
-        hk = np.asarray(sm.obs(x), dtype=float)
-        lw = lw + hk * dZ[k] - 0.5 * hk * hk * dt
+        lw = log_weight_step(lw, np.asarray(sm.obs(x), dtype=float), dZ[k], dt)
         gen_k = path_generator(seed, STREAM_FILTER, k + 1)
         x = x + np.asarray(sm.drift(x), dtype=float) * dt \
             + sm.sigma * sqdt * gen_k.standard_normal(n_paths)
-        w = np.exp(lw - lw.max())
-        wsum = w.sum()
-        if wsum * wsum / np.dot(w, w) < ess_floor * n_paths:
-            p = w / wsum
-            counts = gen_resample.multinomial(n_paths, p)
-            idx = np.repeat(np.arange(n_paths), counts)
-            x = x[idx].copy()
+        w, wsum, ess = normalized_weights(lw)
+        if ess < ess_floor * n_paths:
+            x = x[resample_indices(gen_resample, w, wsum)]
             lw = np.zeros(n_paths)
             resample_steps.append(k + 1)
         record(k + 1)

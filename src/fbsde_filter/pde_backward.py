@@ -24,6 +24,7 @@ from scipy.linalg import expm, solve_banded
 
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure, PolicyIterationDiverged
 from .io import write_csv
+from .kalman import backward_rk4_sweep, covariance_path
 from .model import ScalarModelSpec, SpaceGrid, TimeGrid
 
 
@@ -329,30 +330,13 @@ def linear_backward_closed_loop(A, H, Sigma_path, f_bar, time_grid: TimeGrid):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
-    Sigma = np.asarray(Sigma_path, dtype=float)
-    K = time_grid.n_steps
-    if Sigma.shape[0] != K + 1:
-        raise GridMismatch("Sigma path must have n_steps + 1 entries")
-    if Sigma.ndim == 1:
-        Sigma = Sigma.reshape(K + 1, 1, 1)
+    Sigma = covariance_path(Sigma_path, time_grid)
     HHt = H @ H.T
-    dt = time_grid.dt
 
-    def rate(S, y):
+    def rate(y, S):
         # dy/dt for the forward-time variable (integrated backward)
         return -(A @ y - HHt @ (S @ y))
 
-    values = np.empty((K + 1, f_bar.shape[0]))
-    values[K] = f_bar
-    for k in range(K - 1, -1, -1):
-        y = values[k + 1]
-        S_right = Sigma[k + 1]
-        S_mid = 0.5 * (Sigma[k] + Sigma[k + 1])
-        S_left = Sigma[k]
-        k1 = rate(S_right, y)
-        k2 = rate(S_mid, y - 0.5 * dt * k1)
-        k3 = rate(S_mid, y - 0.5 * dt * k2)
-        k4 = rate(S_left, y - dt * k3)
-        values[k] = y - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    values = backward_rk4_sweep(rate, f_bar, time_grid, coeffs=Sigma)
     u = -np.einsum("ji,kjl,kl->ki", H, Sigma, values)
     return BackwardVector(time_grid, values), u

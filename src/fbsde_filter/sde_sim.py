@@ -10,6 +10,10 @@ Randomness is drawn from counter-based Philox streams keyed by
 scheduling or worker count.  Weights evolve in the log domain via the
 exponential-martingale step, which is exact for observation maps that are
 constant along a step.
+
+Forward kernels shared by the ensembles, the particle filter and the control
+filter: `log_weight_step`, `normalized_weights` (shifted weights, sum, ESS),
+`resample_indices`, `per_step_path` and `cumulative_path`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridMismatch, MissingTruthPath, SimulationDiverged, WeightCollapse
-from .model import LinearGaussianModelSpec, ScalarModelSpec, TimeGrid
+from .model import LinearGaussianModelSpec, TimeGrid, scalar_view
 
 STATE_OVERFLOW = 1.0e8
 
@@ -35,8 +39,25 @@ STREAM_CONTROL_OBS = 7
 STREAM_FILTER = 8
 
 
+def _key_part(name: str, value: int, bits: int) -> int:
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
+    return value
+
+
+def check_seed(seed: int) -> int:
+    """Return seed if it fits the 64-bit key word, else raise ValueError."""
+    return _key_part("seed", seed, 64)
+
+
 def path_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
-    """Philox generator for one (seed, stream, path) triple."""
+    """Philox generator for one (seed, stream, path) triple.
+
+    Key parts outside their bit fields would alias other streams: rejected.
+    """
+    check_seed(seed)
+    _key_part("stream", stream, 16)
+    _key_part("path index", path_index, 48)
     key = np.array(
         [np.uint64(seed), (np.uint64(stream) << np.uint64(48)) | np.uint64(path_index)],
         dtype=np.uint64,
@@ -66,21 +87,38 @@ def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
     return u0, z0, xi, eta
 
 
-def _sample_prior(model, u0: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    prior = model.prior
-    means = np.asarray(prior.means)
-    sds = np.sqrt(np.asarray(prior.variances))
-    edges = np.cumsum(np.asarray(prior.weights))
-    idx = np.searchsorted(edges, u0, side="right").clip(0, len(means) - 1)
-    return means[idx] + sds[idx] * z0
+def log_weight_step(lw, c, d, dt: float):
+    """Exponential-martingale step d(log w) = c d - c^2 dt / 2."""
+    return lw + c * d - 0.5 * c * c * dt
 
 
-def _scalar_view(model) -> ScalarModelSpec:
-    if isinstance(model, ScalarModelSpec):
-        return model
-    if isinstance(model, LinearGaussianModelSpec):
-        return model.as_scalar()
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+def normalized_weights(lw: np.ndarray):
+    """Shifted weights exp(lw - max lw), their sum and the effective sample size."""
+    w = np.exp(lw - lw.max())
+    wsum = w.sum()
+    return w, wsum, wsum * wsum / np.dot(w, w)
+
+
+def resample_indices(gen: np.random.Generator, w: np.ndarray, wsum) -> np.ndarray:
+    """Multinomial offspring indices for weights w with sum wsum."""
+    n = w.shape[0]
+    return np.repeat(np.arange(n), gen.multinomial(n, w / wsum))
+
+
+def per_step_path(values, grid: TimeGrid, label: str) -> np.ndarray:
+    """A per-step path of n_steps entries; an (n_steps + 1)-th entry is dropped."""
+    path = np.asarray(values, dtype=float).reshape(-1)
+    if path.shape[0] == grid.n_steps + 1:
+        path = path[:-1]
+    if path.shape[0] != grid.n_steps:
+        raise GridMismatch(f"{label} must have n_steps or n_steps + 1 entries")
+    return path
+
+
+def cumulative_path(increments) -> np.ndarray:
+    """Running sums along axis 0 with a leading zero: out[k] = sum_{j<k} inc[j]."""
+    inc = np.asarray(increments)
+    return np.concatenate([np.zeros((1,) + inc.shape[1:]), np.cumsum(inc, axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +207,16 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    def weights(self, kind: str, step: int | None = None) -> np.ndarray:
+    def log_weights(self, kind: str | None = None) -> np.ndarray:
+        """The (N, n_steps + 1) log-weights of one kind ("innovation" or
+        "girsanov"); kind=None takes the innovation weights when present."""
+        if kind is None:
+            kind = "innovation" if self.log_weights_innovation is not None else "girsanov"
         lw = {"innovation": self.log_weights_innovation,
-              "girsanov": self.log_weights_girsanov}[kind]
+              "girsanov": self.log_weights_girsanov}.get(kind)
         if lw is None:
             raise ValueError(f"ensemble carries no {kind} weights")
-        return np.exp(lw if step is None else lw[:, step])
+        return lw
 
     def to_npz(self, path) -> None:
         data = {"t_end": self.grid.t_end, "n_steps": self.grid.n_steps,
@@ -211,10 +253,7 @@ class PathEnsemble:
 
 def ensemble_ess(log_weights: np.ndarray) -> float:
     """Effective sample size (sum w)^2 / sum w^2 from log weights."""
-    lw = log_weights - log_weights.max()
-    w = np.exp(lw)
-    s = w.sum()
-    return float(s * s / np.dot(w, w))
+    return float(normalized_weights(log_weights)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -240,49 +279,34 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
     sqdt = np.sqrt(dt)
     K = grid.n_steps
 
+    gen_x = path_generator(seed, STREAM_TRUTH_STATE, 0)
+    gen_z = path_generator(seed, STREAM_TRUTH_OBS, 0)
     if isinstance(model, LinearGaussianModelSpec) and model.n_state > 1:
         if drift_fn is not None:
             raise ValueError("drift_fn override is supported on the scalar path only")
-        n, m = model.n_state, model.n_obs
-        gen_x = path_generator(seed, STREAM_TRUTH_STATE, 0)
-        gen_z = path_generator(seed, STREAM_TRUTH_OBS, 0)
-        L = np.linalg.cholesky(model.Sigma0 + 1e-300 * np.eye(n))
-        X = np.empty((K + 1, n))
-        X[0] = model.m0 + L @ gen_x.standard_normal(n)
-        xi = gen_x.standard_normal((K, n))
-        eta = gen_z.standard_normal((K, m))
+        X = np.empty((K + 1, model.n_state))
+        X[0] = model.draw_initial_state(gen_x)
+        xi = gen_x.standard_normal((K, model.n_state))
+        eta = gen_z.standard_normal((K, model.n_obs))
         for k in range(K):
             X[k + 1] = X[k] + (model.A.T @ X[k]) * dt + model.sigma * sqdt * xi[k]
         _check_overflow(X)
         signal = (X[:-1] @ model.H) * dt
-        dZ = signal + sqdt * eta
-        noise_inc = dZ - signal
-        Z = np.vstack([np.zeros((1, m)), np.cumsum(dZ, axis=0)])
-        noise_cum = np.vstack([np.zeros((1, m)), np.cumsum(noise_inc, axis=0)])
-        return ObservationRecord(grid=grid, Z=Z, dZ=dZ, X_truth=X,
-                                 noise_cum=noise_cum, seed=seed)
-
-    sm = _scalar_view(model)
-    gen_x = path_generator(seed, STREAM_TRUTH_STATE, 0)
-    gen_z = path_generator(seed, STREAM_TRUTH_OBS, 0)
-    u0 = gen_x.random()
-    z0 = gen_x.standard_normal()
-    X = np.empty(K + 1)
-    X[0] = _sample_prior(sm, np.array([u0]), np.array([z0]))[0]
-    xi = gen_x.standard_normal(K)
-    eta = gen_z.standard_normal(K)
-    for k in range(K):
-        b = sm.drift(X[k]) if drift_fn is None else float(drift_fn(k, X[k]))
-        X[k + 1] = X[k] + b * dt + sm.sigma * sqdt * xi[k]
-        if abs(X[k + 1]) > STATE_OVERFLOW:
-            raise SimulationDiverged(f"state exceeded {STATE_OVERFLOW:g} at step {k + 1}")
-    signal = np.asarray(sm.obs(X[:-1])) * dt
+    else:
+        sm = scalar_view(model)
+        X = np.empty(K + 1)
+        X[0] = sm.prior.sample(gen_x, 1)[0]
+        xi = gen_x.standard_normal(K)
+        eta = gen_z.standard_normal(K)
+        for k in range(K):
+            b = sm.drift(X[k]) if drift_fn is None else float(drift_fn(k, X[k]))
+            X[k + 1] = X[k] + b * dt + sm.sigma * sqdt * xi[k]
+            if abs(X[k + 1]) > STATE_OVERFLOW:
+                raise SimulationDiverged(f"state exceeded {STATE_OVERFLOW:g} at step {k + 1}")
+        signal = np.asarray(sm.obs(X[:-1])) * dt
     dZ = signal + sqdt * eta
-    noise_inc = dZ - signal
-    Z = np.concatenate([[0.0], np.cumsum(dZ)])
-    noise_cum = np.concatenate([[0.0], np.cumsum(noise_inc)])
-    return ObservationRecord(grid=grid, Z=Z, dZ=dZ, X_truth=X,
-                             noise_cum=noise_cum, seed=seed)
+    return ObservationRecord(grid=grid, Z=cumulative_path(dZ), dZ=dZ, X_truth=X,
+                             noise_cum=cumulative_path(dZ - signal), seed=seed)
 
 
 def _simulate_weighted_ensemble(
@@ -303,7 +327,7 @@ def _simulate_weighted_ensemble(
     an independent Brownian motion (used by the martingale and
     unconditional-variance checks).
     """
-    sm = _scalar_view(model)
+    sm = scalar_view(model)
     dt = grid.dt
     sqdt = np.sqrt(dt)
     K = grid.n_steps
@@ -321,16 +345,12 @@ def _simulate_weighted_ensemble(
         dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
         dZ_paths = None
     X = np.empty((n_paths, K + 1))
-    X[:, 0] = _sample_prior(sm, u0, z0)
+    X[:, 0] = sm.prior.from_draws(u0, z0)
     lw = np.zeros((n_paths, K + 1))
 
     external_pi_h = None
     if kind == "innovation" and not (isinstance(pi_h_source, str) and pi_h_source == "self"):
-        external_pi_h = np.asarray(pi_h_source, dtype=float).reshape(-1)
-        if external_pi_h.shape[0] == K + 1:
-            external_pi_h = external_pi_h[:-1]
-        if external_pi_h.shape[0] != K:
-            raise GridMismatch("pi_h source must have n_steps or n_steps + 1 entries")
+        external_pi_h = per_step_path(pi_h_source, grid, "pi_h source")
 
     pi_h_path = np.empty(K) if kind == "innovation" else None
     dI = np.empty(K) if kind == "innovation" and not fresh else None
@@ -342,19 +362,18 @@ def _simulate_weighted_ensemble(
         hk = np.asarray(sm.obs(xk), dtype=float)
         dz_k = dZ_paths[:, k] if fresh else dZ[k]
         if kind == "girsanov":
-            lw[:, k + 1] = lw[:, k] + hk * dz_k - 0.5 * hk * hk * dt
+            lw[:, k + 1] = log_weight_step(lw[:, k], hk, dz_k, dt)
         else:
             if external_pi_h is not None:
                 pih = external_pi_h[k]
             else:
-                w = np.exp(lw[:, k] - lw[:, k].max())
-                pih = float(np.dot(w, hk) / w.sum())
+                w, wsum, _ = normalized_weights(lw[:, k])
+                pih = float(np.dot(w, hk) / wsum)
             pi_h_path[k] = pih
             di_k = dz_k - pih * dt
             if not fresh:
                 dI[k] = di_k
-            centered = hk - pih
-            lw[:, k + 1] = lw[:, k] + centered * di_k - 0.5 * centered * centered * dt
+            lw[:, k + 1] = log_weight_step(lw[:, k], hk - pih, di_k, dt)
         b = np.asarray(sm.drift(xk), dtype=float) if drift_fn is None else \
             np.asarray(drift_fn(k, xk), dtype=float)
         X[:, k + 1] = xk + b * dt + sm.sigma * sqdt * xi[:, k]
@@ -420,14 +439,8 @@ def simulate_innovation_ensemble(model, grid, obs, n_paths, seed,
 
 def compute_innovation(obs: ObservationRecord, pi_h_path) -> np.ndarray:
     """Innovation path I_k = Z_k - sum_{j<k} pi_h_j dt (left-point sum)."""
-    K = obs.grid.n_steps
-    pih = np.asarray(pi_h_path, dtype=float).reshape(-1)
-    if pih.shape[0] == K + 1:
-        pih = pih[:-1]
-    if pih.shape[0] != K:
-        raise GridMismatch("pi_h path must have n_steps or n_steps + 1 entries")
-    dI = np.asarray(obs.dZ).reshape(K) - pih * obs.grid.dt
-    return np.concatenate([[0.0], np.cumsum(dI)])
+    pih = per_step_path(pi_h_path, obs.grid, "pi_h path")
+    return cumulative_path(np.asarray(obs.dZ).reshape(obs.grid.n_steps) - pih * obs.grid.dt)
 
 
 def compute_observation_error(model, obs: ObservationRecord) -> np.ndarray:
@@ -438,16 +451,8 @@ def compute_observation_error(model, obs: ObservationRecord) -> np.ndarray:
     """
     if obs.X_truth is None:
         raise MissingTruthPath("observation record carries no truth path")
-    K = obs.grid.n_steps
-    X = obs.X_truth
-    if X.ndim == 1:
-        signal = np.asarray(model.obs(X[:-1]), dtype=float) * obs.grid.dt
-        dW = np.asarray(obs.dZ).reshape(K) - signal
-        return np.concatenate([[0.0], np.cumsum(dW)])
-    signal = np.asarray(model.obs(X[:-1]), dtype=float) * obs.grid.dt
-    dW = np.asarray(obs.dZ) - signal
-    m = dW.shape[1]
-    return np.vstack([np.zeros((1, m)), np.cumsum(dW, axis=0)])
+    signal = np.asarray(model.obs(obs.X_truth[:-1]), dtype=float) * obs.grid.dt
+    return cumulative_path(np.asarray(obs.dZ).reshape(signal.shape) - signal)
 
 
 def with_scaled_initial_weights(ensemble: PathEnsemble, scale: float) -> PathEnsemble:

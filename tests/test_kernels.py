@@ -1,0 +1,110 @@
+"""Properties of the shared forward and backward kernels."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fbsde_filter.errors import FixedPointNotConverged, GridMismatch
+from fbsde_filter.estimators import estimate_pi_obs, open_loop_dual_estimate
+from fbsde_filter.kalman import backward_rk4_sweep, kalman_bucy_mean, model_riccati
+from fbsde_filter.model import GaussianMixturePrior, TimeGrid
+from fbsde_filter.sde_sim import (
+    STREAM_RESAMPLE,
+    ensemble_ess,
+    normalized_weights,
+    path_generator,
+    resample_indices,
+    simulate_truth_and_obs,
+)
+
+log_weight_arrays = arrays(np.float64, st.integers(1, 200),
+                           elements=st.floats(-30.0, 30.0))
+
+
+@given(log_weight_arrays, st.floats(-100.0, 100.0))
+@settings(max_examples=60, deadline=None)
+def test_ess_is_shift_invariant_and_between_one_and_n(lw, shift):
+    ess = ensemble_ess(lw)
+    n = lw.shape[0]
+    assert 1.0 - 1e-12 <= ess <= n * (1.0 + 1e-12)
+    assert math.isclose(ensemble_ess(lw + shift), ess, rel_tol=1e-9)
+
+
+@given(arrays(np.float64, st.integers(1, 100), elements=st.floats(0.0, 1.0)),
+       st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_resampling_keeps_n_indices_and_skips_zero_weights(w, seed):
+    w[np.argmax(w)] = 1.0  # at least one positive weight
+    idx = resample_indices(path_generator(seed, STREAM_RESAMPLE, 0), w, w.sum())
+    assert idx.shape == w.shape
+    assert idx.min() >= 0 and idx.max() < w.shape[0]
+    assert np.all(w[idx] > 0.0)
+
+
+def test_normalized_weights_resample_only_positive_paths():
+    lw = np.array([0.0, -np.inf, 1.0, -np.inf])
+    w, wsum, ess = normalized_weights(lw)
+    idx = resample_indices(path_generator(3, STREAM_RESAMPLE, 0), w, wsum)
+    assert set(idx.tolist()) <= {0, 2}
+    assert 1.0 <= ess <= 2.0
+
+
+def test_prior_from_draws_matches_sample_bitwise():
+    prior = GaussianMixturePrior((-1.0, 2.0), (0.3, 0.5), (0.4, 0.6))
+    sampled = prior.sample(path_generator(5, 1, 7), 1000)
+    gen = path_generator(5, 1, 7)
+    drawn = prior.from_draws(gen.random(1000), gen.standard_normal(1000))
+    assert sampled.tobytes() == drawn.tobytes()
+
+
+@pytest.mark.parametrize("linear_coeff", [False, True])
+def test_backward_rk4_sweep_is_fourth_order(linear_coeff):
+    # dy/dt = a(t) y with y(T) = 1: y(0) = exp(-int_0^T a); a linear in t is
+    # interpolated exactly at half steps, so the order is that of RK4.
+    a0, a1, T = 1.3, (0.8 if linear_coeff else 0.0), 2.0
+    exact = math.exp(-(a0 * T + 0.5 * a1 * T * T))
+
+    def error(n_steps):
+        grid = TimeGrid(T, n_steps)
+        if linear_coeff:
+            path = backward_rk4_sweep(lambda y, a: a * y, 1.0, grid,
+                                      coeffs=a0 + a1 * grid.times())
+        else:
+            path = backward_rk4_sweep(lambda y, _: a0 * y, 1.0, grid)
+        return abs(path[0] - exact)
+
+    ratio = error(20) / error(40)
+    assert 14.0 < ratio < 18.0
+
+
+def test_kalman_mean_with_zero_gains_equals_the_plain_mean_bitwise(lg_benchmark):
+    grid = TimeGrid(1.0, 200)
+    obs = simulate_truth_and_obs(lg_benchmark, grid, seed=4)
+    Sigma = model_riccati(lg_benchmark, grid)
+    m0 = [0.5]
+    plain = kalman_bucy_mean(lg_benchmark.A, lg_benchmark.H, Sigma, m0, obs)
+    zero = kalman_bucy_mean(lg_benchmark.A, lg_benchmark.H, Sigma, m0, obs,
+                            G=lg_benchmark.G, gains=np.zeros((201, 1, 1)))
+    assert plain.mean.tobytes() == zero.mean.tobytes()
+    assert plain.innovation.tobytes() == zero.innovation.tobytes()
+
+
+def test_sigma_path_of_the_wrong_length_is_rejected(lg_benchmark):
+    grid = TimeGrid(1.0, 100)
+    obs = simulate_truth_and_obs(lg_benchmark, grid, seed=2)
+    long = model_riccati(lg_benchmark, TimeGrid(2.0, 200))[:, 0, 0]
+    m = lg_benchmark
+    with pytest.raises(GridMismatch):
+        open_loop_dual_estimate(m.A, m.H, long, m.f_bar, m.m0, obs.dZ, grid)
+    with pytest.raises(GridMismatch):
+        estimate_pi_obs(m, obs, mode="fixed_point", Sigma_path=long)
+
+
+def test_fixed_point_without_iterations_reports_non_convergence(lg_benchmark):
+    obs = simulate_truth_and_obs(lg_benchmark, TimeGrid(1.0, 20), seed=2)
+    with pytest.raises(FixedPointNotConverged):
+        estimate_pi_obs(lg_benchmark, obs, mode="fixed_point", max_iter=0)
