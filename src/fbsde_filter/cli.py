@@ -1,14 +1,22 @@
 """Scenario runner: config parsing, seeded experiments, CSV emission.
 
-Subcommands: simulate | estimate | variance | control | sweep.  All
-randomness flows from --seed; re-runs produce byte-identical data files.
-The FBSDE_LOG environment variable sets logging verbosity only and never
-affects numerics.
+Subcommands: simulate | estimate | variance | control | sweep.  They share
+one run path, `main`: read the config file, parse it, build the model, create
+the output directory, open the run manifest, run the subcommand's own work
+`cmd_*(args, parser, model, manifest)` and write the manifest.  Config values
+are read through `model.setting`.  All randomness flows from --seed; re-runs
+produce byte-identical data files.  The FBSDE_LOG environment variable sets
+logging verbosity only and never affects numerics.
+
+Exit codes: 0 success; 1 a library error, an unreadable file or a rejected
+value (an `error:` line on stderr); 2 a config error or an invalid flag;
+3 an estimator needs the truth path that an --obs record lacks.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import datetime
 import hashlib
 import json
@@ -34,12 +42,14 @@ from .kalman import lq_control_riccati, model_kalman
 from .model import (
     LinearGaussianModelSpec,
     NamedFunction,
+    _parse_matrix,
     _parse_params,
     build_model,
     build_space_grid,
     build_time_grid,
     parse_config,
     scalar_view,
+    setting,
 )
 from .control import (
     ControlRunReport,
@@ -88,7 +98,8 @@ class Manifest:
         }
         self.out_dir = out_dir
 
-    def add(self, path: Path) -> Path:
+    def add(self, name: str) -> Path:
+        path = self.out_dir / name
         self.data["outputs"].append(str(path))
         return path
 
@@ -99,75 +110,74 @@ class Manifest:
             fh.write("\n")
 
 
-def _write_obs_csv(path, model, obs: ObservationRecord) -> None:
-    times = obs.grid.times()
-    K = obs.grid.n_steps
-    header = ["t", "z", "dz", "x_truth", "noise_cum"]
-    rows = []
-    for k in range(K + 1):
-        dz = 0.0 if k == 0 else float(np.asarray(obs.dZ).reshape(-1)[k - 1])
-        rows.append((
-            times[k],
-            float(np.asarray(obs.Z).reshape(-1)[k]),
-            dz,
-            float(np.asarray(obs.X_truth).reshape(-1)[k]) if obs.X_truth is not None else "",
-            float(np.asarray(obs.noise_cum).reshape(-1)[k]) if obs.noise_cum is not None else "",
-        ))
-    write_csv(path, header, rows)
+def _ensemble_size(text: str) -> int:
+    """An ensemble size: an integer of at least 2 (one path has no spread)."""
+    n = int(text)
+    if n < 2:
+        raise ValueError(f"an ensemble needs at least 2 paths, got {n}")
+    return n
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _particles(args, parser) -> int:
+    return args.particles or setting(parser, "estimator", "particles", _ensemble_size, 1000)
+
+
+def _ess_floor(parser):
+    return setting(parser, "estimator", "ess_floor", float, None)
+
+
+def _write_obs_csv(path, obs: ObservationRecord) -> None:
+    """One row per grid time; a record with several components gets one column
+    per component (x_truth_1 .. x_truth_n, and likewise z, dz, noise_cum)."""
+    header, columns = ["t"], [obs.grid.times()]
+    dz = np.concatenate([np.zeros_like(obs.dZ[:1]), obs.dZ])
+    for name, values in (("z", obs.Z), ("dz", dz), ("x_truth", obs.X_truth),
+                         ("noise_cum", obs.noise_cum)):
+        values = np.asarray(values, dtype=float).reshape(len(columns[0]), -1)
+        width = values.shape[1]
+        header += [name] if width == 1 else [f"{name}_{i + 1}" for i in range(width)]
+        columns += list(values.T)
+    write_csv(path, header, zip(*columns))
 
 
 def _load_or_simulate_obs(args, model, grid) -> ObservationRecord:
-    if getattr(args, "obs", None):
-        return ObservationRecord.from_npz(args.obs)
+    if args.obs:
+        return ObservationRecord.from_npz(args.obs, grid, getattr(model, "n_obs", 1))
     return simulate_truth_and_obs(model, grid, args.seed)
 
 
-def _estimator_settings(parser, args):
-    particles = args.particles
-    pi_h_source = "self"
-    ess_floor = None
-    if parser.has_section("estimator"):
-        sec = parser["estimator"]
-        if particles is None and "particles" in sec:
-            particles = int(sec["particles"])
-        pi_h_source = sec.get("pi_h_source", "self").strip()
-        if "ess_floor" in sec:
-            ess_floor = float(sec["ess_floor"])
-    return (particles if particles is not None else 1000), pi_h_source, ess_floor
-
-
-def _run_estimator(model, parser, args, estimator_id, particles, pi_h_source,
-                   ess_floor) -> EstimatorReport:
+def _run_estimator(model, parser, args, estimator_id, particles) -> EstimatorReport:
     tgrid = build_time_grid(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
     if estimator_id == "pi_obs" and isinstance(model, LinearGaussianModelSpec):
-        mode = getattr(args, "mode", None) or "lg_closed_form"
-        return estimate_pi_obs(model, obs, mode=mode)
+        return estimate_pi_obs(model, obs, mode=args.mode or "lg_closed_form")
     scalar = scalar_view(model)
     sgrid = build_space_grid(parser)
     scalar.validate_on_grid(sgrid)
-    if estimator_id in ("sigma_obs", "pi_innovation"):
-        y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
-    elif estimator_id == "sigma_obs_error":
-        y = solve_feynman_kac(scalar, sgrid, tgrid)
-    else:
-        y = None
-
-    if estimator_id == "sigma_obs":
+    ess_floor = _ess_floor(parser)
+    if estimator_id in ("sigma_obs", "sigma_obs_error"):
+        if estimator_id == "sigma_obs":
+            y, estimate = solve_backward_kolmogorov(scalar, sgrid, tgrid), estimate_sigma_obs
+        else:
+            y = solve_feynman_kac(scalar, sgrid, tgrid, reaction="growth")
+            estimate = estimate_sigma_obs_error
         ens = simulate_girsanov_ensemble(scalar, tgrid, obs, particles, args.seed,
                                          ess_floor=ess_floor)
-        return estimate_sigma_obs(scalar, obs, y, ens)
-    if estimator_id == "sigma_obs_error":
-        ens = simulate_girsanov_ensemble(scalar, tgrid, obs, particles, args.seed,
-                                         ess_floor=ess_floor)
-        return estimate_sigma_obs_error(scalar, obs, y, ens)
+        return estimate(scalar, obs, y, ens)
     if estimator_id == "pi_innovation":
+        y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
         source = "self"
-        if pi_h_source == "kalman":
+        if setting(parser, "estimator", "pi_h_source", str, "self") == "kalman":
             if not isinstance(model, LinearGaussianModelSpec):
                 raise ConfigError("pi_h_source=kalman requires a linear-Gaussian model")
-            state = model_kalman(model, obs)
-            source = (state.mean @ model.H).reshape(-1)
+            source = (model_kalman(model, obs).mean @ model.H).reshape(-1)
         ens = simulate_innovation_ensemble(scalar, tgrid, obs, particles, args.seed,
                                            pi_h_source=source, ess_floor=ess_floor)
         return estimate_pi_innovation(scalar, obs, y, ens)
@@ -179,205 +189,137 @@ def _run_estimator(model, parser, args, estimator_id, particles, pi_h_source,
     raise ConfigError(f"unknown estimator id {estimator_id!r}")
 
 
+def _terminal_hessian(parser, n: int) -> np.ndarray:
+    def convert(text):
+        hessian = _parse_matrix(text, "terminal_hessian")
+        if hessian.shape != (n, n):
+            raise ConfigError(f"terminal_hessian must be {n} x {n}, got "
+                              f"{hessian.shape[0]} x {hessian.shape[1]}")
+        return hessian
+    return setting(parser, "control", "terminal_hessian", convert, np.eye(n))
+
+
+def _terminal(parser) -> NamedFunction | None:
+    params = setting(parser, "control", "terminal_params",
+                     lambda text: _parse_params(text, "terminal_params"), {})
+    return setting(parser, "control", "terminal", lambda name: NamedFunction(name, params),
+                   None)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    cfg_text = Path(args.config).read_text()
-    parser = parse_config(cfg_text)
-    model = build_model(parser)
+def cmd_simulate(args, parser, model, manifest) -> None:
     tgrid = build_time_grid(parser)
-    out_dir = _out_dir(args, parser)
-    manifest = Manifest("simulate", cfg_text, args.seed, out_dir)
     obs = simulate_truth_and_obs(model, tgrid, args.seed)
-    _write_obs_csv(manifest.add(out_dir / "obs.csv"), model, obs)
-    obs.to_npz(manifest.add(out_dir / "obs.npz"))
-    if _flag(parser, "output", "dump_ensembles"):
-        particles, _, ess_floor = _estimator_settings(parser, args)
+    _write_obs_csv(manifest.add("obs.csv"), obs)
+    obs.to_npz(manifest.add("obs.npz"))
+    if setting(parser, "output", "dump_ensembles", _boolean, False):
         ens = simulate_girsanov_ensemble(scalar_view(model), tgrid, obs,
-                                         particles, args.seed, ess_floor=ess_floor)
-        ens.to_npz(manifest.add(out_dir / "ensemble.npz"))
-    manifest.write()
-    return EXIT_OK
+                                         _particles(args, parser), args.seed,
+                                         ess_floor=_ess_floor(parser))
+        ens.to_npz(manifest.add("ensemble.npz"))
 
 
-def cmd_estimate(args) -> int:
-    cfg_text = Path(args.config).read_text()
-    parser = parse_config(cfg_text)
-    model = build_model(parser)
-    out_dir = _out_dir(args, parser)
-    manifest = Manifest("estimate", cfg_text, args.seed, out_dir)
-    particles, pi_h_source, ess_floor = _estimator_settings(parser, args)
-    estimator_id = args.estimator or (
-        parser["estimator"]["id"].strip() if parser.has_section("estimator")
-        and "id" in parser["estimator"] else None)
-    if estimator_id is None:
-        raise ConfigError("no estimator id given (flag --estimator or [estimator] id)")
-    report = _run_estimator(model, parser, args, estimator_id, particles,
-                            pi_h_source, ess_floor)
-    write_csv(manifest.add(out_dir / "estimate.csv"),
-              EstimatorReport.csv_header(), [report.csv_row()])
-    manifest.write()
+def cmd_estimate(args, parser, model, manifest) -> None:
+    estimator_id = args.estimator or setting(parser, "estimator", "id")
+    report = _run_estimator(model, parser, args, estimator_id, _particles(args, parser))
+    write_csv(manifest.add("estimate.csv"), EstimatorReport.csv_header(),
+              [report.csv_row()])
     print(f"{estimator_id}: estimate={fmt(report.point_estimate)} "
           f"std_err={fmt(report.mc_std_err)}")
-    return EXIT_OK
 
 
-def cmd_variance(args) -> int:
-    cfg_text = Path(args.config).read_text()
-    parser = parse_config(cfg_text)
-    model = build_model(parser)
+def cmd_variance(args, parser, model, manifest) -> None:
     scalar = scalar_view(model)
     tgrid = build_time_grid(parser)
     sgrid = build_space_grid(parser)
     scalar.validate_on_grid(sgrid)
-    out_dir = _out_dir(args, parser)
-    manifest = Manifest("variance", cfg_text, args.seed, out_dir)
-    particles, pi_h_source, ess_floor = _estimator_settings(parser, args)
+    particles, ess_floor = _particles(args, parser), _ess_floor(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
-    flavor = "pi" if (args.estimator or "") == "pi_innovation" else "sigma"
+    flavor, simulate = (("pi", simulate_innovation_ensemble)
+                        if args.estimator == "pi_innovation"
+                        else ("sigma", simulate_girsanov_ensemble))
     y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
-    if flavor == "sigma":
-        ens = simulate_girsanov_ensemble(scalar, tgrid, obs, particles, args.seed,
-                                         ess_floor=ess_floor)
-    else:
-        ens = simulate_innovation_ensemble(scalar, tgrid, obs, particles, args.seed,
-                                           ess_floor=ess_floor)
-    report = variance_decay(scalar, y, ens, flavor=flavor)
-    report.to_csv(manifest.add(out_dir / "variance.csv"))
-    manifest.write()
-    return EXIT_OK
+    ens = simulate(scalar, tgrid, obs, particles, args.seed, ess_floor=ess_floor)
+    variance_decay(scalar, y, ens, flavor=flavor).to_csv(manifest.add("variance.csv"))
 
 
-def _control_settings(parser):
-    sec = parser["control"] if parser.has_section("control") else {}
-    hessian = float(sec.get("terminal_hessian", 1.0))
-    n_runs = int(sec.get("n_runs", 100))
-    filter_particles = int(sec.get("filter_particles", 1000))
-    terminal = None
-    if "terminal" in sec:
-        terminal = NamedFunction(sec["terminal"].strip(),
-                                 _parse_params(sec.get("terminal_params", ""),
-                                               "terminal_params"))
-    return hessian, n_runs, filter_particles, terminal
-
-
-def cmd_control(args) -> int:
-    cfg_text = Path(args.config).read_text()
-    parser = parse_config(cfg_text)
-    model = build_model(parser)
+def cmd_control(args, parser, model, manifest) -> None:
     tgrid = build_time_grid(parser)
-    out_dir = _out_dir(args, parser)
-    mode = args.mode or (parser["control"].get("mode", "") if
-                         parser.has_section("control") else "")
-    if not mode:
-        raise ConfigError("no control mode given (flag --mode or [control] mode)")
-    manifest = Manifest("control", cfg_text, args.seed, out_dir)
-    hessian, n_runs, filter_particles, terminal = _control_settings(parser)
-
+    mode = args.mode or setting(parser, "control", "mode")
+    lg = isinstance(model, LinearGaussianModelSpec)
     if mode == "lqg_iteration":
-        if not isinstance(model, LinearGaussianModelSpec):
+        if not lg:
             raise ConfigError("lqg_iteration requires a linear-Gaussian model")
+        hessian = _terminal_hessian(parser, model.n_state)
         obs = _load_or_simulate_obs(args, model, tgrid)
         result = lqg_alternating_iteration(model, tgrid, hessian, obs=obs)
-        ric = lq_control_riccati(model.A, model.G, hessian, tgrid,
-                                 sigma=model.sigma)
+        ric = lq_control_riccati(model.A, model.G, hessian, tgrid, sigma=model.sigma)
         gain_err = float(np.max(np.abs(result.gains - ric.gains)))
         rows = [(s + 1, change, "") for s, change in enumerate(result.convergence)]
         rows.append((len(result.convergence), result.convergence[-1], gain_err))
-        write_csv(manifest.add(out_dir / "lqg_iteration.csv"),
+        write_csv(manifest.add("lqg_iteration.csv"),
                   ["sweep", "max_gain_change", "final_gain_error_vs_riccati"], rows)
-        manifest.write()
         print(f"lqg_iteration: sweeps={result.n_sweeps} gain_error={fmt(gain_err)}")
-        return EXIT_OK
-
-    if mode == "certainty_equivalence":
+    elif mode == "certainty_equivalence":
+        n_runs = setting(parser, "control", "n_runs", int, 100)
         seeds = [args.seed + i for i in range(n_runs)]
-        if isinstance(model, LinearGaussianModelSpec):
-            ric = lq_control_riccati(model.A, model.G, hessian, tgrid,
-                                     sigma=model.sigma)
+        if lg:
+            hessian = _terminal_hessian(parser, model.n_state)
+            ric = lq_control_riccati(model.A, model.G, hessian, tgrid, sigma=model.sigma)
             policy = PolicyField.from_gains(tgrid, ric.gains)
-            costs, _ = certainty_equivalence_batch(model, policy, tgrid, seeds,
-                                                   hessian)
+            costs, _ = certainty_equivalence_batch(model, policy, tgrid, seeds, hessian)
             reports = [ControlRunReport(realized_cost=float(c), seed=s)
                        for s, c in zip(seeds, costs)]
         else:
-            sgrid = build_space_grid(parser)
-            policy, _ = hjb_policy(model, sgrid, tgrid,
+            terminal = _terminal(parser)
+            filter_particles = setting(parser, "control", "filter_particles",
+                                       _ensemble_size, 1000)
+            policy, _ = hjb_policy(model, build_space_grid(parser), tgrid,
                                    terminal=terminal)
             reports = [certainty_equivalence_run(model, policy, tgrid, s,
                                                  terminal_cost=terminal,
                                                  filter_particles=filter_particles)
                        for s in seeds]
-        control_reports_to_csv(manifest.add(out_dir / "control_runs.csv"), reports)
-        manifest.write()
+        control_reports_to_csv(manifest.add("control_runs.csv"), reports)
         mean_cost = float(np.mean([r.realized_cost for r in reports]))
         print(f"certainty_equivalence: runs={n_runs} mean_cost={fmt(mean_cost)}")
-        return EXIT_OK
-
-    if mode == "hjb":
+    elif mode == "hjb":
         scalar = scalar_view(model)
         sgrid = build_space_grid(parser)
         scalar.validate_on_grid(sgrid)
-        policy, value = hjb_policy(scalar, sgrid, tgrid, terminal=terminal)
-        xs = sgrid.points()
+        policy, value = hjb_policy(scalar, sgrid, tgrid, terminal=_terminal(parser))
         times = tgrid.times()
-        header = ["t"] + [format(x, ".17g") for x in xs]
-        write_csv(manifest.add(out_dir / "policy.csv"), header,
+        header = ["t"] + [format(x, ".17g") for x in sgrid.points()]
+        write_csv(manifest.add("policy.csv"), header,
                   (np.concatenate([[times[k]], policy.values[k]])
                    for k in range(len(times))))
-        value.to_csv(manifest.add(out_dir / "value.csv"))
-        manifest.write()
-        return EXIT_OK
-
-    raise ConfigError(f"unknown control mode {mode!r}")
+        value.to_csv(manifest.add("value.csv"))
+    else:
+        raise ConfigError(f"unknown control mode {mode!r}")
 
 
-def cmd_sweep(args) -> int:
-    cfg_text = Path(args.config).read_text()
-    parser = parse_config(cfg_text)
-    model = build_model(parser)
-    out_dir = _out_dir(args, parser)
-    manifest = Manifest("sweep", cfg_text, args.seed, out_dir)
-    _, pi_h_source, ess_floor = _estimator_settings(parser, args)
-    estimator_id = args.estimator or parser["estimator"]["id"].strip()
-    sizes = [int(v) for v in (args.particles_list or "100,1000,10000").split(",")]
-    rows = []
-    for n in sizes:
-        report = _run_estimator(model, parser, args, estimator_id, n,
-                                pi_h_source, ess_floor)
-        rows.append(report.csv_row())
-    write_csv(manifest.add(out_dir / "sweep.csv"),
-              EstimatorReport.csv_header(), rows)
-    manifest.write()
-    return EXIT_OK
+def cmd_sweep(args, parser, model, manifest) -> None:
+    estimator_id = args.estimator or setting(parser, "estimator", "id")
+    rows = [_run_estimator(model, parser, args, estimator_id, n).csv_row()
+            for n in args.particles_list]
+    write_csv(manifest.add("sweep.csv"), EstimatorReport.csv_header(), rows)
 
 
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
 
-def _flag(parser, section, key) -> bool:
-    if not parser.has_section(section) or key not in parser[section]:
-        return False
-    return parser[section][key].strip().lower() in ("1", "true", "yes", "on")
-
-
-def _out_dir(args, parser) -> Path:
-    out = args.out
-    if out is None and parser.has_section("output") and "dir" in parser["output"]:
-        out = parser["output"]["dir"]
-    path = Path(out if out is not None else ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _seed(text: str) -> int:
-    try:
-        return check_seed(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg_type(convert):
+    """An argparse type that reports the ValueError message of `convert`."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -389,15 +331,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--particles", type=int, default=None)
+        p.add_argument("--seed", type=_arg_type(lambda t: check_seed(int(t))), default=0)
+        p.add_argument("--particles", type=_arg_type(_ensemble_size), default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--estimator", default=None)
         p.add_argument("--mode", default=None)
         p.add_argument("--obs", default=None,
                        help="load an observation record (.npz) instead of simulating")
         if name == "sweep":
-            p.add_argument("--particles-list", default=None,
+            p.add_argument("--particles-list", default="100,1000,10000",
+                           type=_arg_type(lambda t: [_ensemble_size(v) for v in t.split(",")]),
                            help="comma-separated ensemble sizes")
         p.set_defaults(fn=fn)
     return ap
@@ -408,7 +351,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg_text = Path(args.config).read_text()
+        parser = parse_config(cfg_text)
+        model = build_model(parser)
+        out_dir = Path(args.out or setting(parser, "output", "dir", str, "."))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = Manifest(args.subcommand, cfg_text, args.seed, out_dir)
+        args.fn(args, parser, model, manifest)
+        manifest.write()
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

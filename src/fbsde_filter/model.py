@@ -1,10 +1,12 @@
 """Model specifications, grids, and the named-function registry.
 
 Configuration documents are INI-style text with sections [model], [grid],
-[estimator], [control], [output].  Models come in two kinds: nonlinear
-scalar diffusions with a one-dimensional observation channel, and general
-linear-Gaussian systems given by matrices.  All specification objects are
-immutable after construction and safe to share across workers.
+[estimator], [control], [output].  `parse_config` checks the keys of every
+section but [model], whose keys depend on its kind and are checked by
+`build_model`; `setting` reads one typed value.  Models come in two kinds:
+nonlinear scalar diffusions with a one-dimensional observation channel, and
+general linear-Gaussian systems given by matrices.  All specification
+objects are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -438,18 +440,15 @@ _MODEL_KEYS_SCALAR = {
     "control_gain",
 }
 _MODEL_KEYS_LG = {"kind", "a", "h", "g", "sigma", "m0", "sigma0", "f_bar"}
-_GRID_KEYS = {"t_end", "n_steps", "x_min", "x_max", "n_points"}
-_ESTIMATOR_KEYS = {"id", "particles", "pi_h_source", "ess_floor"}
-_CONTROL_KEYS = {"mode", "cost", "terminal_hessian", "terminal", "terminal_params",
-                 "n_runs", "filter_particles"}
-_OUTPUT_KEYS = {"dir", "dump_ensembles"}
-_KNOWN_SECTIONS = {
-    "model": None,  # kind-dependent
-    "grid": _GRID_KEYS,
-    "estimator": _ESTIMATOR_KEYS,
-    "control": _CONTROL_KEYS,
-    "output": _OUTPUT_KEYS,
+_KNOWN_SECTIONS = {  # [model] keys depend on its kind; build_model checks them
+    "model": None,
+    "grid": {"t_end", "n_steps", "x_min", "x_max", "n_points"},
+    "estimator": {"id", "particles", "pi_h_source", "ess_floor"},
+    "control": {"mode", "terminal_hessian", "terminal", "terminal_params", "n_runs",
+                "filter_particles"},
+    "output": {"dir", "dump_ensembles"},
 }
+_REQUIRED = object()
 
 
 def parse_config(text: str) -> configparser.ConfigParser:
@@ -461,7 +460,26 @@ def parse_config(text: str) -> configparser.ConfigParser:
     for section in parser.sections():
         if section not in _KNOWN_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        if _KNOWN_SECTIONS[section] is not None:
+            _check_keys(section, parser[section], _KNOWN_SECTIONS[section])
     return parser
+
+
+def setting(config, section: str, key: str, convert=str, default=_REQUIRED):
+    """[section] key of a parsed config, converted by `convert`; `default` if absent.
+
+    A missing key without a default, or a value that `convert` rejects, raises
+    ConfigError.
+    """
+    if not (config.has_section(section) and key in config[section]):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{section}]")
+        return default
+    text = config[section][key].strip()
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from None
 
 
 def _parse_matrix(text: str, label: str) -> np.ndarray:
@@ -509,6 +527,10 @@ def _check_keys(section: str, present, allowed) -> None:
         )
 
 
+def _parsed(config) -> configparser.ConfigParser:
+    return parse_config(config) if isinstance(config, str) else config
+
+
 def _is_pure_linear(fn: NamedFunction) -> bool:
     return fn.name == "linear" and fn.params.get("b", 0.0) == 0.0
 
@@ -520,8 +542,7 @@ def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
     the prior is a single Gaussian) are promoted to the 1-D linear-Gaussian
     representation so that closed-form oracles apply.
     """
-    if isinstance(config, str):
-        config = parse_config(config)
+    config = _parsed(config)
     if not config.has_section("model"):
         raise ConfigError("missing [model] section")
     sec = config["model"]
@@ -623,33 +644,16 @@ def specs_equal(a, b) -> bool:
 
 
 def build_time_grid(config) -> TimeGrid:
-    if isinstance(config, str):
-        config = parse_config(config)
-    if not config.has_section("grid"):
-        raise ConfigError("missing [grid] section")
-    sec = config["grid"]
-    _check_keys("grid", sec.keys(), _GRID_KEYS)
-    try:
-        return TimeGrid(t_end=float(sec["t_end"]), n_steps=int(sec["n_steps"]))
-    except KeyError as exc:
-        raise ConfigError(f"[grid] missing key {exc.args[0]!r}") from None
+    config = _parsed(config)
+    return TimeGrid(t_end=setting(config, "grid", "t_end", float),
+                    n_steps=setting(config, "grid", "n_steps", int))
 
 
 def build_space_grid(config) -> SpaceGrid:
-    if isinstance(config, str):
-        config = parse_config(config)
-    if not config.has_section("grid"):
-        raise ConfigError("missing [grid] section")
-    sec = config["grid"]
-    _check_keys("grid", sec.keys(), _GRID_KEYS)
-    try:
-        return SpaceGrid(
-            x_min=float(sec["x_min"]),
-            x_max=float(sec["x_max"]),
-            n_points=int(sec["n_points"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"[grid] missing key {exc.args[0]!r}") from None
+    config = _parsed(config)
+    return SpaceGrid(x_min=setting(config, "grid", "x_min", float),
+                     x_max=setting(config, "grid", "x_max", float),
+                     n_points=setting(config, "grid", "n_points", int))
 
 
 def _fmt(v: float) -> str:

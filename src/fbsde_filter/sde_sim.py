@@ -167,11 +167,13 @@ class ObservationRecord:
         np.savez_compressed(path, **data)
 
     @staticmethod
-    def from_npz(path) -> "ObservationRecord":
+    def from_npz(path, grid: TimeGrid | None = None,
+                 n_obs: int | None = None) -> "ObservationRecord":
+        """Load a record; Z and dZ must be finite, and when `grid` or `n_obs` is
+        given the record must lie on that grid and carry that many channels."""
         with np.load(path) as data:
-            grid = TimeGrid(float(data["t_end"]), int(data["n_steps"]))
-            return ObservationRecord(
-                grid=grid,
+            record = ObservationRecord(
+                grid=TimeGrid(float(data["t_end"]), int(data["n_steps"])),
                 Z=data["Z"],
                 dZ=data["dZ"],
                 X_truth=data["X_truth"] if "X_truth" in data else None,
@@ -180,6 +182,17 @@ class ObservationRecord:
                 obs_error=data["obs_error"] if "obs_error" in data else None,
                 seed=int(data["seed"]) if "seed" in data else None,
             )
+        if grid is not None and not record.grid.matches(grid):
+            raise GridMismatch(f"record grid (T={record.grid.t_end:g}, "
+                               f"{record.grid.n_steps} steps) differs from "
+                               f"T={grid.t_end:g}, {grid.n_steps} steps")
+        if not (np.isfinite(record.Z).all() and np.isfinite(record.dZ).all()):
+            raise ValueError("observation record holds non-finite Z or dZ values")
+        channels = 1 if record.dZ.ndim == 1 else record.dZ.shape[1]
+        if n_obs is not None and channels != n_obs:
+            raise GridMismatch(f"record has {channels} observation channels, "
+                               f"the model {n_obs}")
+        return record
 
 
 @dataclass(frozen=True)
