@@ -110,12 +110,23 @@ class Manifest:
             fh.write("\n")
 
 
-def _ensemble_size(text: str) -> int:
-    """An ensemble size: an integer of at least 2 (one path has no spread)."""
-    n = int(text)
-    if n < 2:
-        raise ValueError(f"an ensemble needs at least 2 paths, got {n}")
-    return n
+def _int_at_least(minimum: int, what: str):
+    """A converter from text to an integer of at least `minimum`."""
+    def convert(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise ValueError(f"{what} must be at least {minimum}, got {n}")
+        return n
+    return convert
+
+
+_ensemble_size = _int_at_least(2, "an ensemble size")  # one path has no spread
+
+
+def _pi_h_source(text: str) -> str:
+    if text not in ("self", "kalman"):
+        raise ValueError("must be 'self' or 'kalman'")
+    return text
 
 
 def _boolean(text: str) -> bool:
@@ -174,7 +185,7 @@ def _run_estimator(model, parser, args, estimator_id, particles) -> EstimatorRep
     if estimator_id == "pi_innovation":
         y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
         source = "self"
-        if setting(parser, "estimator", "pi_h_source", str, "self") == "kalman":
+        if setting(parser, "estimator", "pi_h_source", _pi_h_source, "self") == "kalman":
             if not isinstance(model, LinearGaussianModelSpec):
                 raise ConfigError("pi_h_source=kalman requires a linear-Gaussian model")
             source = (model_kalman(model, obs).mean @ model.H).reshape(-1)
@@ -264,7 +275,7 @@ def cmd_control(args, parser, model, manifest) -> None:
                   ["sweep", "max_gain_change", "final_gain_error_vs_riccati"], rows)
         print(f"lqg_iteration: sweeps={result.n_sweeps} gain_error={fmt(gain_err)}")
     elif mode == "certainty_equivalence":
-        n_runs = setting(parser, "control", "n_runs", int, 100)
+        n_runs = setting(parser, "control", "n_runs", _int_at_least(1, "n_runs"), 100)
         seeds = [args.seed + i for i in range(n_runs)]
         if lg:
             hessian = _terminal_hessian(parser, model.n_state)

@@ -36,7 +36,7 @@ from .model import (
     TimeGrid,
     gaussian_quadrature,
 )
-from .pde_backward import GridFunction, solve_hjb_quadratic
+from .pde_backward import GridFunction, interp_uniform, solve_hjb_quadratic
 from .sde_sim import (
     STREAM_CONTROL_OBS,
     STREAM_CONTROL_STATE,
@@ -73,7 +73,7 @@ class PolicyField:
             if self.gains.shape[1] == 1 and self.gains.shape[2] == 1 and x.ndim <= 1:
                 return -float(self.gains[k, 0, 0]) * x
             return -(x @ self.gains[k].T)
-        return np.interp(x, self.space_grid.points(), self.values[k])
+        return interp_uniform(self.space_grid, self.values[k], x)
 
     @staticmethod
     def zero(time_grid: TimeGrid) -> "PolicyField":
@@ -134,8 +134,8 @@ def _policy_filter_mean_lg(policy: PolicyField, k: int, mean: np.ndarray,
     if policy.gains is not None:
         return -np.einsum("pn,sn->sp", policy.gains[k], mean)
     xq, wts = gaussian_quadrature(mean[:, 0], var)
-    aq = np.interp(xq.ravel(), policy.space_grid.points(), policy.values[k])
-    return (aq.reshape(xq.shape) @ wts)[:, None]
+    aq = interp_uniform(policy.space_grid, policy.values[k], xq)
+    return (aq @ wts)[:, None]
 
 
 def certainty_equivalence_batch(model: LinearGaussianModelSpec,
@@ -149,6 +149,8 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
     """
     seeds = list(seeds)
     S = len(seeds)
+    if S == 0:
+        raise ValueError("certainty_equivalence_batch needs at least one seed")
     n = model.n_state
     m_obs = model.n_obs
     p = model.G.shape[1]

@@ -133,7 +133,7 @@ def _weighted_fold(model, y, ensemble, weight_kind, centered, driver):
     acc = np.zeros(ensemble.n_paths)
     control = np.empty(K)
     for k in range(K):
-        xk = ensemble.states[:, k]
+        xk = np.ascontiguousarray(ensemble.states[:, k])  # one strided read
         hk = np.asarray(h_fn(xk), dtype=float)
         coeff = hk - ensemble.pi_h_path[k] if centered else hk
         integrand = np.exp(lw[:, k]) * y.eval(k, xk) * coeff

@@ -15,6 +15,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -88,7 +89,20 @@ class SpaceGrid:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The nodes np.linspace(x_min, x_max, n_points), built once per grid
+        and read-only."""
+        return self.bracket[0]
+
+    @cached_property
+    def bracket(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only nodes, each node's right neighbour (+inf after the last)
+        and the n_points - 1 node spacings, for `pde_backward.interp_uniform`."""
+        nodes = np.linspace(self.x_min, self.x_max, self.n_points)
+        upper = np.append(nodes[1:], np.inf)
+        widths = nodes[1:] - nodes[:-1]
+        for a in (nodes, upper, widths):
+            a.setflags(write=False)
+        return nodes, upper, widths
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +113,14 @@ def _fn_linear(x, p):
     return p.get("a", 1.0) * x + p.get("b", 0.0)
 
 
+# x * x * x, not x**3: numpy sends an integer power to pow(), which is about
+# 60 times slower per element; the product is within 1 ulp of it.
 def _fn_cubic(x, p):
-    return p.get("c", 1.0) * x**3
+    return p.get("c", 1.0) * (x * x * x)
 
 
 def _fn_double_well(x, p):
-    return x - x**3
+    return x - x * x * x
 
 
 def _fn_sine(x, p):

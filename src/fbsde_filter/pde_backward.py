@@ -28,6 +28,38 @@ from .kalman import backward_rk4_sweep, covariance_path
 from .model import ScalarModelSpec, SpaceGrid, TimeGrid
 
 
+def interp_uniform(space_grid: SpaceGrid, fp: np.ndarray, x) -> np.ndarray:
+    """np.interp(x, space_grid.points(), fp), bitwise, by index arithmetic.
+
+    x is clipped to the grid, which reproduces np.interp's end values.  The
+    bracketing node j (nodes[j] <= x < nodes[j + 1]) comes from (x - x_min) / dx,
+    corrected by one node either way: the estimate is off by less than one
+    node unless the spacing nears the float resolution of the end points.
+    The value is then np.interp's own expression, fp[j] at nodes and
+    slope_j (x - nodes[j]) + fp[j] between them.
+    """
+    x = np.asarray(x, dtype=float)
+    nodes, upper, widths = space_grid.bracket
+    slopes = np.empty_like(fp, dtype=float)
+    np.subtract(fp[1:], fp[:-1], out=slopes[:-1])
+    slopes[:-1] /= widths
+    slopes[-1] = 0.0  # read only at x = x_max, a node
+    xc = x.reshape(-1).clip(space_grid.x_min, space_grid.x_max)
+    t = xc - space_grid.x_min
+    t /= space_grid.dx
+    np.fmax(t, 0.0, out=t)  # a NaN x takes node 0 and stays NaN below
+    j = t.astype(np.intp)
+    j -= xc < nodes[j]
+    j += xc >= upper[j]
+    xj = nodes[j]
+    yj = fp[j]
+    out = xc - xj
+    out *= slopes[j]
+    out += yj
+    np.copyto(out, yj, where=xc == xj)
+    return out.reshape(x.shape)[()]
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """A space-time field y[k][j] with its spatial gradient dy[k][j]."""
@@ -50,10 +82,10 @@ class GridFunction:
         return GridFunction(space_grid, time_grid, values, grad)
 
     def eval(self, k: int, x) -> np.ndarray:
-        return np.interp(x, self.space_grid.points(), self.values[k])
+        return interp_uniform(self.space_grid, self.values[k], x)
 
     def eval_gradient(self, k: int, x) -> np.ndarray:
-        return np.interp(x, self.space_grid.points(), self.gradient[k])
+        return interp_uniform(self.space_grid, self.gradient[k], x)
 
     def to_csv(self, path) -> None:
         xs = self.space_grid.points()

@@ -7,7 +7,13 @@ computes innovation and observation-error processes.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream tag, path index), so results are bit-reproducible regardless of
-scheduling or worker count.  Weights evolve in the log domain via the
+scheduling or worker count.  The 128-bit key is the word pair
+(seed, stream << 48 | path index).  `path_generator` builds the generator of
+one key; `_ensemble_noise` builds the one of path 0, snapshots its fresh
+`bit_generator.state` (the key, a zero counter and an empty buffer) and, for
+each path, writes the path's key word into the snapshot and assigns it back,
+so row i holds exactly the draws of `path_generator(seed, stream, i)` without
+constructing N generators.  Weights evolve in the log domain via the
 exponential-martingale step, which is exact for observation maps that are
 constant along a step.
 
@@ -71,19 +77,26 @@ def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
 
     Returns (u0, z0, xi, eta) with shapes (N,), (N,), (N, n_steps) and
     optionally (N, n_steps) observation-channel normals (drawn after the
-    state noise, in a fixed order).
+    state noise, in a fixed order).  Row i holds the draws of
+    path_generator(seed, stream, i), from one re-keyed generator (see the
+    module docstring).
     """
+    _key_part("path index", max(n_paths - 1, 0), 48)
+    gen = path_generator(seed, stream, 0)
+    fresh = gen.bit_generator.state  # key, zero counter, empty buffer
+    key = fresh["state"]["key"]
     u0 = np.empty(n_paths)
     z0 = np.empty(n_paths)
     xi = np.empty((n_paths, n_steps))
     eta = np.empty((n_paths, n_steps)) if with_obs_noise else None
     for i in range(n_paths):
-        gen = path_generator(seed, stream, i)
+        key[1] = stream << 48 | i
+        gen.bit_generator.state = fresh
         u0[i] = gen.random()
         z0[i] = gen.standard_normal()
-        xi[i, :] = gen.standard_normal(n_steps)
+        gen.standard_normal(out=xi[i])
         if with_obs_noise:
-            eta[i, :] = gen.standard_normal(n_steps)
+            gen.standard_normal(out=eta[i])
     return u0, z0, xi, eta
 
 
@@ -358,8 +371,13 @@ def _simulate_weighted_ensemble(
         dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
         dZ_paths = None
     X = np.empty((n_paths, K + 1))
-    X[:, 0] = sm.prior.from_draws(u0, z0)
-    lw = np.zeros((n_paths, K + 1))
+    lw = np.empty((n_paths, K + 1))
+    # the step's state and log-weight are contiguous vectors; each strided
+    # column of X, lw and the noise is read or written once
+    xk = sm.prior.from_draws(u0, z0)
+    lwk = np.zeros(n_paths)
+    X[:, 0] = xk
+    lw[:, 0] = lwk
 
     external_pi_h = None
     if kind == "innovation" and not (isinstance(pi_h_source, str) and pi_h_source == "self"):
@@ -371,29 +389,30 @@ def _simulate_weighted_ensemble(
     floor = (ess_floor if ess_floor is not None else 0.0) * n_paths
 
     for k in range(K):
-        xk = X[:, k]
         hk = np.asarray(sm.obs(xk), dtype=float)
         dz_k = dZ_paths[:, k] if fresh else dZ[k]
         if kind == "girsanov":
-            lw[:, k + 1] = log_weight_step(lw[:, k], hk, dz_k, dt)
+            lwk = log_weight_step(lwk, hk, dz_k, dt)
         else:
             if external_pi_h is not None:
                 pih = external_pi_h[k]
             else:
-                w, wsum, _ = normalized_weights(lw[:, k])
+                w, wsum, _ = normalized_weights(lwk)
                 pih = float(np.dot(w, hk) / wsum)
             pi_h_path[k] = pih
             di_k = dz_k - pih * dt
             if not fresh:
                 dI[k] = di_k
-            lw[:, k + 1] = log_weight_step(lw[:, k], hk - pih, di_k, dt)
+            lwk = log_weight_step(lwk, hk - pih, di_k, dt)
+        lw[:, k + 1] = lwk
         b = np.asarray(sm.drift(xk), dtype=float) if drift_fn is None else \
             np.asarray(drift_fn(k, xk), dtype=float)
-        X[:, k + 1] = xk + b * dt + sm.sigma * sqdt * xi[:, k]
-        if np.any(np.abs(X[:, k + 1]) > STATE_OVERFLOW):
+        xk = xk + b * dt + sm.sigma * sqdt * xi[:, k]
+        X[:, k + 1] = xk
+        if np.any(np.abs(xk) > STATE_OVERFLOW):
             raise SimulationDiverged(f"ensemble state exceeded {STATE_OVERFLOW:g} at step {k + 1}")
         if floor > 0 and collapse_step is None:
-            if ensemble_ess(lw[:, k + 1]) < floor:
+            if ensemble_ess(lwk) < floor:
                 collapse_step = k + 1
                 warnings.warn(
                     f"effective sample size fell below {floor:g} at step {k + 1}",

@@ -183,3 +183,20 @@ def test_obs_record_with_another_channel_count_is_rejected(tmp_path, capsys):
     grid = TimeGrid(1.0, 20)
     record = ObservationRecord(grid, np.zeros((21, 2)), np.zeros((20, 2)))
     assert _obs_exit(tmp_path, capsys, record, "channels") == EXIT_ERROR
+
+
+@pytest.mark.parametrize("config", [
+    LG2.replace("n_runs = 3", "n_runs = 0"),  # was an IndexError traceback
+    DW.replace("n_runs = 1", "n_runs = 0"),   # was mean_cost=nan and exit 0
+], ids=["linear_gaussian", "scalar"])
+def test_zero_control_runs_exit_2(tmp_path, capsys, config):
+    assert run(tmp_path, config, "control", "--mode", "certainty_equivalence") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "n_runs" in err and "Traceback" not in err
+
+
+def test_misspelt_pi_h_source_exits_2(tmp_path, capsys):
+    config = OU + "\n[estimator]\nid = pi_innovation\nparticles = 20\npi_h_source = kalmn\n"
+    assert run(tmp_path, config, "estimate") == EXIT_CONFIG
+    assert "pi_h_source" in capsys.readouterr().err
+    assert run(tmp_path, config.replace("kalmn", "self"), "estimate") == EXIT_OK

@@ -62,3 +62,10 @@ def test_zero_policy_with_two_control_channels_matches_zero_gains():
     assert zero.shape == (3,) and trace.shape == (51, 2)
     assert np.isfinite(zero).all()
     assert np.array_equal(zero, via_gains)
+
+
+def test_certainty_equivalence_batch_rejects_an_empty_seed_list():
+    grid = TimeGrid(1.0, 10)
+    with pytest.raises(ValueError, match="at least one seed"):
+        certainty_equivalence_batch(_lg2(np.eye(2)), PolicyField.zero(grid), grid,
+                                    [], np.eye(2))
