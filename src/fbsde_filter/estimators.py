@@ -340,23 +340,28 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
         hvals = np.asarray(h_fn(ensemble.states), dtype=float)
         pih = np.einsum("ik,ik->k", w, hvals) / wsum
 
+    # Neither h at the grid nodes nor h - pi_k[h] at the pi_k nodes depends on u.
+    h_grid = np.asarray(h_fn(space_grid.points()), dtype=float)
+    if pi_source is not None:
+        centred = [h_fn(xq) - pih[k] for k, (xq, _) in enumerate(quad)]
+    else:
+        centred = [np.asarray(h_fn(ensemble.states[:, k]), dtype=float) - pih[k]
+                   for k in range(K + 1)]
+
     def project(y: GridFunction):
         """pi_k[y_k (h - pi_k[h])] for every k."""
         if pi_source is not None:
-            return np.array([float(np.dot(wq, y.eval(k, xq) * (h_fn(xq) - pih[k])))
+            return np.array([float(np.dot(wq, y.eval(k, xq) * centred[k]))
                              for k, (xq, wq) in enumerate(quad)])
         out = np.empty(K + 1)
         for k in range(K + 1):
-            xk = ensemble.states[:, k]
-            vals = y.eval(k, xk) * (np.asarray(h_fn(xk), dtype=float) - pih[k])
+            vals = y.eval(k, ensemble.states[:, k]) * centred[k]
             out[k] = float(np.dot(w[:, k], vals) / wsum[k])
         return out
 
     def step(u):
-        y = solve_backward_with_source(
-            model, space_grid, grid,
-            running_cost=lambda k, xs, a: u[k] * np.asarray(h_fn(xs), dtype=float),
-        )
+        y = solve_backward_with_source(model, space_grid, grid,
+                                       running_cost=lambda k, xs, a: u[k] * h_grid)
         return -project(y), y
 
     return _iterate_control(step, np.zeros(K + 1), tol, max_iter)

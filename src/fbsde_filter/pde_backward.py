@@ -12,6 +12,11 @@ and automatic first-order upwinding at nodes whose cell Peclet number
 |b| dx / (sigma^2/2) exceeds 2.  Boundaries are homogeneous Neumann; the
 killing term is applied through a per-step integrating factor, which is exact
 for observation maps that are constant in space.
+
+The Kolmogorov, Feynman-Kac and sourced solves share one sweep.  With a drift
+constant in time (no policy), I - dt L is factored once (LAPACK gttrf) and each
+step is one gttrs solve; a policy, and the HJB inner iteration, assemble and
+solve it per step (solve_banded), with bitwise the same arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure, PolicyIterationDiverged
 from .io import write_csv
@@ -117,8 +123,11 @@ def _generator_bands(b: np.ndarray, sigma: float, dx: float):
 
     Homogeneous Neumann boundaries via ghost-node reflection.  Nodes with
     cell Peclet number above 2 switch to first-order upwinding; returns the
-    bands and whether any node was upwinded.
+    bands and whether any node was upwinded.  A non-finite drift raises
+    LinearSolveFailure (an infinite outward one would drop out at a boundary).
     """
+    if not np.all(np.isfinite(b)):
+        raise LinearSolveFailure("non-finite drift in the backward generator")
     J = b.shape[0]
     D = 0.5 * sigma * sigma
     sub = np.full(J, D / dx**2)
@@ -171,6 +180,25 @@ def _implicit_ab(sub, diag, sup, dt):
     return ab
 
 
+def _factored_solver(ab):
+    """Factor `ab` (solve_banded layout) once with gttrf; return a solver that
+    makes one gttrs call per right-hand side.  solve_banded's gtsv runs the same
+    elimination and pivoting, so the solutions are bitwise _banded_solve's."""
+    if not np.all(np.isfinite(ab)):
+        raise LinearSolveFailure("non-finite values in tridiagonal operator")
+    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise LinearSolveFailure(f"singular tridiagonal operator (gttrf info {info})")
+
+    def solve(rhs):
+        out, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        if info != 0 or not np.all(np.isfinite(out)):
+            raise LinearSolveFailure("non-finite values in tridiagonal solve")
+        return out
+
+    return solve
+
+
 def _banded_solve(ab, rhs):
     try:
         out = solve_banded((1, 1), ab, rhs)
@@ -197,7 +225,7 @@ def _warn_upwind(used: bool, context: str) -> None:
 def solve_backward_kolmogorov(model: ScalarModelSpec, space_grid: SpaceGrid,
                               time_grid: TimeGrid) -> GridFunction:
     """Solve -dy/dt = b dy/dx + (sigma^2/2) d2y/dx2 backward from y_T = f."""
-    return _solve_backward(model, space_grid, time_grid, killing=False)
+    return _sweep(model, space_grid, time_grid, "backward Kolmogorov solve")
 
 
 def solve_feynman_kac(model: ScalarModelSpec, space_grid: SpaceGrid,
@@ -213,28 +241,10 @@ def solve_feynman_kac(model: ScalarModelSpec, space_grid: SpaceGrid,
     """
     if reaction not in ("killing", "growth"):
         raise ValueError(f"unknown reaction {reaction!r}")
-    return _solve_backward(model, space_grid, time_grid, killing=True,
-                           reaction_sign=-1.0 if reaction == "killing" else 1.0)
-
-
-def _solve_backward(model, space_grid, time_grid, killing, reaction_sign=-1.0):
-    xs = space_grid.points()
-    b = np.asarray(model.drift(xs), dtype=float)
-    sub, diag, sup, upwound = _generator_bands(b, model.sigma, space_grid.dx)
-    _warn_upwind(upwound, "backward Kolmogorov solve")
-    dt = time_grid.dt
-    ab = _implicit_ab(sub, diag, sup, dt)
-
-    K = time_grid.n_steps
-    values = np.empty((K + 1, space_grid.n_points))
-    values[K] = np.asarray(model.terminal(xs), dtype=float)
-    damp = None
-    if killing:
-        damp = np.exp(reaction_sign * np.asarray(model.obs(xs), dtype=float) ** 2 * dt)
-    for k in range(K - 1, -1, -1):
-        y = _banded_solve(ab, values[k + 1])
-        values[k] = damp * y if killing else y
-    return GridFunction.from_values(space_grid, time_grid, values)
+    sign = -1.0 if reaction == "killing" else 1.0
+    h = np.asarray(model.obs(space_grid.points()), dtype=float)
+    return _sweep(model, space_grid, time_grid, "backward Kolmogorov solve",
+                  damp=np.exp(sign * h ** 2 * time_grid.dt))
 
 
 def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
@@ -247,32 +257,44 @@ def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
     callable (k, x) -> a; `running_cost` is a callable (k, x, a) -> cost
     (defaults to zero).  `terminal` overrides the model terminal function.
     """
+    if policy is not None and not callable(policy):
+        policy = np.asarray(policy, dtype=float)
+        expected = (time_grid.n_steps + 1, space_grid.n_points)
+        if policy.shape != expected:
+            raise GridMismatch(f"policy must have shape {expected}, got {policy.shape}")
+    return _sweep(model, space_grid, time_grid, "sourced backward solve",
+                  policy=policy, running_cost=running_cost, terminal=terminal)
+
+
+def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None,
+           terminal=None, damp=None):
+    """Reverse-time sweep of -dy/dt = L^{x,a} y + c_k(x, a_k), y_T = f (see the
+    module docstring); `damp` is the Feynman-Kac factor applied after each step."""
     xs = space_grid.points()
     dt = time_grid.dt
     K = time_grid.n_steps
     b0 = np.asarray(model.drift(xs), dtype=float)
-    g = model.control_gain
-
-    def policy_at(k):
-        if policy is None:
-            return np.zeros_like(xs)
-        if callable(policy):
-            return np.asarray(policy(k, xs), dtype=float)
-        return np.asarray(policy[k], dtype=float)
-
     values = np.empty((K + 1, space_grid.n_points))
     f = model.terminal if terminal is None else terminal
     values[K] = np.asarray(f(xs), dtype=float)
     any_upwind = False
+    if policy is None:
+        a = np.zeros_like(xs)
+        sub, diag, sup, any_upwind = _generator_bands(b0, model.sigma, space_grid.dx)
+        factored = _factored_solver(_implicit_ab(sub, diag, sup, dt))
     for k in range(K - 1, -1, -1):
-        a = policy_at(k)
-        sub, diag, sup, up = _generator_bands(b0 + g * a, model.sigma, space_grid.dx)
-        any_upwind = any_upwind or up
-        rhs = values[k + 1].copy()
+        if policy is not None:
+            a = np.asarray(policy(k, xs) if callable(policy) else policy[k], dtype=float)
+            sub, diag, sup, up = _generator_bands(b0 + model.control_gain * a,
+                                                  model.sigma, space_grid.dx)
+            any_upwind = any_upwind or up
+            ab = _implicit_ab(sub, diag, sup, dt)
+        rhs = values[k + 1]
         if running_cost is not None:
-            rhs += dt * np.asarray(running_cost(k, xs, a), dtype=float)
-        values[k] = _banded_solve(_implicit_ab(sub, diag, sup, dt), rhs)
-    _warn_upwind(any_upwind, "sourced backward solve")
+            rhs = rhs + dt * np.asarray(running_cost(k, xs, a), dtype=float)
+        y = factored(rhs) if policy is None else _banded_solve(ab, rhs)
+        values[k] = y if damp is None else damp * y
+    _warn_upwind(any_upwind, context)
     return GridFunction.from_values(space_grid, time_grid, values)
 
 
@@ -286,6 +308,8 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
     changes by less than `tol`.  Returns the value field and the policy array
     a[k][j].
     """
+    if max_inner < 1:
+        raise ValueError(f"max_inner must be >= 1, got {max_inner}")
     xs = space_grid.points()
     dx = space_grid.dx
     dt = time_grid.dt

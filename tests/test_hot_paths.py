@@ -1,15 +1,39 @@
-"""The uniform-grid interpolation, the re-keyed ensemble noise and the cubic
-kernels equal the reference computations they replace."""
+"""The uniform-grid interpolation, the re-keyed ensemble noise, the cubic
+kernels and the factored backward sweep equal the reference computations they
+replace."""
+
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from fbsde_filter.control import PolicyField
-from fbsde_filter.model import SpaceGrid, TimeGrid, registry_eval
-from fbsde_filter.pde_backward import GridFunction, interp_uniform
-from fbsde_filter.sde_sim import STREAM_GIRSANOV, _ensemble_noise, path_generator
+from fbsde_filter.errors import CFLWarning, LinearSolveFailure
+from fbsde_filter.estimators import estimate_pi_obs, prior_expectation_of_initial_slice
+from fbsde_filter.kalman import model_kalman
+from fbsde_filter.model import SpaceGrid, TimeGrid, gaussian_quadrature, registry_eval
+from fbsde_filter.pde_backward import (
+    GridFunction,
+    _generator_bands,
+    _implicit_ab,
+    interp_uniform,
+    solve_backward_kolmogorov,
+    solve_backward_with_source,
+    solve_feynman_kac,
+)
+from fbsde_filter.sde_sim import (
+    STREAM_GIRSANOV,
+    _ensemble_noise,
+    path_generator,
+    simulate_innovation_ensemble,
+    simulate_truth_and_obs,
+)
+
+from conftest import make_scalar
 
 
 def same_bits(a, b) -> bool:
@@ -100,3 +124,199 @@ def test_cubic_kernels_multiply_out_the_cube_within_one_ulp_of_the_power():
     assert same_bits(registry_eval("cubic", {"c": 0.3}, x), 0.3 * cube)
     assert same_bits(registry_eval("double_well", {}, x), x - cube)
     assert registry_eval("double_well", {}, 2.0) == -6.0
+
+
+# ---------------------------------------------------------------------------
+# the backward sweep against the per-step solve_banded loop it replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NodalModel:
+    """A scalar model given by its drift, h and f at the grid nodes."""
+
+    b: np.ndarray
+    h: np.ndarray
+    f: np.ndarray
+    sigma: float
+    control_gain: float = 0.0
+
+    def drift(self, x):
+        return self.b
+
+    def obs(self, x):
+        return self.h
+
+    def terminal(self, x):
+        return self.f
+
+
+def reference_sweep(model, sg, tg, damp=None, source=None, policy=None):
+    """Assemble I - dt L and call scipy.linalg.solve_banded at every step."""
+    xs = sg.points()
+    dt, K = tg.dt, tg.n_steps
+    b0 = np.asarray(model.drift(xs), dtype=float)
+    values = np.empty((K + 1, sg.n_points))
+    values[K] = model.terminal(xs)
+    for k in range(K - 1, -1, -1):
+        a = np.zeros_like(xs) if policy is None else policy[k]
+        sub, diag, sup, _ = _generator_bands(b0 + model.control_gain * a, model.sigma, sg.dx)
+        rhs = values[k + 1].copy()
+        if source is not None:
+            rhs += dt * source[k]
+        y = solve_banded((1, 1), _implicit_ab(sub, diag, sup, dt), rhs)
+        values[k] = y if damp is None else damp * y
+    return values
+
+
+def nodal_model(rng, sg, sigma, control_gain=0.0):
+    """Drift with cell Peclet numbers spread over [0, 8): central, blended
+    (2 < pe < 4) and fully upwinded (pe >= 4) rows all occur."""
+    D = 0.5 * sigma * sigma
+    pe = rng.uniform(0.0, 8.0, sg.n_points)
+    pe[1:5] = [0.0, 1.0, 3.0, 6.0]  # interior nodes
+    b = rng.choice([-1.0, 1.0], sg.n_points) * pe * D / sg.dx
+    return NodalModel(b=b, h=rng.uniform(-2.0, 2.0, sg.n_points),
+                      f=rng.standard_normal(sg.n_points), sigma=sigma,
+                      control_gain=control_gain)
+
+
+sweep_cases = dict(n_points=st.integers(6, 201), width=st.floats(0.1, 20.0),
+                   sigma=st.floats(0.05, 3.0), n_steps=st.integers(1, 30),
+                   dt=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))
+
+
+@given(**sweep_cases)
+@settings(max_examples=150, deadline=None)
+def test_policy_free_sweeps_equal_the_per_step_solve_banded_loop(
+        n_points, width, sigma, n_steps, dt, seed):
+    rng = np.random.default_rng(seed)
+    sg, tg = SpaceGrid(-0.5 * width, 0.5 * width, n_points), TimeGrid(dt * n_steps, n_steps)
+    model = nodal_model(rng, sg, sigma)
+    source = rng.standard_normal((n_steps, n_points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        bke = solve_backward_kolmogorov(model, sg, tg)
+        killing = solve_feynman_kac(model, sg, tg, reaction="killing")
+        growth = solve_feynman_kac(model, sg, tg, reaction="growth")
+        sourced = solve_backward_with_source(model, sg, tg,
+                                             running_cost=lambda k, xs, a: source[k])
+    assert same_bits(bke.values, reference_sweep(model, sg, tg))
+    for fk, sign in ((killing, -1.0), (growth, 1.0)):
+        damp = np.exp(sign * model.h ** 2 * tg.dt)
+        assert same_bits(fk.values, reference_sweep(model, sg, tg, damp=damp))
+    assert same_bits(sourced.values, reference_sweep(model, sg, tg, source=source))
+
+
+@given(**sweep_cases)
+@settings(max_examples=50, deadline=None)
+def test_policy_sweep_equals_the_per_step_solve_banded_loop(
+        n_points, width, sigma, n_steps, dt, seed):
+    rng = np.random.default_rng(seed)
+    sg, tg = SpaceGrid(-0.5 * width, 0.5 * width, n_points), TimeGrid(dt * n_steps, n_steps)
+    model = nodal_model(rng, sg, sigma, control_gain=rng.uniform(-2.0, 2.0))
+    policy = rng.uniform(-1.0, 1.0, (n_steps + 1, n_points)) * np.abs(model.b).max()
+    source = rng.standard_normal((n_steps, n_points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        by_array = solve_backward_with_source(model, sg, tg, policy=policy,
+                                              running_cost=lambda k, xs, a: source[k])
+        by_callable = solve_backward_with_source(model, sg, tg,
+                                                 policy=lambda k, xs: policy[k],
+                                                 running_cost=lambda k, xs, a: source[k])
+    reference = reference_sweep(model, sg, tg, source=source, policy=policy)
+    assert same_bits(by_array.values, reference)
+    assert same_bits(by_callable.values, reference)
+
+
+@given(node=st.integers(0, 40), step=st.integers(0, 9),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       where=st.sampled_from(["drift", "source", "terminal"]))
+@settings(max_examples=60, deadline=None)
+def test_a_non_finite_drift_source_or_terminal_is_a_linear_solve_failure(
+        node, step, bad, where):
+    sg, tg = SpaceGrid(-2.0, 2.0, 41), TimeGrid(1.0, 10)
+    model = nodal_model(np.random.default_rng(node), sg, 0.7)
+    source = np.zeros((10, 41))
+    if where == "drift":
+        model.b[node] = bad
+    elif where == "terminal":
+        model.f[node] = bad
+    else:
+        source[step, node] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        with pytest.raises(LinearSolveFailure):
+            solve_backward_with_source(model, sg, tg, running_cost=lambda k, xs, a: source[k])
+        if where != "source":
+            with pytest.raises(LinearSolveFailure):
+                solve_backward_kolmogorov(model, sg, tg)
+            with pytest.raises(LinearSolveFailure):
+                solve_feynman_kac(model, sg, tg)
+
+
+def reference_fixed_point(model, obs, sg, ensemble=None, pi_source=None,
+                          tol=1e-6, max_iter=50):
+    """The scalar control iteration of estimate_pi_obs(mode="fixed_point"),
+    with h re-evaluated in every step and the per-step solve_banded sweep."""
+    grid = obs.grid
+    K = grid.n_steps
+    h = model.obs_fn
+    if pi_source is not None:
+        quad = [gaussian_quadrature(float(pi_source.mean[k][0]),
+                                    float(pi_source.covariance[k][0, 0]))
+                for k in range(K + 1)]
+        pih = np.array([float(np.dot(wq, h(xq))) for xq, wq in quad])
+    else:
+        w = np.exp(ensemble.log_weights("innovation"))
+        wsum = w.sum(axis=0)
+        pih = np.einsum("ik,ik->k", w, np.asarray(h(ensemble.states), dtype=float)) / wsum
+    xs = sg.points()
+    u = np.zeros(K + 1)
+    for _ in range(max_iter):
+        source = [u[k] * np.asarray(h(xs), dtype=float) for k in range(K)]
+        y = GridFunction.from_values(sg, grid, reference_sweep(model, sg, grid, source=source))
+        if pi_source is not None:
+            projected = np.array([float(np.dot(wq, y.eval(k, xq) * (h(xq) - pih[k])))
+                                  for k, (xq, wq) in enumerate(quad)])
+        else:
+            projected = np.empty(K + 1)
+            for k in range(K + 1):
+                xk = ensemble.states[:, k]
+                vals = y.eval(k, xk) * (np.asarray(h(xk), dtype=float) - pih[k])
+                projected[k] = float(np.dot(w[:, k], vals) / wsum[k])
+        change = float(np.max(np.abs(-projected - u)))
+        u = -projected
+        if change < tol:
+            break
+    else:
+        raise AssertionError("reference iteration did not converge")
+    mu = prior_expectation_of_initial_slice(model, y)
+    return u, mu - float(np.dot(u[:-1], np.asarray(obs.dZ, dtype=float).reshape(-1)))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_fixed_point_with_an_ensemble_equals_the_reference_iteration(double_well, seed):
+    grid, sg = TimeGrid(1.0, 60), SpaceGrid(-5.5, 5.5, 121)
+    obs = simulate_truth_and_obs(double_well, grid, seed=seed)
+    ens = simulate_innovation_ensemble(double_well, grid, obs, 300, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        report = estimate_pi_obs(double_well, obs, ensemble=ens, mode="fixed_point",
+                                 space_grid=sg)
+        u, estimate = reference_fixed_point(double_well, obs, sg, ensemble=ens)
+    assert report.n_iterations > 1
+    assert same_bits(report.control_path, u)
+    assert same_bits(report.point_estimate, estimate)
+
+
+def test_fixed_point_with_a_gaussian_source_equals_the_reference_iteration(lg_benchmark,
+                                                                           lg_scalar):
+    grid, sg = TimeGrid(1.0, 80), SpaceGrid(-8.0, 8.0, 161)
+    obs = simulate_truth_and_obs(lg_benchmark, grid, seed=9)
+    state = model_kalman(lg_benchmark, obs)
+    report = estimate_pi_obs(lg_scalar, obs, mode="fixed_point", pi_source=state,
+                             space_grid=sg)
+    u, estimate = reference_fixed_point(lg_scalar, obs, sg, pi_source=state)
+    assert report.n_iterations > 1
+    assert same_bits(report.control_path, u)
+    assert same_bits(report.point_estimate, estimate)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbsde_filter.errors import CFLWarning, PolicyIterationDiverged
+from fbsde_filter.errors import CFLWarning, GridMismatch, PolicyIterationDiverged
 from fbsde_filter.kalman import lq_control_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid
 from fbsde_filter.pde_backward import (
@@ -120,6 +120,13 @@ class TestSourcedSolve:
         expected = np.broadcast_to((1.0 - tg.times())[:, None], y.values.shape)
         np.testing.assert_allclose(y.values, expected, atol=1e-11)
 
+    @pytest.mark.parametrize("shape", [(11, 40), (5, 41), (11, 41, 1), (41,)])
+    def test_policy_array_of_another_shape_is_a_grid_mismatch(self, shape):
+        model = make_scalar("linear", {"a": -1.0}, control_gain=1.0)
+        with pytest.raises(GridMismatch):
+            solve_backward_with_source(model, SpaceGrid(-4, 4, 41), TimeGrid(1.0, 10),
+                                       policy=np.zeros(shape))
+
     def test_lq_policy_evaluation_matches_riccati(self):
         # fixed law a(x) = -k x: value solves the Lyapunov backward equation
         from fbsde_filter.control import _policy_value_path
@@ -182,6 +189,14 @@ class TestHjbQuadratic:
         with pytest.raises(PolicyIterationDiverged):
             solve_hjb_quadratic(model, SpaceGrid(-8, 8, 101), TimeGrid(1.0, 20),
                                 max_inner=1)
+
+    @pytest.mark.parametrize("max_inner", [0, -3])
+    def test_inner_iteration_budget_below_one_is_rejected(self, max_inner):
+        model = make_scalar("linear", {"a": -1.0}, f="quadratic",
+                            f_params={"weight": 1.0}, control_gain=1.0)
+        with pytest.raises(ValueError, match="max_inner"):
+            solve_hjb_quadratic(model, SpaceGrid(-8, 8, 101), TimeGrid(1.0, 20),
+                                max_inner=max_inner)
 
 
 class TestLinearBackwardVector:
