@@ -5,8 +5,7 @@ one run path, `main`: read the config file, parse it, build the model, create
 the output directory, open the run manifest, run the subcommand's own work
 `cmd_*(args, parser, model, manifest)` and write the manifest.  Config values
 are read through `model.setting`.  All randomness flows from --seed; re-runs
-produce byte-identical data files.  The FBSDE_LOG environment variable sets
-logging verbosity only and never affects numerics.
+produce byte-identical data files.
 
 Exit codes: 0 success; 1 a library error, an unreadable file or a rejected
 value (an `error:` line on stderr); 2 a config error or an invalid flag;
@@ -20,8 +19,6 @@ import configparser
 import datetime
 import hashlib
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -60,7 +57,7 @@ from .control import (
     hjb_policy,
     lqg_alternating_iteration,
 )
-from .pde_backward import solve_backward_kolmogorov, solve_feynman_kac
+from .pde_backward import GridFunction, solve_backward_kolmogorov, solve_feynman_kac
 from .sde_sim import (
     ObservationRecord,
     check_seed,
@@ -302,11 +299,7 @@ def cmd_control(args, parser, model, manifest) -> None:
         sgrid = build_space_grid(parser)
         scalar.validate_on_grid(sgrid)
         policy, value = hjb_policy(scalar, sgrid, tgrid, terminal=_terminal(parser))
-        times = tgrid.times()
-        header = ["t"] + [format(x, ".17g") for x in sgrid.points()]
-        write_csv(manifest.add("policy.csv"), header,
-                  (np.concatenate([[times[k]], policy.values[k]])
-                   for k in range(len(times))))
+        GridFunction.from_values(sgrid, tgrid, policy.values).to_csv(manifest.add("policy.csv"))
         value.to_csv(manifest.add("value.csv"))
     else:
         raise ConfigError(f"unknown control mode {mode!r}")
@@ -358,8 +351,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("FBSDE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_arg_parser().parse_args(argv)
     try:
         cfg_text = Path(args.config).read_text()

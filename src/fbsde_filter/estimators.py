@@ -8,8 +8,8 @@ ensemble:
   sigma_obs        driver dZ, control -w_girsanov * y * h        (unnormalized)
   pi_innovation    driver dI, control -w_innov * y * (h - pi[h]) (normalized)
   pi_obs           driver dZ, deterministic control from the closed-loop
-                   backward recursion (linear-Gaussian) or a frozen-data
-                   fixed-point iteration (scalar models)
+                   backward recursion (linear-Gaussian) or the frozen-data
+                   fixed point, solved in one causal backward sweep
   sigma_obs_error  driver dW, control -w_girsanov * y_fk * h with y_fk from
                    the Feynman-Kac solve (requires synthetic truth)
 
@@ -42,8 +42,14 @@ from .model import (
     gaussian_quadrature,
     scalar_view,
 )
-from .pde_backward import GridFunction, solve_backward_with_source
-from .sde_sim import ObservationRecord, PathEnsemble, cumulative_path, per_step_path
+from .pde_backward import GridFunction, _factored_generator, _warn_upwind, interp_matrix
+from .sde_sim import (
+    ObservationRecord,
+    PathEnsemble,
+    cumulative_path,
+    normalized_weights,
+    per_step_path,
+)
 
 ESTIMATOR_IDS = ("sigma_obs", "pi_innovation", "pi_obs", "sigma_obs_error")
 
@@ -246,17 +252,12 @@ def closed_loop_dual_controls(A, H, Sigma_path, f_bar, grid: TimeGrid):
     H = np.atleast_2d(np.asarray(H, dtype=float))
     f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
     Sigma = covariance_path(Sigma_path, grid)
-    K = grid.n_steps
-    dt = grid.dt
-    n = A.shape[0]
-    m_obs = H.shape[1]
-    ybar = np.empty((K + 1, n))
-    u = np.empty((K, m_obs))
+    K, dt = grid.n_steps, grid.dt
+    ybar, u = np.empty((K + 1, A.shape[0])), np.empty((K, H.shape[1]))
     ybar[K] = f_bar
     for k in range(K - 1, -1, -1):
-        HtSy = H.T @ (Sigma[k] @ ybar[k + 1])
-        u[k] = -HtSy
-        ybar[k] = ybar[k + 1] + dt * (A @ ybar[k + 1]) - dt * (H @ HtSy)
+        u[k] = -H.T @ (Sigma[k] @ ybar[k + 1])
+        ybar[k] = ybar[k + 1] + dt * (A @ ybar[k + 1]) + dt * (H @ u[k])
     return ybar, u
 
 
@@ -286,104 +287,97 @@ def open_loop_dual_estimate(A, H, Sigma_path, f_bar, m0, innovation_increments,
     dI = np.asarray(innovation_increments, dtype=float).reshape(K, H.shape[1])
     ybar = open_loop_dual_path(A, f_bar, grid)
     total = np.sum([float(ybar[k + 1] @ (Sigma[k] @ (H @ dI[k]))) for k in range(K)])
-    m0 = np.asarray(m0, dtype=float).reshape(-1)
-    return float(ybar[0] @ m0) + total
+    return float(ybar[0] @ np.asarray(m0, dtype=float).reshape(-1)) + total
 
 
-def _iterate_control(step, u, tol: float, max_iter: int):
-    """Iterate u <- step(u)[0] until the largest change falls below tol;
-    returns u, the solution step(u)[1] it came from and the iteration count."""
-    change = math.inf
-    for it in range(max_iter):
-        u_new, solution = step(u)
-        change = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        if change < tol:
-            return u, solution, it + 1
-    raise FixedPointNotConverged(f"control iteration stalled at change {change:.3e}")
+def _check_fixed_point(residual, tol: float) -> None:
+    """Raise unless u changes by less than tol under one more map (residual = u - map(u))."""
+    change = float(np.max(np.abs(residual)))
+    if not change < tol:
+        raise FixedPointNotConverged(f"control changes by {change:.3e} under one more sweep")
 
 
-def _lg_fixed_point(model: LinearGaussianModelSpec, Sigma, grid: TimeGrid,
-                    tol: float, max_iter: int):
-    """Frozen-data control iteration at the ODE level (see estimate_pi_obs)."""
-    dt = grid.dt
-    K = grid.n_steps
-    H = model.H
+def _lg_fixed_point(model: LinearGaussianModelSpec, Sigma, grid: TimeGrid, tol: float):
+    """The ODE-level control of estimate_pi_obs, solved causally in reverse time.
+
+    The map's step L ybar_k = R ybar_{k+1} + dt/2 H (u_k + u_{k+1}), L, R = I -/+ dt/2 A,
+    with u_k = -H^T Sigma_k ybar_k gives (L + dt/2 H H^T Sigma_k) ybar_k = R ybar_{k+1}
+    + dt/2 H u_{k+1}; ybar_k is then re-formed by the map's step for the residual.
+    """
+    dt, K, H = grid.dt, grid.n_steps, model.H
     ident = np.eye(model.n_state)
-    left_inv = np.linalg.inv(ident - 0.5 * dt * model.A)
-    right = ident + 0.5 * dt * model.A
-
-    def step(u):
-        ybar = np.empty((K + 1, model.n_state))
-        ybar[K] = model.f_bar
-        for k in range(K - 1, -1, -1):
-            src = 0.5 * dt * (H @ (u[k] + u[k + 1]))
-            ybar[k] = left_inv @ (right @ ybar[k + 1] + src)
-        return -np.einsum("ji,kjl,kl->ki", H, Sigma, ybar), ybar
-
-    return _iterate_control(step, np.zeros((K + 1, model.n_obs)), tol, max_iter)
+    left = ident - 0.5 * dt * model.A
+    left_inv, right = np.linalg.inv(left), ident + 0.5 * dt * model.A
+    ybar, u = np.empty((K + 1, model.n_state)), np.empty((K + 1, model.n_obs))
+    ybar[K] = model.f_bar
+    u[K] = -H.T @ (Sigma[K] @ ybar[K])
+    for k in range(K - 1, -1, -1):
+        rhs = right @ ybar[k + 1] + 0.5 * dt * (H @ u[k + 1])
+        try:
+            yk = np.linalg.solve(left + 0.5 * dt * (H @ H.T @ Sigma[k]), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise FixedPointNotConverged(f"singular step matrix at step {k}") from exc
+        u[k] = -H.T @ (Sigma[k] @ yk)
+        ybar[k] = left_inv @ (right @ ybar[k + 1] + 0.5 * dt * (H @ (u[k] + u[k + 1])))
+    _check_fixed_point(u + np.einsum("ji,kjl,kl->ki", H, Sigma, ybar), tol)
+    return u, ybar
 
 
 def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: SpaceGrid,
-                        ensemble, pi_source, tol: float, max_iter: int):
-    """Frozen-data control iteration on the backward grid PDE (see estimate_pi_obs)."""
-    K = grid.n_steps
-    h_fn = model.obs_fn
+                        ensemble, pi_source, tol: float):
+    """The grid-PDE control of estimate_pi_obs, solved causally in reverse time.
+
+    P[k] @ y_k = pi_k[y_k (h - pi_k[h])], pi_k by quadrature against `pi_source` or
+    by the ensemble's innovation weights, max-shifted per step.  With S = (I - dt L)^-1
+    factored once, the map's step y_k = S (y_{k+1} + dt u_k h) and u_k = -P[k] @ y_k
+    give u_k = -P[k] @ S y_{k+1} / (1 + dt P[k] @ S h); y_k is then formed exactly
+    as solve_backward_with_source forms it, for the residual.
+    """
+    K, dt = grid.n_steps, grid.dt
     if pi_source is not None:
-        quad = [gaussian_quadrature(float(pi_source.mean[k][0]),
-                                    float(pi_source.covariance[k][0, 0]))
-                for k in range(K + 1)]
-        pih = np.array([float(np.dot(wq, h_fn(xq))) for xq, wq in quad])
+        x = np.array([gaussian_quadrature(m, v)[0] for m, v in
+                      zip(pi_source.mean[: K + 1, 0], pi_source.covariance[: K + 1, 0, 0])])
+        w = np.broadcast_to(gaussian_quadrature(0.0, 1.0)[1], x.shape)
     else:
-        w = np.exp(ensemble.log_weights("innovation"))
-        wsum = w.sum(axis=0)
-        hvals = np.asarray(h_fn(ensemble.states), dtype=float)
-        pih = np.einsum("ik,ik->k", w, hvals) / wsum
-
-    # Neither h at the grid nodes nor h - pi_k[h] at the pi_k nodes depends on u.
-    h_grid = np.asarray(h_fn(space_grid.points()), dtype=float)
-    if pi_source is not None:
-        centred = [h_fn(xq) - pih[k] for k, (xq, _) in enumerate(quad)]
-    else:
-        centred = [np.asarray(h_fn(ensemble.states[:, k]), dtype=float) - pih[k]
-                   for k in range(K + 1)]
-
-    def project(y: GridFunction):
-        """pi_k[y_k (h - pi_k[h])] for every k."""
-        if pi_source is not None:
-            return np.array([float(np.dot(wq, y.eval(k, xq) * centred[k]))
-                             for k, (xq, wq) in enumerate(quad)])
-        out = np.empty(K + 1)
-        for k in range(K + 1):
-            vals = y.eval(k, ensemble.states[:, k]) * centred[k]
-            out[k] = float(np.dot(w[:, k], vals) / wsum[k])
-        return out
-
-    def step(u):
-        y = solve_backward_with_source(model, space_grid, grid,
-                                       running_cost=lambda k, xs, a: u[k] * h_grid)
-        return -project(y), y
-
-    return _iterate_control(step, np.zeros(K + 1), tol, max_iter)
+        x = ensemble.states.T
+        w = np.array([wk / wsum for wk, wsum, _ in
+                      map(normalized_weights, ensemble.log_weights("innovation").T)])
+    hx = np.asarray(model.obs_fn(x), dtype=float)
+    P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))
+    xs = space_grid.points()
+    h_grid = np.asarray(model.obs_fn(xs), dtype=float)
+    values = np.empty((K + 1, space_grid.n_points))
+    values[K] = np.asarray(model.terminal(xs), dtype=float)
+    solve, upwind = _factored_generator(model, space_grid, dt)
+    denominators = 1.0 + dt * (P[:K] @ solve(h_grid))
+    if not np.all(np.isfinite(denominators) & (denominators != 0.0)):
+        raise FixedPointNotConverged("zero or non-finite denominator in the control solve")
+    u = np.empty(K + 1)
+    for k in range(K - 1, -1, -1):
+        u[k] = -np.dot(P[k], solve(values[k + 1])) / denominators[k]
+        values[k] = solve(values[k + 1] + dt * (u[k] * h_grid))
+    u[K] = -np.dot(P[K], values[K])
+    _warn_upwind(upwind, "sourced backward solve")
+    _check_fixed_point(u + np.einsum("kj,kj->k", P, values), tol)
+    return u, GridFunction.from_values(space_grid, grid, values)
 
 
 def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None = None,
                     mode: str = "lg_closed_form", pi_source=None,
                     space_grid: SpaceGrid | None = None,
-                    Sigma_path=None, tol: float = 1e-6,
-                    max_iter: int = 50) -> EstimatorReport:
+                    Sigma_path=None, tol: float = 1e-6) -> EstimatorReport:
     """Observation-driven estimator of pi_T[f] with a deterministic control.
 
     mode="lg_closed_form" (linear-Gaussian models): the control comes from
     the closed-loop dual recursion; the estimate equals f_bar^T m_T of the
     Kalman-Bucy filter on the same grid to machine precision.
 
-    mode="fixed_point": iterate a frozen-data control.  For linear-Gaussian
-    models the iteration runs at the ODE level (trapezoidal sourced solve,
-    update u_k = -H^T Sigma_k ybar_k); for scalar models it sweeps the
-    backward PDE -dy/dt = L y + u_t h(x) and updates
-    u_k = -pi_k[y_k (h - pi_k[h])] with pi_k taken from `pi_source` (a
-    GaussianState, evaluated by quadrature) or from the weighted `ensemble`.
+    mode="fixed_point": the frozen-data control u_k = -pi_k[y_k (h - pi_k[h])],
+    y sourced by u h, is linear in y_k alone and is solved in one reverse-time
+    sweep: on the trapezoidal ODE for linear-Gaussian models, on the backward
+    PDE -dy/dt = L y + u_t h(x) for scalar ones, with pi_k from `pi_source` (a
+    GaussianState, by quadrature) or the weighted `ensemble`.  It raises
+    FixedPointNotConverged if u changes by `tol` or more under one more map.
     """
     grid = obs.grid
     K = grid.n_steps
@@ -393,7 +387,6 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
     if mode == "lg_closed_form" and not lg:
         raise ModeModelMismatch("lg_closed_form requires a linear-Gaussian model")
 
-    n_iterations = None
     n_paths = 0
     if lg:
         Sigma = covariance_path(
@@ -401,7 +394,7 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
         if mode == "lg_closed_form":
             ybar, u = closed_loop_dual_controls(model.A, model.H, Sigma, model.f_bar, grid)
         else:
-            u, ybar, n_iterations = _lg_fixed_point(model, Sigma, grid, tol, max_iter)
+            u, ybar = _lg_fixed_point(model, Sigma, grid, tol)
         mu_term = float(ybar[0] @ model.m0)
         dZm = np.asarray(obs.dZ, dtype=float).reshape(K, model.n_obs)
         integral = -float(np.einsum("km,km->", u[:K], dZm))
@@ -416,8 +409,7 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
             _require_raw(ensemble)
             _check_grids(obs, ensemble)
             n_paths = ensemble.n_paths
-        u, y, n_iterations = _scalar_fixed_point(model, grid, space_grid, ensemble,
-                                                 pi_source, tol, max_iter)
+        u, y = _scalar_fixed_point(model, grid, space_grid, ensemble, pi_source, tol)
         mu_term = prior_expectation_of_initial_slice(model, y)
         integral = -float(np.dot(u[:-1], np.asarray(obs.dZ, dtype=float).reshape(-1)))
     return EstimatorReport(
@@ -430,7 +422,7 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
         n_paths=n_paths,
         seed=obs.seed,
         dt=grid.dt,
-        n_iterations=n_iterations,
+        n_iterations=1 if mode == "fixed_point" else None,
     )
 
 
@@ -462,12 +454,10 @@ def cost_functional_per_path(model, estimator_id: str, ensemble: PathEnsemble,
         w = np.exp(lw[:, k])
         q = w * sigma * y.eval_gradient(k, xk)
         total = q * q
-        if perturbation is not None:
-            if callable(perturbation):
-                delta = np.asarray(perturbation(times[k], xk, w), dtype=float)
-            else:
-                delta = float(perturbation)
-            total = total + np.square(delta) * np.ones_like(q)
+        if callable(perturbation):
+            total = total + np.square(np.asarray(perturbation(times[k], xk, w), dtype=float))
+        elif perturbation is not None:
+            total = total + np.square(float(perturbation))
         cost += total * dt
     return cost
 
@@ -513,7 +503,7 @@ def variance_decay(model, y: GridFunction, ensemble: PathEnsemble,
         coeff = np.asarray(h_fn(xk), dtype=float)
         if centered:
             coeff = coeff - (pih[k] if k < K else pih[K - 1])
-        v = w * y.eval(k, xk) * coeff
+        v = ytil * coeff
         v_centered = v - v.mean()
         rhs[k] = sigma2 * np.mean(q * q) + np.mean(v_centered * v_centered)
     cumulative = cumulative_path(rhs[:-1]) * grid.dt

@@ -66,6 +66,22 @@ def interp_uniform(space_grid: SpaceGrid, fp: np.ndarray, x) -> np.ndarray:
     return out.reshape(x.shape)[()]
 
 
+def interp_matrix(space_grid: SpaceGrid, x, c) -> np.ndarray:
+    """P with P[r] @ fp = sum_i c[r, i] interp_uniform(space_grid, fp, x[r, i]) to
+    rounding: c (1 - theta) goes to node j and c theta to node j + 1, where j + theta
+    is interp_uniform's reading of the node indices at x (theta is NaN at a NaN x)."""
+    x = np.asarray(x, dtype=float)
+    rows, J = x.shape[0], space_grid.n_points
+    theta = interp_uniform(space_grid, np.arange(J, dtype=float), x).reshape(rows, -1)
+    j = np.minimum(np.fmax(theta, 0.0).astype(np.intp), J - 2)
+    theta -= j
+    j += (np.arange(rows) * J)[:, None]
+    c = np.asarray(c, dtype=float)
+    P = np.bincount(j.ravel(), (c - c * theta).ravel(), minlength=rows * J)
+    P[1:] += np.bincount(j.ravel(), (c * theta).ravel(), minlength=rows * J)[:-1]
+    return P.reshape(rows, J)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """A space-time field y[k][j] with its spatial gradient dy[k][j]."""
@@ -199,6 +215,13 @@ def _factored_solver(ab):
     return solve
 
 
+def _factored_generator(model, space_grid: SpaceGrid, dt: float):
+    """`_factored_solver` of I - dt L for the uncontrolled drift, and whether L upwinds."""
+    b0 = np.asarray(model.drift(space_grid.points()), dtype=float)
+    sub, diag, sup, upwind = _generator_bands(b0, model.sigma, space_grid.dx)
+    return _factored_solver(_implicit_ab(sub, diag, sup, dt)), upwind
+
+
 def _banded_solve(ab, rhs):
     try:
         out = solve_banded((1, 1), ab, rhs)
@@ -273,15 +296,14 @@ def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None
     xs = space_grid.points()
     dt = time_grid.dt
     K = time_grid.n_steps
-    b0 = np.asarray(model.drift(xs), dtype=float)
     values = np.empty((K + 1, space_grid.n_points))
     f = model.terminal if terminal is None else terminal
     values[K] = np.asarray(f(xs), dtype=float)
-    any_upwind = False
     if policy is None:
         a = np.zeros_like(xs)
-        sub, diag, sup, any_upwind = _generator_bands(b0, model.sigma, space_grid.dx)
-        factored = _factored_solver(_implicit_ab(sub, diag, sup, dt))
+        factored, any_upwind = _factored_generator(model, space_grid, dt)
+    else:
+        b0, any_upwind = np.asarray(model.drift(xs), dtype=float), False
     for k in range(K - 1, -1, -1):
         if policy is not None:
             a = np.asarray(policy(k, xs) if callable(policy) else policy[k], dtype=float)
@@ -317,14 +339,11 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
     b0 = np.asarray(model.drift(xs), dtype=float)
     g = model.control_gain
 
-    def grad(y):
-        return np.gradient(y, dx)
-
     values = np.empty((K + 1, space_grid.n_points))
     policy = np.empty_like(values)
     f = model.terminal if terminal is None else terminal
     values[K] = np.asarray(f(xs), dtype=float)
-    policy[K] = -g * grad(values[K])
+    policy[K] = -g * np.gradient(values[K], dx)
     any_upwind = False
     for k in range(K - 1, -1, -1):
         a = policy[k + 1].copy()
@@ -335,7 +354,7 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
             any_upwind = any_upwind or up
             rhs = values[k + 1] + dt * 0.5 * a * a
             y = _banded_solve(_implicit_ab(sub, diag, sup, dt), rhs)
-            a_new = -g * grad(y)
+            a_new = -g * np.gradient(y, dx)
             change = float(np.max(np.abs(a_new - a)))
             if change >= prev_change:
                 relax = max(0.25 * relax, 0.0625)  # damp oscillating sweeps

@@ -167,16 +167,9 @@ class ObservationRecord:
     def to_npz(self, path) -> None:
         data = {"t_end": self.grid.t_end, "n_steps": self.grid.n_steps,
                 "Z": self.Z, "dZ": self.dZ}
-        if self.X_truth is not None:
-            data["X_truth"] = self.X_truth
-        if self.noise_cum is not None:
-            data["noise_cum"] = self.noise_cum
-        if self.innovation is not None:
-            data["innovation"] = self.innovation
-        if self.obs_error is not None:
-            data["obs_error"] = self.obs_error
-        if self.seed is not None:
-            data["seed"] = self.seed
+        for name in ("X_truth", "noise_cum", "innovation", "obs_error", "seed"):
+            if getattr(self, name) is not None:
+                data[name] = getattr(self, name)
         np.savez_compressed(path, **data)
 
     @staticmethod

@@ -1,7 +1,11 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from fbsde_filter.errors import (
+    CFLWarning,
     FixedPointNotConverged,
     ModeModelMismatch,
     ResamplingForbiddenInEstimatorMode,
@@ -262,10 +266,27 @@ class TestPiObs:
         with pytest.raises(ModeModelMismatch):
             estimate_pi_obs(lg_scalar, obs, mode="lg_closed_form")
 
-    def test_fixed_point_iteration_cap(self, lg_benchmark, grid_500):
+    def test_fixed_point_tol_at_the_residual_raises(self, lg_benchmark, grid_500):
+        # the residual of the one-sweep solve is rounding, and a residual >= tol raises
         obs = simulate_truth_and_obs(lg_benchmark, grid_500, seed=1)
+        estimate_pi_obs(lg_benchmark, obs, mode="fixed_point", tol=1e-12)
         with pytest.raises(FixedPointNotConverged):
-            estimate_pi_obs(lg_benchmark, obs, mode="fixed_point", max_iter=1)
+            estimate_pi_obs(lg_benchmark, obs, mode="fixed_point", tol=0.0)
+
+    @pytest.mark.parametrize("shift", [-800.0, 800.0])
+    def test_fixed_point_is_invariant_under_a_log_weight_shift(self, double_well, shift):
+        grid, sg = TimeGrid(1.0, 60), SpaceGrid(-5.5, 5.5, 121)
+        obs = simulate_truth_and_obs(double_well, grid, seed=3)
+        ens = simulate_innovation_ensemble(double_well, grid, obs, 300, seed=3)
+        shifted = dataclasses.replace(
+            ens, log_weights_innovation=ens.log_weights_innovation + shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            base, moved = (estimate_pi_obs(double_well, obs, ensemble=e, mode="fixed_point",
+                                           space_grid=sg) for e in (ens, shifted))
+        u = base.control_path
+        assert np.max(np.abs(moved.control_path - u)) <= 1e-12 * np.max(np.abs(u))
+        assert abs(moved.point_estimate - base.point_estimate) <= 1e-12 * abs(base.point_estimate)
 
 
 class TestCostFunctional:

@@ -1,6 +1,6 @@
 """The uniform-grid interpolation, the re-keyed ensemble noise, the cubic
-kernels and the factored backward sweep equal the reference computations they
-replace."""
+kernels, the factored backward sweep and the one-sweep fixed point of
+estimator III equal or match the reference computations they replace."""
 
 import warnings
 from dataclasses import dataclass
@@ -11,15 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from fbsde_filter import estimators
 from fbsde_filter.control import PolicyField
-from fbsde_filter.errors import CFLWarning, LinearSolveFailure
-from fbsde_filter.estimators import estimate_pi_obs, prior_expectation_of_initial_slice
-from fbsde_filter.kalman import model_kalman
+from fbsde_filter.errors import CFLWarning, FixedPointNotConverged, LinearSolveFailure
+from fbsde_filter.estimators import (
+    _lg_fixed_point,
+    _scalar_fixed_point,
+    estimate_pi_obs,
+    prior_expectation_of_initial_slice,
+)
+from fbsde_filter.kalman import model_kalman, model_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid, gaussian_quadrature, registry_eval
 from fbsde_filter.pde_backward import (
     GridFunction,
+    _factored_generator,
     _generator_bands,
     _implicit_ab,
+    interp_matrix,
     interp_uniform,
     solve_backward_kolmogorov,
     solve_backward_with_source,
@@ -294,8 +302,78 @@ def reference_fixed_point(model, obs, sg, ensemble=None, pi_source=None,
     return u, mu - float(np.dot(u[:-1], np.asarray(obs.dZ, dtype=float).reshape(-1)))
 
 
+def lg_control_map(model, Sigma, grid, u):
+    """One application of the linear-Gaussian control map: the trapezoidal
+    sourced sweep with u, then u_k = -H^T Sigma_k ybar_k."""
+    dt, K, H = grid.dt, grid.n_steps, model.H
+    ident = np.eye(model.n_state)
+    left_inv = np.linalg.inv(ident - 0.5 * dt * model.A)
+    right = ident + 0.5 * dt * model.A
+    ybar = np.empty((K + 1, model.n_state))
+    ybar[K] = model.f_bar
+    for k in range(K - 1, -1, -1):
+        ybar[k] = left_inv @ (right @ ybar[k + 1] + 0.5 * dt * (H @ (u[k] + u[k + 1])))
+    return -np.einsum("ji,kjl,kl->ki", H, Sigma, ybar), ybar
+
+
+def reference_lg_fixed_point(model, Sigma, grid, tol=1e-6, max_iter=50):
+    """The linear-Gaussian control iteration: u <- lg_control_map(u) from u = 0."""
+    u = np.zeros((grid.n_steps + 1, model.n_obs))
+    for _ in range(max_iter):
+        u_new, _ = lg_control_map(model, Sigma, grid, u)
+        change = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if change < tol:
+            return u
+    raise AssertionError("reference iteration did not converge")
+
+
+def rel_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def check_scalar_fixed_point(model, obs, sg, report, u_ref, estimate_ref, **source):
+    """The direct control is the report's, one more sourced sweep reproduces
+    its y, it is within tol of the reference iteration, and a tol at the
+    achieved residual raises."""
+    grid = obs.grid
+    u, y = _scalar_fixed_point(model, grid, sg, tol=1e-6, **source)
+    h = np.asarray(model.obs_fn(sg.points()), dtype=float)
+    y_again = solve_backward_with_source(model, sg, grid, running_cost=lambda k, xs, a: u[k] * h)
+    assert report.n_iterations == 1
+    assert same_bits(report.control_path, u)
+    assert rel_diff(y_again.values, y.values) <= 1e-12
+    assert np.max(np.abs(u - u_ref)) < 1e-6
+    assert abs(report.point_estimate - estimate_ref) < 1e-6
+    # the residual is rounding: far below 1e-12, and never below tol = 0
+    _scalar_fixed_point(model, grid, sg, tol=1e-12, **source)
+    with pytest.raises(FixedPointNotConverged, match="under one more sweep"):
+        _scalar_fixed_point(model, grid, sg, tol=0.0, **source)
+
+
+def zero_denominator_interp_matrix(model, sg, grid, k):
+    """A wrapper of interp_matrix whose row k makes 1 + dt P[k] @ (S h)
+    exactly zero, S = (I - dt L)^{-1}."""
+    solve, _ = _factored_generator(model, sg, grid.dt)
+    sh = solve(np.asarray(model.obs_fn(sg.points()), dtype=float))
+    for j in np.argsort(-np.abs(sh))[:5]:
+        v = -1.0 / (grid.dt * sh[j])
+        for v in [v, *np.nextafter(v, [np.inf, -np.inf]),
+                  *np.nextafter(np.nextafter(v, [np.inf, -np.inf]), [np.inf, -np.inf])]:
+            if 1.0 + grid.dt * (v * sh[j]) == 0.0:
+                row = np.zeros(sg.n_points)
+                row[j] = v
+
+                def wrapper(*args):
+                    P = interp_matrix(*args)
+                    P[k] = row
+                    return P
+                return wrapper
+    raise AssertionError("no exactly zero denominator near -1 / (dt S h)")
+
+
 @pytest.mark.parametrize("seed", [3, 17])
-def test_fixed_point_with_an_ensemble_equals_the_reference_iteration(double_well, seed):
+def test_fixed_point_with_an_ensemble_matches_the_reference_iteration(double_well, seed):
     grid, sg = TimeGrid(1.0, 60), SpaceGrid(-5.5, 5.5, 121)
     obs = simulate_truth_and_obs(double_well, grid, seed=seed)
     ens = simulate_innovation_ensemble(double_well, grid, obs, 300, seed=seed)
@@ -304,19 +382,82 @@ def test_fixed_point_with_an_ensemble_equals_the_reference_iteration(double_well
         report = estimate_pi_obs(double_well, obs, ensemble=ens, mode="fixed_point",
                                  space_grid=sg)
         u, estimate = reference_fixed_point(double_well, obs, sg, ensemble=ens)
-    assert report.n_iterations > 1
-    assert same_bits(report.control_path, u)
-    assert same_bits(report.point_estimate, estimate)
+        check_scalar_fixed_point(double_well, obs, sg, report, u, estimate,
+                                 ensemble=ens, pi_source=None)
 
 
-def test_fixed_point_with_a_gaussian_source_equals_the_reference_iteration(lg_benchmark,
-                                                                           lg_scalar):
+@pytest.mark.parametrize("n_paths, seed", [(100, 1), (100, 2), (100, 3),
+                                           (300, 1), (300, 2), (300, 3)])
+def test_fixed_point_on_the_cli_jobs_grid_matches_the_reference_iteration(double_well,
+                                                                         n_paths, seed):
+    grid, sg = TimeGrid(1.0, 500), SpaceGrid(-5.5, 5.5, 601)
+    obs = simulate_truth_and_obs(double_well, grid, seed=seed)
+    ens = simulate_innovation_ensemble(double_well, grid, obs, n_paths, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        u, y = _scalar_fixed_point(double_well, grid, sg, ens, None, 1e-6)
+        u_ref, _ = reference_fixed_point(double_well, obs, sg, ensemble=ens)
+        h = np.asarray(double_well.obs_fn(sg.points()), dtype=float)
+        y_again = solve_backward_with_source(double_well, sg, grid,
+                                             running_cost=lambda k, xs, a: u[k] * h)
+    assert np.max(np.abs(u - u_ref)) < 1e-6
+    assert rel_diff(y_again.values, y.values) <= 1e-12
+
+
+def test_fixed_point_with_a_gaussian_source_matches_the_reference_iteration(lg_benchmark,
+                                                                            lg_scalar):
     grid, sg = TimeGrid(1.0, 80), SpaceGrid(-8.0, 8.0, 161)
     obs = simulate_truth_and_obs(lg_benchmark, grid, seed=9)
     state = model_kalman(lg_benchmark, obs)
     report = estimate_pi_obs(lg_scalar, obs, mode="fixed_point", pi_source=state,
                              space_grid=sg)
     u, estimate = reference_fixed_point(lg_scalar, obs, sg, pi_source=state)
-    assert report.n_iterations > 1
+    check_scalar_fixed_point(lg_scalar, obs, sg, report, u, estimate,
+                             ensemble=None, pi_source=state)
+
+
+def test_linear_gaussian_fixed_point_matches_the_reference_iteration(lg_benchmark):
+    grid = TimeGrid(1.0, 200)
+    obs = simulate_truth_and_obs(lg_benchmark, grid, seed=4)
+    Sigma = model_riccati(lg_benchmark, grid)
+    report = estimate_pi_obs(lg_benchmark, obs, mode="fixed_point", Sigma_path=Sigma)
+    u, ybar = _lg_fixed_point(lg_benchmark, Sigma, grid, 1e-6)
+    u_again, ybar_again = lg_control_map(lg_benchmark, Sigma, grid, u)
+    assert report.n_iterations == 1
     assert same_bits(report.control_path, u)
-    assert same_bits(report.point_estimate, estimate)
+    assert rel_diff(ybar_again, ybar) <= 1e-12
+    assert np.max(np.abs(u - reference_lg_fixed_point(lg_benchmark, Sigma, grid))) < 1e-6
+    residual = float(np.max(np.abs(u - u_again)))
+    _lg_fixed_point(lg_benchmark, Sigma, grid, np.nextafter(residual, np.inf))
+    with pytest.raises(FixedPointNotConverged):
+        _lg_fixed_point(lg_benchmark, Sigma, grid, residual)
+
+
+@pytest.mark.parametrize("source", ["ensemble", "gaussian"])
+def test_scalar_fixed_point_with_a_zero_denominator_raises(monkeypatch, lg_benchmark,
+                                                           lg_scalar, source):
+    grid, sg = TimeGrid(1.0, 64), SpaceGrid(-8.0, 8.0, 161)
+    obs = simulate_truth_and_obs(lg_benchmark, grid, seed=5)
+    kwargs = ({"ensemble": simulate_innovation_ensemble(lg_scalar, grid, obs, 200, seed=5)}
+              if source == "ensemble" else {"pi_source": model_kalman(lg_benchmark, obs)})
+    monkeypatch.setattr(estimators, "interp_matrix",
+                        zero_denominator_interp_matrix(lg_scalar, sg, grid, k=10))
+    with pytest.raises(FixedPointNotConverged, match="denominator"):
+        estimate_pi_obs(lg_scalar, obs, mode="fixed_point", space_grid=sg, **kwargs)
+
+
+@given(n_points=st.integers(3, 401), x_min=st.floats(-1e3, 1e3),
+       width=st.floats(1e-2, 1e3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_interp_matrix_rows_are_the_interpolated_sums(n_points, x_min, width, seed):
+    grid = SpaceGrid(x_min, x_min + width, n_points)
+    rng = np.random.default_rng(seed)
+    fp = rng.standard_normal(n_points)
+    x = probe_points(grid, rng)[: 3 * n_points].reshape(3, -1)
+    c = rng.standard_normal(x.shape)
+    P = interp_matrix(grid, x, c)
+    sums = np.array([np.dot(c[r], interp_uniform(grid, fp, x[r])) for r in range(3)])
+    assert P.shape == (3, n_points)
+    # theta is read off a node index, so it carries rounding of order n_points * eps
+    bound = 4 * n_points * np.finfo(float).eps * np.abs(c).sum(axis=1) * np.abs(fp).max()
+    assert np.all(np.abs(P @ fp - sums) <= bound)

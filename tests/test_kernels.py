@@ -104,7 +104,12 @@ def test_sigma_path_of_the_wrong_length_is_rejected(lg_benchmark):
         estimate_pi_obs(m, obs, mode="fixed_point", Sigma_path=long)
 
 
-def test_fixed_point_without_iterations_reports_non_convergence(lg_benchmark):
-    obs = simulate_truth_and_obs(lg_benchmark, TimeGrid(1.0, 20), seed=2)
-    with pytest.raises(FixedPointNotConverged):
-        estimate_pi_obs(lg_benchmark, obs, mode="fixed_point", max_iter=0)
+def test_fixed_point_with_a_singular_step_reports_non_convergence(lg_benchmark):
+    # dt = 1/16, A = -1, H = 1: the step matrix (1 + dt/2) + (dt/2) Sigma_k is
+    # exactly zero at Sigma_k = -33
+    grid = TimeGrid(1.0, 16)
+    obs = simulate_truth_and_obs(lg_benchmark, grid, seed=2)
+    Sigma = model_riccati(lg_benchmark, grid)[:, 0, 0].copy()
+    Sigma[5] = -33.0
+    with pytest.raises(FixedPointNotConverged, match="singular"):
+        estimate_pi_obs(lg_benchmark, obs, mode="fixed_point", Sigma_path=Sigma)
