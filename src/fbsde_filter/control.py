@@ -25,6 +25,7 @@ from .io import write_csv
 from .kalman import (
     backward_rk4_sweep,
     kalman_bucy_mean,
+    kalman_mean_step,
     lq_control_riccati,
     model_kalman,
     model_riccati,
@@ -44,10 +45,9 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
-    log_weight_step,
-    normalized_weights,
     path_generator,
-    resample_indices,
+    resample_below,
+    weighted_step,
 )
 
 
@@ -184,8 +184,7 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
         drift_truth = X @ model.A + alpha @ G.T
         dZ = (X @ H) * dt + sqdt * eta[:, k, :]
         X = X + drift_truth * dt + model.sigma * sqdt * xi[:, k, :]
-        dI = dZ - (m @ H) * dt
-        m = m + (m @ model.A + alpha @ G.T) * dt + dI @ (Sigma[k] @ H).T
+        m, _ = kalman_mean_step(m, dZ, model.A, H, Sigma[k], dt, shift=alpha @ G.T)
         trace[k + 1] = m[0]
     cost += 0.5 * np.einsum("si,ij,sj->s", X, Qf, X)
     return cost, trace
@@ -233,25 +232,21 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
 
     cost = 0.0
     trace = np.empty(K + 1)
-    for k in range(K):
-        w, wsum, _ = normalized_weights(lw)
+    for k in range(K + 1):
+        particles, lw, w, wsum, ess, _ = resample_below(gen_r, particles, lw,
+                                                        ess_floor * n_particles)
+        if ess < 1.0 + 1e-9:
+            raise FilterDivergence("particle filter collapsed to a single path")
         trace[k] = float(np.dot(w, particles) / wsum)
-        a_part = policy.policy_at(k, particles)
-        alpha = float(np.dot(w, a_part) / wsum)
+        if k == K:
+            break
+        alpha = float(np.dot(w, policy.policy_at(k, particles)) / wsum)
         cost += 0.5 * alpha * alpha * dt
         dZ = model.obs(x_truth) * dt + sqdt * eta[k]
         x_truth = x_truth + (model.drift(x_truth) + g * alpha) * dt + model.sigma * sqdt * xi[k]
-        lw = log_weight_step(lw, np.asarray(model.obs(particles), dtype=float), dZ, dt)
-        particles = particles + (np.asarray(model.drift(particles), dtype=float)
-                                 + g * alpha) * dt + model.sigma * sqdt * pf_noise[k]
-        w, wsum, ess = normalized_weights(lw)
-        if ess < 1.0 + 1e-9:
-            raise FilterDivergence("particle filter collapsed to a single path")
-        if ess < ess_floor * n_particles:
-            particles = particles[resample_indices(gen_r, w, wsum)]
-            lw = np.zeros(n_particles)
-    w, wsum, _ = normalized_weights(lw)
-    trace[K] = float(np.dot(w, particles) / wsum)
+        particles, lw = weighted_step(
+            particles, lw, np.asarray(model.drift(particles), dtype=float) + g * alpha,
+            np.asarray(model.obs(particles), dtype=float), dZ, pf_noise[k], model.sigma, dt)
     cost += float(f_cost(x_truth))
     return ControlRunReport(realized_cost=cost, filter_trace=trace, seed=seed)
 

@@ -42,7 +42,13 @@ from .model import (
     gaussian_quadrature,
     scalar_view,
 )
-from .pde_backward import GridFunction, _factored_generator, _warn_upwind, interp_matrix
+from .pde_backward import (
+    GridFunction,
+    _factored_generator,
+    _warn_upwind,
+    interp_matrix,
+    terminal_slice,
+)
 from .sde_sim import (
     ObservationRecord,
     PathEnsemble,
@@ -347,7 +353,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     xs = space_grid.points()
     h_grid = np.asarray(model.obs_fn(xs), dtype=float)
     values = np.empty((K + 1, space_grid.n_points))
-    values[K] = np.asarray(model.terminal(xs), dtype=float)
+    values[K] = terminal_slice(model, space_grid)
     solve, upwind = _factored_generator(model, space_grid, dt)
     denominators = 1.0 + dt * (P[:K] @ solve(h_grid))
     if not np.all(np.isfinite(denominators) & (denominators != 0.0)):

@@ -14,8 +14,8 @@ The transpose conventions are pinned by the cross-module consistency tests
 rather than assumed.
 
 Shared linear-Gaussian kernels: `rk4_step` and `backward_rk4_sweep` (every
-Runge-Kutta loop), `covariance_path` (every Sigma-path check) and
-`kalman_bucy_mean` (every filtered-mean loop, optionally under a linear law).
+Runge-Kutta loop), `covariance_path` (every Sigma-path check) and the forward
+kernel `kalman_mean_step` (every filtered-mean step, of one or of stacked means).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import GridMismatch, RiccatiBlowup
 from .io import write_csv
 from .model import LinearGaussianModelSpec, TimeGrid
-from .sde_sim import ObservationRecord
+from .sde_sim import ObservationRecord, cumulative_path
 
 RICCATI_OVERFLOW = 1.0e8
 
@@ -174,6 +174,15 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
     return _clip_psd(path)
 
 
+def kalman_mean_step(m, dz, A, H, Sigma_k, dt: float, shift=None):
+    """Kalman-Bucy step m + (A^T m + shift) dt + Sigma_k H dI, dI = dz - H^T m dt, of
+    one mean (n,) or row-stacked means (S, n) (dz and shift alike); returns the new
+    mean and dI.  Every product is formed on column vectors."""
+    dI = dz - (H.T @ m.T).T * dt
+    drift = (A.T @ m.T).T if shift is None else (A.T @ m.T).T + shift
+    return m + drift * dt + (Sigma_k @ (H @ dI.T)).T, dI
+
+
 def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord,
                      G=None, gains=None) -> GaussianState:
     """Run the Kalman-Bucy mean recursion along an observation record.
@@ -186,23 +195,19 @@ def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord,
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n = A.shape[0]
-    m_obs = H.shape[1]
     Sigma = covariance_path(Sigma_path, obs.grid)
     K = obs.grid.n_steps
-    dZ = np.asarray(obs.dZ, dtype=float).reshape(K, m_obs)
-    dt = obs.grid.dt
+    dZ = np.asarray(obs.dZ, dtype=float).reshape(K, H.shape[1])
 
     mean = np.empty((K + 1, n))
     mean[0] = np.asarray(m0, dtype=float).reshape(n)
-    innovation = np.zeros((K + 1, m_obs))
+    dI = np.empty_like(dZ)
     for k in range(K):
         m = mean[k]
-        dI = dZ[k] - (H.T @ m) * dt
-        innovation[k + 1] = innovation[k] + dI
-        drift = A.T @ m if gains is None else A.T @ m + G @ -(gains[k] @ m)
-        mean[k + 1] = m + drift * dt + Sigma[k] @ (H @ dI)
+        shift = None if gains is None else G @ -(gains[k] @ m)
+        mean[k + 1], dI[k] = kalman_mean_step(m, dZ[k], A, H, Sigma[k], obs.grid.dt, shift)
     return GaussianState(grid=obs.grid, mean=mean, covariance=Sigma,
-                         innovation=innovation)
+                         innovation=cumulative_path(dI))
 
 
 def lq_control_riccati(A, G, terminal_hessian, grid: TimeGrid,

@@ -160,6 +160,12 @@ _REGISTRY = {
 }
 
 
+# Cell-average rules (lo, hi, params) -> mean of f over [lo, hi] for the registry
+# functions with a jump, whose node values a linear interpolant would misplace.
+CELL_AVERAGES = {"indicator_positive": lambda lo, hi, p:
+                 (np.maximum(hi, 0.0) - np.maximum(lo, 0.0)) / (hi - lo)}
+
+
 def registry_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 

@@ -22,10 +22,11 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
-    log_weight_step,
     normalized_weights,
     path_generator,
+    resample_below,
     resample_indices,
+    weighted_step,
 )
 
 
@@ -47,35 +48,38 @@ class ConditionalEstimate:
         write_csv(path, ["t", "value", "std_err", "ess"], rows)
 
 
-def _ess_path(w: np.ndarray) -> np.ndarray:
+def _shifted_weights(lw: np.ndarray):
+    """Per-time weights exp(lw - max lw) of (N, K + 1) log-weights, their sums and
+    the ESS path; a common shift of lw leaves all three unchanged up to rounding."""
+    w = np.exp(lw - lw.max(axis=0))
     s = w.sum(axis=0)
-    return s * s / np.einsum("ij,ij->j", w, w)
+    return w, s, s * s / np.einsum("ij,ij->j", w, w)
 
 
 def sigma_estimate(ensemble: PathEnsemble, g) -> ConditionalEstimate:
     """Unnormalized conditional expectation: mean of girsanov-weight * g(X)."""
-    w = np.exp(ensemble.log_weights("girsanov"))
-    vals = w * np.asarray(g(ensemble.states), dtype=float)
+    lw = ensemble.log_weights("girsanov")
+    vals = np.exp(lw) * np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
     mean = vals.mean(axis=0)
     std_err = vals.std(axis=0, ddof=1) / np.sqrt(n)
-    return ConditionalEstimate(ensemble.grid, mean, std_err, _ess_path(w))
+    return ConditionalEstimate(ensemble.grid, mean, std_err, _shifted_weights(lw)[2])
 
 
 def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
                 normalizer=None, ess_floor: float | None = None) -> ConditionalEstimate:
     """Normalized conditional expectation.
 
-    normalization="self" uses the ratio estimator sum(w g) / sum(w);
+    normalization="self" uses the ratio estimator sum(w g) / sum(w) with the
+    weights max-shifted per time, so a common log-weight shift cancels;
     "external" divides the plain mean of w g(X) by a supplied per-time
     normalizer path (e.g. a sigma_t[1] estimate).
     """
-    w = np.exp(ensemble.log_weights())
+    lw = ensemble.log_weights()
     gv = np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
-    ess = _ess_path(w)
+    w, wsum, ess = _shifted_weights(lw)
     if normalization == "self":
-        wsum = w.sum(axis=0)
         ratio = np.einsum("ij,ij->j", w, gv) / wsum
         resid = gv - ratio[None, :]
         std_err = np.sqrt(np.einsum("ij,ij->j", w * w, resid * resid)) / wsum
@@ -85,7 +89,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
         norm = np.asarray(normalizer, dtype=float)
         if norm.shape[0] != ensemble.grid.n_steps + 1:
             raise GridMismatch("normalizer path does not cover the grid")
-        vals = w * gv
+        vals = np.exp(lw) * gv
         ratio = vals.mean(axis=0) / norm
         std_err = vals.std(axis=0, ddof=1) / np.sqrt(n) / np.abs(norm)
     else:
@@ -152,13 +156,10 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     fns = {"x": lambda x: x}
     if observables:
         fns.update(observables)
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
     K = grid.n_steps
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
 
-    gen0 = path_generator(seed, STREAM_FILTER, 0)
-    x = sm.prior.sample(gen0, n_paths)
+    x = sm.prior.sample(path_generator(seed, STREAM_FILTER, 0), n_paths)
     lw = np.zeros(n_paths)
     gen_resample = path_generator(seed, STREAM_RESAMPLE, 1)
 
@@ -166,28 +167,23 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     errs = {name: np.empty(K + 1) for name in fns}
     ess_path = np.empty(K + 1)
     resample_steps = []
-
-    def record(k):
-        w, wsum, ess_path[k] = normalized_weights(lw)
+    for k in range(K + 1):
+        x, lw, w, wsum, ess, resampled = resample_below(gen_resample, x, lw,
+                                                        ess_floor * n_paths)
+        if resampled:
+            resample_steps.append(k)
+        ess_path[k] = n_paths if resampled else ess  # the ESS the estimates see
         for name, fn in fns.items():
             gv = np.asarray(fn(x), dtype=float)
             ratio = np.dot(w, gv) / wsum
             resid = gv - ratio
             values[name][k] = ratio
             errs[name][k] = np.sqrt(np.dot(w * w, resid * resid)) / wsum
-
-    record(0)
-    for k in range(K):
-        lw = log_weight_step(lw, np.asarray(sm.obs(x), dtype=float), dZ[k], dt)
-        gen_k = path_generator(seed, STREAM_FILTER, k + 1)
-        x = x + np.asarray(sm.drift(x), dtype=float) * dt \
-            + sm.sigma * sqdt * gen_k.standard_normal(n_paths)
-        w, wsum, ess = normalized_weights(lw)
-        if ess < ess_floor * n_paths:
-            x = x[resample_indices(gen_resample, w, wsum)]
-            lw = np.zeros(n_paths)
-            resample_steps.append(k + 1)
-        record(k + 1)
+        if k < K:
+            noise = path_generator(seed, STREAM_FILTER, k + 1).standard_normal(n_paths)
+            x, lw = weighted_step(x, lw, np.asarray(sm.drift(x), dtype=float),
+                                  np.asarray(sm.obs(x), dtype=float), dZ[k], noise,
+                                  sm.sigma, grid.dt)
 
     estimates = {
         name: ConditionalEstimate(grid, values[name], errs[name], ess_path.copy())

@@ -11,7 +11,8 @@ time) with tridiagonal solves, central differencing of the advection term,
 and automatic first-order upwinding at nodes whose cell Peclet number
 |b| dx / (sigma^2/2) exceeds 2.  Boundaries are homogeneous Neumann; the
 killing term is applied through a per-step integrating factor, which is exact
-for observation maps that are constant in space.
+for observation maps that are constant in space.  The terminal slice y_T holds
+f at the nodes, or cell averages for a terminal with a jump (`terminal_slice`).
 
 The Kolmogorov, Feynman-Kac and sourced solves share one sweep.  With a drift
 constant in time (no policy), I - dt L is factored once (LAPACK gttrf) and each
@@ -31,7 +32,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure, PolicyIterationDiverged
 from .io import write_csv
 from .kalman import backward_rk4_sweep, covariance_path
-from .model import ScalarModelSpec, SpaceGrid, TimeGrid
+from .model import CELL_AVERAGES, NamedFunction, ScalarModelSpec, SpaceGrid, TimeGrid
 
 
 def interp_uniform(space_grid: SpaceGrid, fp: np.ndarray, x) -> np.ndarray:
@@ -289,6 +290,20 @@ def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
                   policy=policy, running_cost=running_cost, terminal=terminal)
 
 
+def terminal_slice(model, space_grid: SpaceGrid, terminal=None) -> np.ndarray:
+    """y_T on the nodes: f (`terminal`, else the model's) at each node or, for a
+    registry f with a cell-average rule, its mean over each node's dual cell
+    [x - dx/2, x + dx/2] cut at the grid ends (1/2 at the indicator's jump node)."""
+    f = getattr(model, "terminal_fn", model.terminal) if terminal is None else terminal
+    xs = space_grid.points()
+    average = CELL_AVERAGES.get(f.name) if isinstance(f, NamedFunction) else None
+    if average is None:
+        return np.asarray(f(xs), dtype=float)
+    half = 0.5 * space_grid.dx
+    return average(np.maximum(xs - half, space_grid.x_min),
+                   np.minimum(xs + half, space_grid.x_max), f.params)
+
+
 def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None,
            terminal=None, damp=None):
     """Reverse-time sweep of -dy/dt = L^{x,a} y + c_k(x, a_k), y_T = f (see the
@@ -297,8 +312,7 @@ def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None
     dt = time_grid.dt
     K = time_grid.n_steps
     values = np.empty((K + 1, space_grid.n_points))
-    f = model.terminal if terminal is None else terminal
-    values[K] = np.asarray(f(xs), dtype=float)
+    values[K] = terminal_slice(model, space_grid, terminal)
     if policy is None:
         a = np.zeros_like(xs)
         factored, any_upwind = _factored_generator(model, space_grid, dt)
@@ -341,8 +355,7 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
 
     values = np.empty((K + 1, space_grid.n_points))
     policy = np.empty_like(values)
-    f = model.terminal if terminal is None else terminal
-    values[K] = np.asarray(f(xs), dtype=float)
+    values[K] = terminal_slice(model, space_grid, terminal)
     policy[K] = -g * np.gradient(values[K], dx)
     any_upwind = False
     for k in range(K - 1, -1, -1):

@@ -18,8 +18,8 @@ exponential-martingale step, which is exact for observation maps that are
 constant along a step.
 
 Forward kernels shared by the ensembles, the particle filter and the control
-filter: `log_weight_step`, `normalized_weights` (shifted weights, sum, ESS),
-`resample_indices`, `per_step_path` and `cumulative_path`.
+filter: `weighted_step` (one move and log-weight step), `resample_below` (the
+ESS-triggered multinomial resampling), `per_step_path` and `cumulative_path`.
 """
 
 from __future__ import annotations
@@ -100,9 +100,11 @@ def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
     return u0, z0, xi, eta
 
 
-def log_weight_step(lw, c, d, dt: float):
-    """Exponential-martingale step d(log w) = c d - c^2 dt / 2."""
-    return lw + c * d - 0.5 * c * c * dt
+def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float):
+    """One forward step of a weighted ensemble, with b, c and d read at the
+    pre-move state: the Euler-Maruyama move x + b dt + sigma sqrt(dt) noise and
+    the exponential-martingale step d(log w) = c d - c^2 dt / 2."""
+    return x + b * dt + sigma * np.sqrt(dt) * noise, lw + c * d - 0.5 * c * c * dt
 
 
 def normalized_weights(lw: np.ndarray):
@@ -116,6 +118,19 @@ def resample_indices(gen: np.random.Generator, w: np.ndarray, wsum) -> np.ndarra
     """Multinomial offspring indices for weights w with sum wsum."""
     n = w.shape[0]
     return np.repeat(np.arange(n), gen.multinomial(n, w / wsum))
+
+
+def resample_below(gen: np.random.Generator, x: np.ndarray, lw: np.ndarray, floor: float):
+    """Multinomial resampling of (x, lw) if the ESS is below floor.  Returns (x, lw,
+    w, wsum, ess, resampled): the ensemble handed back (offspring with log-weights 0
+    if it resampled), its `normalized_weights` and sum, and the ESS before."""
+    w, wsum, ess = normalized_weights(lw)
+    resampled = bool(ess < floor)
+    if resampled:
+        n = x.shape[0]
+        x = x[resample_indices(gen, w, wsum)]
+        lw, w, wsum = np.zeros(n), np.ones(n), float(n)
+    return x, lw, w, wsum, ess, resampled
 
 
 def per_step_path(values, grid: TimeGrid, label: str) -> np.ndarray:
@@ -270,11 +285,6 @@ class PathEnsemble:
             )
 
 
-def ensemble_ess(log_weights: np.ndarray) -> float:
-    """Effective sample size (sum w)^2 / sum w^2 from log weights."""
-    return float(normalized_weights(log_weights)[2])
-
-
 # ---------------------------------------------------------------------------
 # simulators
 # ---------------------------------------------------------------------------
@@ -348,7 +358,6 @@ def _simulate_weighted_ensemble(
     """
     sm = scalar_view(model)
     dt = grid.dt
-    sqdt = np.sqrt(dt)
     K = grid.n_steps
 
     stream = STREAM_GIRSANOV if kind == "girsanov" else STREAM_INNOVATION
@@ -356,7 +365,7 @@ def _simulate_weighted_ensemble(
     u0, z0, xi, eta = _ensemble_noise(seed, stream, n_paths, K,
                                       with_obs_noise=fresh)
     if fresh:
-        dZ_paths = sqdt * eta  # (N, K), independent per path
+        dZ_paths = np.sqrt(dt) * eta  # (N, K), independent per path
         dZ = None
     else:
         if not obs.grid.matches(grid):
@@ -382,30 +391,27 @@ def _simulate_weighted_ensemble(
     floor = (ess_floor if ess_floor is not None else 0.0) * n_paths
 
     for k in range(K):
-        hk = np.asarray(sm.obs(xk), dtype=float)
-        dz_k = dZ_paths[:, k] if fresh else dZ[k]
-        if kind == "girsanov":
-            lwk = log_weight_step(lwk, hk, dz_k, dt)
-        else:
+        c = np.asarray(sm.obs(xk), dtype=float)
+        d = dZ_paths[:, k] if fresh else dZ[k]
+        if kind == "innovation":
             if external_pi_h is not None:
                 pih = external_pi_h[k]
             else:
                 w, wsum, _ = normalized_weights(lwk)
-                pih = float(np.dot(w, hk) / wsum)
+                pih = float(np.dot(w, c) / wsum)
             pi_h_path[k] = pih
-            di_k = dz_k - pih * dt
+            c, d = c - pih, d - pih * dt
             if not fresh:
-                dI[k] = di_k
-            lwk = log_weight_step(lwk, hk - pih, di_k, dt)
-        lw[:, k + 1] = lwk
+                dI[k] = d
         b = np.asarray(sm.drift(xk), dtype=float) if drift_fn is None else \
             np.asarray(drift_fn(k, xk), dtype=float)
-        xk = xk + b * dt + sm.sigma * sqdt * xi[:, k]
+        xk, lwk = weighted_step(xk, lwk, b, c, d, xi[:, k], sm.sigma, dt)
         X[:, k + 1] = xk
+        lw[:, k + 1] = lwk
         if np.any(np.abs(xk) > STATE_OVERFLOW):
             raise SimulationDiverged(f"ensemble state exceeded {STATE_OVERFLOW:g} at step {k + 1}")
         if floor > 0 and collapse_step is None:
-            if ensemble_ess(lwk) < floor:
+            if normalized_weights(lwk)[2] < floor:
                 collapse_step = k + 1
                 warnings.warn(
                     f"effective sample size fell below {floor:g} at step {k + 1}",

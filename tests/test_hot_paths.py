@@ -32,6 +32,7 @@ from fbsde_filter.pde_backward import (
     solve_backward_kolmogorov,
     solve_backward_with_source,
     solve_feynman_kac,
+    terminal_slice,
 )
 from fbsde_filter.sde_sim import (
     STREAM_GIRSANOV,
@@ -159,12 +160,13 @@ class NodalModel:
 
 
 def reference_sweep(model, sg, tg, damp=None, source=None, policy=None):
-    """Assemble I - dt L and call scipy.linalg.solve_banded at every step."""
+    """Assemble I - dt L and call scipy.linalg.solve_banded at every step, from
+    the solvers' terminal slice."""
     xs = sg.points()
     dt, K = tg.dt, tg.n_steps
     b0 = np.asarray(model.drift(xs), dtype=float)
     values = np.empty((K + 1, sg.n_points))
-    values[K] = model.terminal(xs)
+    values[K] = terminal_slice(model, sg)
     for k in range(K - 1, -1, -1):
         a = np.zeros_like(xs) if policy is None else policy[k]
         sub, diag, sup, _ = _generator_bands(b0 + model.control_gain * a, model.sigma, sg.dx)

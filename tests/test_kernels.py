@@ -14,7 +14,6 @@ from fbsde_filter.kalman import backward_rk4_sweep, kalman_bucy_mean, model_ricc
 from fbsde_filter.model import GaussianMixturePrior, TimeGrid
 from fbsde_filter.sde_sim import (
     STREAM_RESAMPLE,
-    ensemble_ess,
     normalized_weights,
     path_generator,
     resample_indices,
@@ -28,10 +27,10 @@ log_weight_arrays = arrays(np.float64, st.integers(1, 200),
 @given(log_weight_arrays, st.floats(-100.0, 100.0))
 @settings(max_examples=60, deadline=None)
 def test_ess_is_shift_invariant_and_between_one_and_n(lw, shift):
-    ess = ensemble_ess(lw)
+    ess = normalized_weights(lw)[2]
     n = lw.shape[0]
     assert 1.0 - 1e-12 <= ess <= n * (1.0 + 1e-12)
-    assert math.isclose(ensemble_ess(lw + shift), ess, rel_tol=1e-9)
+    assert math.isclose(normalized_weights(lw + shift)[2], ess, rel_tol=1e-9)
 
 
 @given(arrays(np.float64, st.integers(1, 100), elements=st.floats(0.0, 1.0)),

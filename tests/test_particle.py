@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fbsde_filter.particle import (
     sigma_estimate,
 )
 from fbsde_filter.sde_sim import (
-    ensemble_ess,
+    normalized_weights,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
@@ -87,6 +89,18 @@ class TestPiEstimate:
         np.testing.assert_allclose(ext.values, pi_estimate(ens, IDENT).values,
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("shift", [-800.0, 800.0])
+    def test_a_common_log_weight_shift_cancels(self, lg_scalar, shift):
+        # exp(-800) underflows and exp(800) overflows: the weights must be shifted
+        grid = TimeGrid(1.0, 100)
+        obs = simulate_truth_and_obs(lg_scalar, grid, seed=9)
+        ens = simulate_girsanov_ensemble(lg_scalar, grid, obs, 200, seed=9)
+        shifted = replace(ens, log_weights_girsanov=ens.log_weights_girsanov + shift)
+        est, moved = pi_estimate(ens, IDENT), pi_estimate(shifted, IDENT)
+        for field in ("values", "std_err", "ess"):
+            np.testing.assert_allclose(getattr(moved, field), getattr(est, field),
+                                       rtol=1e-12, atol=0.0)
+
     def test_ess_bounds(self, lg_scalar, grid_500):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=4)
         ens = simulate_girsanov_ensemble(lg_scalar, grid_500, obs, 256, seed=4)
@@ -104,7 +118,7 @@ class TestResampling:
         orig = {tuple(row) for row in ens.states}
         assert all(tuple(row) in orig for row in res.states)
         assert res.resample_steps == (grid_500.n_steps,)
-        assert ensemble_ess(res.log_weights_girsanov[:, -1]) == pytest.approx(200.0)
+        assert normalized_weights(res.log_weights_girsanov[:, -1])[2] == pytest.approx(200.0)
 
     def test_degenerate_weights_copy_winner(self, lg_scalar, grid_500):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=7)
@@ -112,7 +126,6 @@ class TestResampling:
         lw = ens.log_weights_girsanov.copy()
         lw[:, -1] = -1e6
         lw[17, -1] = 0.0
-        from dataclasses import replace
         spiked = replace(ens, log_weights_girsanov=lw)
         res = resample_multinomial(spiked, seed=2)
         np.testing.assert_array_equal(
@@ -145,7 +158,7 @@ class TestParticleFilter:
         assert len(result.resample_steps) >= 1
         # the raw (non-resampled) ensemble degenerates over the same horizon
         raw = simulate_girsanov_ensemble(lg_scalar, grid, obs, 5000, seed=31)
-        raw_ess = ensemble_ess(raw.log_weights_girsanov[:, -1])
+        raw_ess = normalized_weights(raw.log_weights_girsanov[:, -1])[2]
         assert raw_ess < 0.5 * 5000
 
     def test_mc_convergence_rate(self, lg_benchmark, lg_scalar):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fbsde_filter.errors import CFLWarning, GridMismatch, PolicyIterationDiverged
+from fbsde_filter.estimators import _scalar_fixed_point
 from fbsde_filter.kalman import lq_control_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid
 from fbsde_filter.pde_backward import (
@@ -11,7 +14,9 @@ from fbsde_filter.pde_backward import (
     solve_backward_with_source,
     solve_feynman_kac,
     solve_hjb_quadratic,
+    terminal_slice,
 )
+from fbsde_filter.sde_sim import simulate_innovation_ensemble, simulate_truth_and_obs
 
 from conftest import make_scalar
 
@@ -70,6 +75,46 @@ class TestBackwardKolmogorov:
         # solution is linear in x, so the central-difference gradient is exact
         per_time_slope = y.values[:, 201] / xs[201]
         assert np.max(np.abs(y.gradient[:, window] - per_time_slope[:, None])) < 1e-4
+
+
+class TestTerminalSlice:
+    def test_interpolated_indicator_has_no_half_cell_bias(self):
+        # criterion-11 grid; node 300 sits on the jump.  With node values the
+        # interpolant's jump moves right by dx/2 and this integral is -3.5e-3.
+        model = make_scalar("double_well", sigma=0.5, f="indicator_positive")
+        sg = SpaceGrid(-5.5, 5.5, 601)
+        with pytest.warns(CFLWarning):
+            y = solve_backward_kolmogorov(model, sg, TimeGrid(1.0, 10))
+        assert y.values[-1, 300] == 0.5
+        x = np.linspace(-1.0, 1.0, 2_000_001)  # nodes of a 1e-6 midpoint rule
+        x = 0.5 * (x[1:] + x[:-1])
+        density = np.exp(-0.5 * (x - 0.3) ** 2) / np.sqrt(2.0 * np.pi)
+        bias = np.sum((y.eval(10, x) - (x > 0.0)) * density) * 1e-6
+        assert abs(bias) < 1e-4
+
+    def test_every_grid_solver_starts_from_the_terminal_slice(self, double_well):
+        sg, tg = SpaceGrid(-5.5, 5.5, 601), TimeGrid(1.0, 20)
+        want = terminal_slice(double_well, sg)
+        obs = simulate_truth_and_obs(double_well, tg, seed=3)
+        ens = simulate_innovation_ensemble(double_well, tg, obs, 100, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            sweeps = [solve_backward_kolmogorov(double_well, sg, tg),
+                      solve_feynman_kac(double_well, sg, tg),
+                      solve_backward_with_source(double_well, sg, tg, policy=np.zeros((21, 601))),
+                      solve_hjb_quadratic(double_well, sg, tg)[0]]
+            sweeps.append(_scalar_fixed_point(double_well, tg, sg, ens, None, 1e-6)[1])
+        for y in sweeps:
+            assert y.values[-1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("f", ["linear", "cubic", "sine", "gaussian_bump", "quadratic"])
+    def test_registry_functions_without_a_jump_keep_their_node_values(self, f):
+        model = make_scalar("linear", f=f)
+        sg = SpaceGrid(-3.0, 3.0, 61)
+        xs = sg.points()
+        assert terminal_slice(model, sg).tobytes() == model.terminal(xs).tobytes()
+        callable_f = lambda x: (np.asarray(x) > 0.0).astype(float)
+        assert terminal_slice(model, sg, callable_f).tobytes() == callable_f(xs).tobytes()
 
 
 class TestFeynmanKac:

@@ -8,7 +8,7 @@ from fbsde_filter.sde_sim import (
     ObservationRecord,
     compute_innovation,
     compute_observation_error,
-    ensemble_ess,
+    normalized_weights,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
@@ -229,5 +229,5 @@ def test_scaled_initial_weights_helper(lg_scalar, grid_500):
 def test_ensemble_ess_bounds(lg_scalar, grid_500):
     obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
     ens = simulate_girsanov_ensemble(lg_scalar, grid_500, obs, 128, seed=8)
-    ess = ensemble_ess(ens.log_weights_girsanov[:, -1])
+    ess = normalized_weights(ens.log_weights_girsanov[:, -1])[2]
     assert 0.0 < ess <= 128.0
