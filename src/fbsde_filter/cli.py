@@ -60,6 +60,7 @@ from .control import (
 from .pde_backward import GridFunction, solve_backward_kolmogorov, solve_feynman_kac
 from .sde_sim import (
     ObservationRecord,
+    check_ess_floor,
     check_seed,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
@@ -138,7 +139,7 @@ def _particles(args, parser) -> int:
 
 
 def _ess_floor(parser):
-    return setting(parser, "estimator", "ess_floor", float, None)
+    return setting(parser, "estimator", "ess_floor", check_ess_floor, None)
 
 
 def _write_obs_csv(path, obs: ObservationRecord) -> None:

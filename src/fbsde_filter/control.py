@@ -45,6 +45,7 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
+    check_ess_floor,
     path_generator,
     resample_below,
     weighted_step,
@@ -200,6 +201,7 @@ def certainty_equivalence_run(model, policy: PolicyField, grid: TimeGrid,
     0.5 x^T Q_f x); scalar models use a resampling particle filter and a
     callable terminal cost (defaulting to the model terminal function).
     """
+    ess_floor = check_ess_floor(ess_floor)
     if isinstance(model, LinearGaussianModelSpec):
         if terminal_hessian is None:
             raise ValueError("linear-Gaussian control runs need terminal_hessian")

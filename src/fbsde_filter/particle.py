@@ -22,6 +22,7 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
+    check_ess_floor,
     normalized_weights,
     path_generator,
     resample_below,
@@ -75,6 +76,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
     "external" divides the plain mean of w g(X) by a supplied per-time
     normalizer path (e.g. a sigma_t[1] estimate).
     """
+    floor = None if ess_floor is None else check_ess_floor(ess_floor) * ensemble.n_paths
     lw = ensemble.log_weights()
     gv = np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
@@ -94,10 +96,8 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
         std_err = vals.std(axis=0, ddof=1) / np.sqrt(n) / np.abs(norm)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    if ess_floor is not None and ess.min() < ess_floor * n:
-        warnings.warn(
-            f"effective sample size fell below {ess_floor * n:g}", WeightCollapse
-        )
+    if floor is not None and ess.min() < floor:
+        warnings.warn(f"effective sample size fell below {floor:g}", WeightCollapse)
     return ConditionalEstimate(ensemble.grid, ratio, std_err, ess)
 
 
@@ -152,6 +152,7 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     """
     if not obs.grid.matches(grid):
         raise GridMismatch("observation record does not cover the requested grid")
+    floor = check_ess_floor(ess_floor) * n_paths
     sm = scalar_view(model)
     fns = {"x": lambda x: x}
     if observables:
@@ -168,8 +169,7 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     ess_path = np.empty(K + 1)
     resample_steps = []
     for k in range(K + 1):
-        x, lw, w, wsum, ess, resampled = resample_below(gen_resample, x, lw,
-                                                        ess_floor * n_paths)
+        x, lw, w, wsum, ess, resampled = resample_below(gen_resample, x, lw, floor)
         if resampled:
             resample_steps.append(k)
         ess_path[k] = n_paths if resampled else ess  # the ESS the estimates see

@@ -14,10 +14,11 @@ killing term is applied through a per-step integrating factor, which is exact
 for observation maps that are constant in space.  The terminal slice y_T holds
 f at the nodes, or cell averages for a terminal with a jump (`terminal_slice`).
 
-The Kolmogorov, Feynman-Kac and sourced solves share one sweep.  With a drift
-constant in time (no policy), I - dt L is factored once (LAPACK gttrf) and each
-step is one gttrs solve; a policy, and the HJB inner iteration, assemble and
-solve it per step (solve_banded), with bitwise the same arithmetic.
+The Kolmogorov, Feynman-Kac and sourced solves share one sweep.  One band
+kernel writes the LAPACK bands of I - dt L from the drift.  With a drift
+constant in time (no policy), they are factored once (gttrf) and each step is
+one gttrs solve; when the drift moves (a policy, or the HJB inner iteration),
+each step or iteration is one gtsv solve, with bitwise the same arithmetic.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg import expm
+from scipy.linalg import solve_banded  # noqa: F401  unused: perfbench/tracer.py rebinds it
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure, PolicyIterationDiverged
 from .io import write_csv
@@ -135,101 +137,87 @@ class BackwardVector:
 # tridiagonal operator assembly
 # ---------------------------------------------------------------------------
 
-def _generator_bands(b: np.ndarray, sigma: float, dx: float):
-    """Tridiagonal bands (sub, diag, sup) of b d/dx + (sigma^2/2) d^2/dx^2.
+def _implicit_bands(b: np.ndarray, sigma: float, dx: float, dt: float):
+    """LAPACK bands (dl, d, du) of I - dt L for L = b d/dx + (sigma^2/2) d^2/dx^2,
+    and whether L upwinds an interior node.
 
     Homogeneous Neumann boundaries via ghost-node reflection.  Nodes with
-    cell Peclet number above 2 switch to first-order upwinding; returns the
-    bands and whether any node was upwinded.  A non-finite drift raises
-    LinearSolveFailure (an infinite outward one would drop out at a boundary).
+    cell Peclet number above 2 switch to first-order upwinding.  A non-finite
+    drift raises LinearSolveFailure (an infinite outward one would drop out
+    at a boundary).
     """
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise LinearSolveFailure("non-finite drift in the backward generator")
-    J = b.shape[0]
     D = 0.5 * sigma * sigma
-    sub = np.full(J, D / dx**2)
-    diag = np.full(J, -2.0 * D / dx**2)
-    sup = np.full(J, D / dx**2)
 
     # Continuous central-to-upwind blend: pure central up to cell Peclet 2,
     # pure upwind from 4, linear in between.  The blend weight w keeps all
     # off-diagonal entries nonnegative ((1 - w) pe <= 2 throughout) and, being
     # continuous in b, avoids switching cycles inside policy iterations.
-    pe = np.abs(b) * dx / D
-    w = np.clip(0.5 * (pe - 2.0), 0.0, 1.0)
-    upwind = w > 0.0
-
-    central_coef = (1.0 - w) * b / (2.0 * dx)
-    sup = sup + central_coef
-    sub = sub - central_coef
-
-    pos = w * np.maximum(b, 0.0) / dx
-    neg = w * np.minimum(b, 0.0) / dx
-    sup = sup + pos
-    sub = sub - neg
-    diag = diag - pos + neg
+    w = np.clip(0.5 * (np.abs(b) * dx / D - 2.0), 0.0, 1.0)
+    central = (1.0 - w) * b / (2.0 * dx)
+    wb = w * b / dx
+    pos = np.maximum(wb, 0.0)
+    neg = np.minimum(wb, 0.0)
+    sub = (D / dx**2 - central) - neg
+    diag = (-2.0 * D / dx**2 - pos) + neg
+    sup = (D / dx**2 + central) + pos
 
     # Boundary rows: reflected ghost doubles the inward diffusion coupling;
     # advection is one-sided upwind when the drift points into the domain and
     # drops out (zero-slope reading) when it points outward, which keeps the
     # rows strongly coupled to the interior for stiff inward drifts.
-    diag[0] = -2.0 * D / dx**2
-    sup[0] = 2.0 * D / dx**2
-    inflow_left = max(b[0], 0.0)
-    sup[0] += inflow_left / dx
-    diag[0] -= inflow_left / dx
-    diag[-1] = -2.0 * D / dx**2
-    sub[-1] = 2.0 * D / dx**2
-    inflow_right = min(b[-1], 0.0)
-    sub[-1] -= inflow_right / dx
-    diag[-1] += inflow_right / dx
+    inflow_left, inflow_right = max(b[0], 0.0), min(b[-1], 0.0)
+    diag[0] = -2.0 * D / dx**2 - inflow_left / dx
+    sup[0] = 2.0 * D / dx**2 + inflow_left / dx
+    diag[-1] = -2.0 * D / dx**2 + inflow_right / dx
+    sub[-1] = 2.0 * D / dx**2 - inflow_right / dx
 
-    return sub, diag, sup, bool(upwind[1:-1].any())
+    return -dt * sub[1:], 1.0 - dt * diag, -dt * sup[:-1], bool(np.count_nonzero(w[1:-1]))
 
 
-def _implicit_ab(sub, diag, sup, dt):
-    """Banded matrix of (I - dt L) in solve_banded layout."""
-    J = diag.shape[0]
-    ab = np.zeros((3, J))
-    ab[0, 1:] = -dt * sup[:-1]
-    ab[1, :] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * sub[1:]
-    return ab
-
-
-def _factored_solver(ab):
-    """Factor `ab` (solve_banded layout) once with gttrf; return a solver that
-    makes one gttrs call per right-hand side.  solve_banded's gtsv runs the same
-    elimination and pivoting, so the solutions are bitwise _banded_solve's."""
-    if not np.all(np.isfinite(ab)):
+def _factored_generator(model, space_grid: SpaceGrid, dt: float):
+    """I - dt L for the uncontrolled drift, factored once with gttrf: returns a
+    solver making one gttrs call per right-hand side, and whether L upwinds.
+    The gtsv of `_solve_bands` runs the same elimination and pivoting, so the
+    two give bitwise the same solutions."""
+    b0 = np.asarray(model.drift(space_grid.points()), dtype=float)
+    *bands, upwind = _implicit_bands(b0, model.sigma, space_grid.dx, dt)
+    if not all(np.isfinite(band).all() for band in bands):
         raise LinearSolveFailure("non-finite values in tridiagonal operator")
-    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    dl, d, du, du2, ipiv, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1,
+                                        overwrite_du=1)
     if info != 0:
         raise LinearSolveFailure(f"singular tridiagonal operator (gttrf info {info})")
 
     def solve(rhs):
         out, info = dgttrs(dl, d, du, du2, ipiv, rhs)
-        if info != 0 or not np.all(np.isfinite(out)):
+        if info != 0 or not np.isfinite(out).all():
             raise LinearSolveFailure("non-finite values in tridiagonal solve")
         return out
 
-    return solve
+    return solve, upwind
 
 
-def _factored_generator(model, space_grid: SpaceGrid, dt: float):
-    """`_factored_solver` of I - dt L for the uncontrolled drift, and whether L upwinds."""
-    b0 = np.asarray(model.drift(space_grid.points()), dtype=float)
-    sub, diag, sup, upwind = _generator_bands(b0, model.sigma, space_grid.dx)
-    return _factored_solver(_implicit_ab(sub, diag, sup, dt)), upwind
-
-
-def _banded_solve(ab, rhs):
-    try:
-        out = solve_banded((1, 1), ab, rhs)
-    except Exception as exc:
-        raise LinearSolveFailure(str(exc)) from exc
-    if not np.all(np.isfinite(out)):
+def _solve_bands(dl, d, du, rhs):
+    """One gtsv solve of the tridiagonal system (`_implicit_bands`) x = rhs; the
+    bands are overwritten, rhs is not."""
+    _, _, _, out, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                               overwrite_du=1)
+    if info != 0:
+        raise LinearSolveFailure(f"singular tridiagonal operator (gtsv info {info})")
+    if not np.isfinite(out).all():
         raise LinearSolveFailure("non-finite values in tridiagonal solve")
+    return out
+
+
+def _gradient(y: np.ndarray, dx: float) -> np.ndarray:
+    """np.gradient(y, dx) of a 1-D y, bitwise: central differences inside,
+    one-sided at the ends."""
+    out = np.empty_like(y)
+    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
+    out[0] = (y[1] - y[0]) / dx
+    out[-1] = (y[-1] - y[-2]) / dx
     return out
 
 
@@ -321,14 +309,13 @@ def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None
     for k in range(K - 1, -1, -1):
         if policy is not None:
             a = np.asarray(policy(k, xs) if callable(policy) else policy[k], dtype=float)
-            sub, diag, sup, up = _generator_bands(b0 + model.control_gain * a,
-                                                  model.sigma, space_grid.dx)
+            *bands, up = _implicit_bands(b0 + model.control_gain * a, model.sigma,
+                                         space_grid.dx, dt)
             any_upwind = any_upwind or up
-            ab = _implicit_ab(sub, diag, sup, dt)
         rhs = values[k + 1]
         if running_cost is not None:
             rhs = rhs + dt * np.asarray(running_cost(k, xs, a), dtype=float)
-        y = factored(rhs) if policy is None else _banded_solve(ab, rhs)
+        y = factored(rhs) if policy is None else _solve_bands(*bands, rhs)
         values[k] = y if damp is None else damp * y
     _warn_upwind(any_upwind, context)
     return GridFunction.from_values(space_grid, time_grid, values)
@@ -356,22 +343,21 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
     values = np.empty((K + 1, space_grid.n_points))
     policy = np.empty_like(values)
     values[K] = terminal_slice(model, space_grid, terminal)
-    policy[K] = -g * np.gradient(values[K], dx)
+    policy[K] = -g * _gradient(values[K], dx)
     any_upwind = False
     for k in range(K - 1, -1, -1):
-        a = policy[k + 1].copy()
+        a = policy[k + 1]
         prev_change = np.inf
         relax = 1.0
         for it in range(max_inner):
-            sub, diag, sup, up = _generator_bands(b0 + g * a, model.sigma, dx)
+            *bands, up = _implicit_bands(b0 + g * a, model.sigma, dx, dt)
             any_upwind = any_upwind or up
-            rhs = values[k + 1] + dt * 0.5 * a * a
-            y = _banded_solve(_implicit_ab(sub, diag, sup, dt), rhs)
-            a_new = -g * np.gradient(y, dx)
-            change = float(np.max(np.abs(a_new - a)))
+            y = _solve_bands(*bands, values[k + 1] + dt * 0.5 * a * a)
+            step = -g * _gradient(y, dx) - a
+            change = float(np.abs(step).max())
             if change >= prev_change:
                 relax = max(0.25 * relax, 0.0625)  # damp oscillating sweeps
-            a = a + relax * (a_new - a)
+            a = a + relax * step
             prev_change = change
             if change < tol:
                 break

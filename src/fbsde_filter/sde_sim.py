@@ -114,6 +114,15 @@ def normalized_weights(lw: np.ndarray):
     return w, wsum, wsum * wsum / np.dot(w, w)
 
 
+def check_ess_floor(ess_floor) -> float:
+    """ess_floor as a float: the fraction of the ensemble size below which the
+    ESS triggers resampling or a collapse warning, which must be in [0, 1]."""
+    floor = float(ess_floor)
+    if not 0.0 <= floor <= 1.0:  # also rejects NaN
+        raise ValueError(f"ess_floor must be in [0, 1], got {ess_floor!r}")
+    return floor
+
+
 def resample_indices(gen: np.random.Generator, w: np.ndarray, wsum) -> np.ndarray:
     """Multinomial offspring indices for weights w with sum wsum."""
     n = w.shape[0]
@@ -359,6 +368,7 @@ def _simulate_weighted_ensemble(
     sm = scalar_view(model)
     dt = grid.dt
     K = grid.n_steps
+    floor = (check_ess_floor(ess_floor) if ess_floor is not None else 0.0) * n_paths
 
     stream = STREAM_GIRSANOV if kind == "girsanov" else STREAM_INNOVATION
     fresh = obs is None
@@ -388,7 +398,6 @@ def _simulate_weighted_ensemble(
     pi_h_path = np.empty(K) if kind == "innovation" else None
     dI = np.empty(K) if kind == "innovation" and not fresh else None
     collapse_step = None
-    floor = (ess_floor if ess_floor is not None else 0.0) * n_paths
 
     for k in range(K):
         c = np.asarray(sm.obs(xk), dtype=float)

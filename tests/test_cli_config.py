@@ -89,7 +89,8 @@ def test_sweep_without_an_estimator_id_exits_2_without_traceback(tmp_path, capsy
     assert "config error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("line", ["particles = abc", "particles = 1", "ess_floor = x"])
+@pytest.mark.parametrize("line", ["particles = abc", "particles = 1", "ess_floor = x",
+                                  "ess_floor = 1.5", "ess_floor = -0.1", "ess_floor = nan"])
 def test_bad_estimator_value_exits_2(tmp_path, line):
     config = OU + f"\n[estimator]\nid = sigma_obs\n{line}\n"
     assert run(tmp_path, config, "estimate") == EXIT_CONFIG

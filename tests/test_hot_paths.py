@@ -1,9 +1,9 @@
 """The uniform-grid interpolation, the re-keyed ensemble noise, the cubic
-kernels, the factored backward sweep and the one-sweep fixed point of
-estimator III equal or match the reference computations they replace."""
+kernels, the backward sweeps, the HJB policy iteration and the one-sweep fixed
+point of estimator III equal or match the reference computations they replace."""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,12 @@ from scipy.linalg import solve_banded
 
 from fbsde_filter import estimators
 from fbsde_filter.control import PolicyField
-from fbsde_filter.errors import CFLWarning, FixedPointNotConverged, LinearSolveFailure
+from fbsde_filter.errors import (
+    CFLWarning,
+    FixedPointNotConverged,
+    LinearSolveFailure,
+    PolicyIterationDiverged,
+)
 from fbsde_filter.estimators import (
     _lg_fixed_point,
     _scalar_fixed_point,
@@ -25,13 +30,13 @@ from fbsde_filter.model import SpaceGrid, TimeGrid, gaussian_quadrature, registr
 from fbsde_filter.pde_backward import (
     GridFunction,
     _factored_generator,
-    _generator_bands,
-    _implicit_ab,
+    _warn_upwind,
     interp_matrix,
     interp_uniform,
     solve_backward_kolmogorov,
     solve_backward_with_source,
     solve_feynman_kac,
+    solve_hjb_quadratic,
     terminal_slice,
 )
 from fbsde_filter.sde_sim import (
@@ -136,8 +141,118 @@ def test_cubic_kernels_multiply_out_the_cube_within_one_ulp_of_the_power():
 
 
 # ---------------------------------------------------------------------------
-# the backward sweep against the per-step solve_banded loop it replaced
+# the backward sweeps and the HJB against the solve_banded loops they replaced
 # ---------------------------------------------------------------------------
+
+def _generator_bands(b: np.ndarray, sigma: float, dx: float):
+    """Tridiagonal bands (sub, diag, sup) of b d/dx + (sigma^2/2) d^2/dx^2.
+
+    Homogeneous Neumann boundaries via ghost-node reflection.  Nodes with
+    cell Peclet number above 2 switch to first-order upwinding; returns the
+    bands and whether any node was upwinded.  A non-finite drift raises
+    LinearSolveFailure (an infinite outward one would drop out at a boundary).
+    """
+    if not np.all(np.isfinite(b)):
+        raise LinearSolveFailure("non-finite drift in the backward generator")
+    J = b.shape[0]
+    D = 0.5 * sigma * sigma
+    sub = np.full(J, D / dx**2)
+    diag = np.full(J, -2.0 * D / dx**2)
+    sup = np.full(J, D / dx**2)
+
+    # Continuous central-to-upwind blend: pure central up to cell Peclet 2,
+    # pure upwind from 4, linear in between.  The blend weight w keeps all
+    # off-diagonal entries nonnegative ((1 - w) pe <= 2 throughout) and, being
+    # continuous in b, avoids switching cycles inside policy iterations.
+    pe = np.abs(b) * dx / D
+    w = np.clip(0.5 * (pe - 2.0), 0.0, 1.0)
+    upwind = w > 0.0
+
+    central_coef = (1.0 - w) * b / (2.0 * dx)
+    sup = sup + central_coef
+    sub = sub - central_coef
+
+    pos = w * np.maximum(b, 0.0) / dx
+    neg = w * np.minimum(b, 0.0) / dx
+    sup = sup + pos
+    sub = sub - neg
+    diag = diag - pos + neg
+
+    # Boundary rows: reflected ghost doubles the inward diffusion coupling;
+    # advection is one-sided upwind when the drift points into the domain and
+    # drops out (zero-slope reading) when it points outward, which keeps the
+    # rows strongly coupled to the interior for stiff inward drifts.
+    diag[0] = -2.0 * D / dx**2
+    sup[0] = 2.0 * D / dx**2
+    inflow_left = max(b[0], 0.0)
+    sup[0] += inflow_left / dx
+    diag[0] -= inflow_left / dx
+    diag[-1] = -2.0 * D / dx**2
+    sub[-1] = 2.0 * D / dx**2
+    inflow_right = min(b[-1], 0.0)
+    sub[-1] -= inflow_right / dx
+    diag[-1] += inflow_right / dx
+
+    return sub, diag, sup, bool(upwind[1:-1].any())
+
+
+def _implicit_ab(sub, diag, sup, dt):
+    """Banded matrix of (I - dt L) in solve_banded layout."""
+    J = diag.shape[0]
+    ab = np.zeros((3, J))
+    ab[0, 1:] = -dt * sup[:-1]
+    ab[1, :] = 1.0 - dt * diag
+    ab[2, :-1] = -dt * sub[1:]
+    return ab
+
+
+def reference_hjb_quadratic(model, space_grid, time_grid, terminal=None,
+                            max_inner=50, tol=1e-8):
+    """The HJB policy iteration with a solve_banded call per inner iteration;
+    also returns how many iterations were damped."""
+    if max_inner < 1:
+        raise ValueError(f"max_inner must be >= 1, got {max_inner}")
+    xs = space_grid.points()
+    dx = space_grid.dx
+    dt = time_grid.dt
+    K = time_grid.n_steps
+    b0 = np.asarray(model.drift(xs), dtype=float)
+    g = model.control_gain
+
+    values = np.empty((K + 1, space_grid.n_points))
+    policy = np.empty_like(values)
+    values[K] = terminal_slice(model, space_grid, terminal)
+    policy[K] = -g * np.gradient(values[K], dx)
+    any_upwind = False
+    damped = 0
+    for k in range(K - 1, -1, -1):
+        a = policy[k + 1].copy()
+        prev_change = np.inf
+        relax = 1.0
+        for it in range(max_inner):
+            sub, diag, sup, up = _generator_bands(b0 + g * a, model.sigma, dx)
+            any_upwind = any_upwind or up
+            rhs = values[k + 1] + dt * 0.5 * a * a
+            y = solve_banded((1, 1), _implicit_ab(sub, diag, sup, dt), rhs)
+            a_new = -g * np.gradient(y, dx)
+            change = float(np.max(np.abs(a_new - a)))
+            if change >= prev_change:
+                relax = max(0.25 * relax, 0.0625)  # damp oscillating sweeps
+                damped += 1
+            a = a + relax * (a_new - a)
+            prev_change = change
+            if change < tol:
+                break
+        else:
+            raise PolicyIterationDiverged(
+                f"policy iteration did not converge at step {k} "
+                f"(last change {change:.3e})"
+            )
+        values[k] = y
+        policy[k] = a
+    _warn_upwind(any_upwind, "HJB solve")
+    return GridFunction.from_values(space_grid, time_grid, values), policy, damped
+
 
 @dataclass(frozen=True)
 class NodalModel:
@@ -238,6 +353,45 @@ def test_policy_sweep_equals_the_per_step_solve_banded_loop(
     assert same_bits(by_callable.values, reference)
 
 
+def check_hjb_equals_reference(model, sg, tg, **kwargs):
+    """solve_hjb_quadratic returns the reference's values and policy bit for bit,
+    or both raise PolicyIterationDiverged with the same message; returns the
+    reference's count of damped iterations, or None if it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        try:
+            y_ref, policy_ref, damped = reference_hjb_quadratic(model, sg, tg, **kwargs)
+        except PolicyIterationDiverged as exc:
+            with pytest.raises(PolicyIterationDiverged) as raised:
+                solve_hjb_quadratic(model, sg, tg, **kwargs)
+            assert str(raised.value) == str(exc)
+            return None
+        y, policy = solve_hjb_quadratic(model, sg, tg, **kwargs)
+    assert same_bits(y.values, y_ref.values)
+    assert same_bits(policy, policy_ref)
+    return damped
+
+
+@given(n_points=st.integers(6, 121), width=st.floats(0.5, 20.0),
+       sigma=st.floats(0.1, 3.0), n_steps=st.integers(1, 12), dt=st.floats(1e-3, 0.2),
+       gain=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), scale=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_hjb_equals_the_per_iteration_solve_banded_loop(n_points, width, sigma, n_steps,
+                                                         dt, gain, scale, seed):
+    rng = np.random.default_rng(seed)
+    sg, tg = SpaceGrid(-0.5 * width, 0.5 * width, n_points), TimeGrid(dt * n_steps, n_steps)
+    model = nodal_model(rng, sg, sigma, control_gain=gain)
+    check_hjb_equals_reference(replace(model, f=scale * model.f), sg, tg)
+
+
+def test_hjb_equals_the_reference_through_a_damped_iteration_and_at_max_inner_1():
+    sg, tg = SpaceGrid(-2.0, 2.0, 41), TimeGrid(0.2, 4)
+    model = nodal_model(np.random.default_rng(19), sg, 0.7, control_gain=1.0)
+    assert check_hjb_equals_reference(model, sg, tg) >= 1
+    assert check_hjb_equals_reference(model, sg, tg, max_inner=1) is None
+
+
 @given(node=st.integers(0, 40), step=st.integers(0, 9),
        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
        where=st.sampled_from(["drift", "source", "terminal"]))
@@ -262,6 +416,8 @@ def test_a_non_finite_drift_source_or_terminal_is_a_linear_solve_failure(
                 solve_backward_kolmogorov(model, sg, tg)
             with pytest.raises(LinearSolveFailure):
                 solve_feynman_kac(model, sg, tg)
+            with pytest.raises(LinearSolveFailure):
+                solve_hjb_quadratic(model, sg, tg)
 
 
 def reference_fixed_point(model, obs, sg, ensemble=None, pi_source=None,

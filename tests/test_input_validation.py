@@ -1,12 +1,26 @@
-"""Seeds and stream keys, singular prior covariances and multi-channel zero policies."""
+"""Seeds and stream keys, ESS floors, singular prior covariances and multi-channel
+zero policies."""
 
 import numpy as np
 import pytest
 
 from fbsde_filter.cli import main
-from fbsde_filter.control import PolicyField, certainty_equivalence_batch
+from fbsde_filter.control import (
+    PolicyField,
+    certainty_equivalence_batch,
+    certainty_equivalence_run,
+)
 from fbsde_filter.model import LinearGaussianModelSpec, TimeGrid
-from fbsde_filter.sde_sim import STREAM_GIRSANOV, path_generator, simulate_truth_and_obs
+from fbsde_filter.particle import pi_estimate, run_particle_filter
+from fbsde_filter.sde_sim import (
+    STREAM_GIRSANOV,
+    path_generator,
+    simulate_girsanov_ensemble,
+    simulate_innovation_ensemble,
+    simulate_truth_and_obs,
+)
+
+from conftest import make_scalar
 
 
 @pytest.mark.parametrize("seed, stream, path_index", [
@@ -34,6 +48,27 @@ def test_cli_rejects_a_negative_seed_with_exit_code_2(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ess_floor", [1.5, -0.1, np.nan])
+def test_an_ess_floor_outside_zero_to_one_is_rejected(ess_floor):
+    model = make_scalar("linear", {"a": -1.0}, f="quadratic", control_gain=1.0)
+    grid = TimeGrid(1.0, 10)
+    obs = simulate_truth_and_obs(model, grid, seed=1)
+    ens = simulate_innovation_ensemble(model, grid, obs, 50, seed=1)
+    calls = [
+        lambda: run_particle_filter(model, grid, obs, 50, 1, ess_floor=ess_floor),
+        lambda: certainty_equivalence_run(model, PolicyField.zero(grid), grid, 1,
+                                          filter_particles=50, ess_floor=ess_floor),
+        lambda: simulate_girsanov_ensemble(model, grid, obs, 50, 1, ess_floor=ess_floor),
+        lambda: simulate_innovation_ensemble(model, grid, obs, 50, 1, ess_floor=ess_floor),
+        lambda: pi_estimate(ens, lambda x: x, ess_floor=ess_floor),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="ess_floor"):
+            call()
+    for floor in (0.0, 1.0):  # the ends of the range stay allowed
+        run_particle_filter(model, grid, obs, 50, 1, ess_floor=floor)
 
 
 def _lg2(Sigma0, G=None):
