@@ -145,7 +145,7 @@ def _weighted_fold(model, y, ensemble, weight_kind, centered, driver):
     acc = np.zeros(ensemble.n_paths)
     control = np.empty(K)
     for k in range(K):
-        xk = np.ascontiguousarray(ensemble.states[:, k])  # one strided read
+        xk = ensemble.states[:, k]
         hk = np.asarray(h_fn(xk), dtype=float)
         coeff = hk - ensemble.pi_h_path[k] if centered else hk
         integrand = np.exp(lw[:, k]) * y.eval(k, xk) * coeff

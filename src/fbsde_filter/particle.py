@@ -82,7 +82,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
     n = ensemble.n_paths
     w, wsum, ess = _shifted_weights(lw)
     if normalization == "self":
-        ratio = np.einsum("ij,ij->j", w, gv) / wsum
+        ratio = (w * gv).sum(axis=0) / wsum  # with equal weights, bitwise gv.mean(axis=0)
         resid = gv - ratio[None, :]
         std_err = np.sqrt(np.einsum("ij,ij->j", w * w, resid * resid)) / wsum
     elif normalization == "external":

@@ -281,15 +281,20 @@ def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
 def terminal_slice(model, space_grid: SpaceGrid, terminal=None) -> np.ndarray:
     """y_T on the nodes: f (`terminal`, else the model's) at each node or, for a
     registry f with a cell-average rule, its mean over each node's dual cell
-    [x - dx/2, x + dx/2] cut at the grid ends (1/2 at the indicator's jump node)."""
+    [x - dx/2, x + dx/2] cut at the grid ends (1/2 at the indicator's jump node).
+    A non-finite node value raises LinearSolveFailure."""
     f = getattr(model, "terminal_fn", model.terminal) if terminal is None else terminal
     xs = space_grid.points()
     average = CELL_AVERAGES.get(f.name) if isinstance(f, NamedFunction) else None
     if average is None:
-        return np.asarray(f(xs), dtype=float)
-    half = 0.5 * space_grid.dx
-    return average(np.maximum(xs - half, space_grid.x_min),
-                   np.minimum(xs + half, space_grid.x_max), f.params)
+        values = np.asarray(f(xs), dtype=float)
+    else:
+        half = 0.5 * space_grid.dx
+        values = average(np.maximum(xs - half, space_grid.x_min),
+                         np.minimum(xs + half, space_grid.x_max), f.params)
+    if not np.isfinite(values).all():
+        raise LinearSolveFailure("non-finite terminal values on the space grid")
+    return values
 
 
 def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None,

@@ -407,16 +407,19 @@ def test_a_non_finite_drift_source_or_terminal_is_a_linear_solve_failure(
         model.f[node] = bad
     else:
         source[step, node] = bad
+    message = {"drift": "non-finite drift", "terminal": "non-finite terminal",
+               "source": "non-finite values"}[where]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CFLWarning)
-        with pytest.raises(LinearSolveFailure):
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy warning on the way
+        with pytest.raises(LinearSolveFailure, match=message):
             solve_backward_with_source(model, sg, tg, running_cost=lambda k, xs, a: source[k])
         if where != "source":
-            with pytest.raises(LinearSolveFailure):
+            with pytest.raises(LinearSolveFailure, match=message):
                 solve_backward_kolmogorov(model, sg, tg)
-            with pytest.raises(LinearSolveFailure):
+            with pytest.raises(LinearSolveFailure, match=message):
                 solve_feynman_kac(model, sg, tg)
-            with pytest.raises(LinearSolveFailure):
+            with pytest.raises(LinearSolveFailure, match=message):
                 solve_hjb_quadratic(model, sg, tg)
 
 

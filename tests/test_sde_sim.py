@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fbsde_filter.kalman import model_kalman, model_riccati
 from fbsde_filter.model import TimeGrid
 from fbsde_filter.sde_sim import (
     ObservationRecord,
+    PathEnsemble,
     compute_innovation,
     compute_observation_error,
     normalized_weights,
@@ -118,8 +121,18 @@ class TestGirsanovEnsemble:
         path = tmp_path / "ens.npz"
         ens.to_npz(path)
         back = ens.from_npz(path)
-        assert np.array_equal(ens.states, back.states)
-        assert np.array_equal(ens.log_weights_girsanov, back.log_weights_girsanov)
+        assert back.states.T.flags.c_contiguous  # the time-major layout is kept
+        assert ens.states.tobytes() == back.states.tobytes()
+        assert ens.log_weights_girsanov.tobytes() == back.log_weights_girsanov.tobytes()
+        # a file written from path-major (C-ordered) arrays loads with the same values
+        c_path = tmp_path / "ens_c.npz"
+        dataclasses.replace(
+            ens, states=np.ascontiguousarray(ens.states),
+            log_weights_girsanov=np.ascontiguousarray(ens.log_weights_girsanov)).to_npz(c_path)
+        c_back = PathEnsemble.from_npz(c_path)
+        assert c_back.states.flags.c_contiguous
+        assert ens.states.tobytes() == c_back.states.tobytes()
+        assert ens.log_weights_girsanov.tobytes() == c_back.log_weights_girsanov.tobytes()
         opath = tmp_path / "obs.npz"
         obs.to_npz(opath)
         oback = ObservationRecord.from_npz(opath)
