@@ -271,8 +271,8 @@ def separated_cost_estimate(model: ScalarModelSpec, policy: PolicyField,
     if ensemble.innovation_increments is None:
         raise GridMismatch("separated cost needs an innovation-weighted ensemble")
     dI = ensemble.innovation_increments
-    acc, _control = _weighted_fold(model, y_value, ensemble, "innovation", True,
-                                   lambda k, h: dI[k])
+    acc, _control, _exits = _weighted_fold(model, y_value, ensemble, "innovation", True,
+                                           lambda rows, h: dI[rows, None])
     mu = prior_expectation_of_initial_slice(model, y_value)
     n = ensemble.n_paths
     return ControlRunReport(

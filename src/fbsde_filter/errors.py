@@ -61,6 +61,10 @@ class ResamplingForbiddenInEstimatorMode(FbsdeFilterError):
     """Resampled ensembles cannot feed the weighted-path estimators."""
 
 
+class WeightUnderflow(FbsdeFilterError):
+    """Every path weight of a time step underflowed to zero."""
+
+
 class IterationNotConverged(FbsdeFilterError):
     """Alternating filter/control iteration hit the sweep cap."""
 

@@ -16,6 +16,10 @@ ensemble:
 The prior term uses Gauss-Hermite quadrature against the initial law, scaled
 by the mean initial ensemble weight so that estimates are exactly linear in
 the weights.
+
+Estimators I, II and IV share one Ito fold, `_weighted_fold`: it reads the
+ensemble's time-major buffers a block of time steps per numpy call, in
+C-ordered blocks whatever the ensemble's layout, bitwise the step-by-step fold.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import (
     MissingTruthPath,
     ModeModelMismatch,
     ResamplingForbiddenInEstimatorMode,
+    WeightUnderflow,
 )
 from .io import write_csv
 from .kalman import covariance_path, model_riccati
@@ -95,6 +100,7 @@ class EstimatorReport:
     weight_collapse: bool = False
     n_iterations: int | None = None
     diagnostics: VarianceDecayReport | None = None
+    grid_exit_fraction: float | None = None  # states outside the space grid (I, II, IV)
 
     def csv_row(self):
         return (self.estimator_id, self.point_estimate, self.mc_std_err,
@@ -133,28 +139,54 @@ def prior_expectation_of_initial_slice(model, y: GridFunction) -> float:
     return prior.expectation(lambda x: y.eval(0, x))
 
 
+# elements per block of the Ito fold: max(1, _FOLD_BLOCK // N) time steps are
+# folded per numpy call (32 at N = 500), so a block temporary holds at most
+# 128 KB unless one step alone is larger
+_FOLD_BLOCK = 1 << 14
+
+
 def _weighted_fold(model, y, ensemble, weight_kind, centered, driver):
-    """Per-path Ito fold sum_k w_k y_k(X_k) c_k d_k and the averaged control.
+    """Per-path Ito fold sum_k w_k y_k(X_k) c_k d_k, the averaged control and
+    the share of the folded states that lie outside the space grid.
 
-    c_k = h(X_k), minus pi_k[h] when `centered`; the increment d_k =
-    driver(k, h(X_k)) is one number per step or one per path.
+    c_k = h(X_k), minus pi_k[h] when `centered`.  rows is a slice of B steps
+    (h of shape (B, N)), or one step index when N > _FOLD_BLOCK / 2 (h of
+    shape (N,)); the increments driver(rows, h) are one number per step
+    (shape (B, 1)) or one per path.  Blocks of states and log-weights are made
+    C-ordered (a no-op on the simulators' layout), so each row mean adds one
+    contiguous row, and acc adds one row per step in step order: the bits of
+    the one-step-at-a-time fold.  Raises WeightUnderflow when every weight of
+    a step is 0.
     """
-    lw = ensemble.log_weights(weight_kind)
-    K = ensemble.grid.n_steps
+    states, lw = ensemble.states.T, ensemble.log_weights(weight_kind).T
+    K, n = ensemble.grid.n_steps, ensemble.n_paths
     h_fn = scalar_view(model).obs_fn
-    acc = np.zeros(ensemble.n_paths)
+    x_min, x_max = y.space_grid.x_min, y.space_grid.x_max
+    step = max(1, _FOLD_BLOCK // n)
+    acc = np.zeros(n)
     control = np.empty(K)
-    for k in range(K):
-        xk = ensemble.states[:, k]
-        hk = np.asarray(h_fn(xk), dtype=float)
-        coeff = hk - ensemble.pi_h_path[k] if centered else hk
-        integrand = np.exp(lw[:, k]) * y.eval(k, xk) * coeff
-        control[k] = -integrand.mean()
-        acc += integrand * driver(k, hk)
-    return acc, control
+    exits = 0
+    for a in range(0, K, step):
+        rows = a if step == 1 else slice(a, min(a + step, K))
+        x = np.ascontiguousarray(states[rows])
+        if x.min() < x_min or x.max() > x_max:  # eval clips these to the grid
+            exits += np.count_nonzero(x < x_min) + np.count_nonzero(x > x_max)
+        w = np.exp(np.ascontiguousarray(lw[rows]))
+        h = np.asarray(h_fn(x), dtype=float)
+        coeff = h - ensemble.pi_h_path[rows, None] if centered else h
+        integrand = w * y.eval(rows, x) * coeff
+        control[rows] = u = -integrand.mean(axis=-1)
+        if not u.all():  # the control of a step whose weights all underflow is 0
+            top = w.max(axis=-1)
+            if not top.all():
+                raise WeightUnderflow(f"every {weight_kind} weight underflows to 0 at "
+                                      f"step {a + int(np.argmax(top == 0.0))}")
+        for row in (integrand * driver(rows, h)).reshape(-1, n):
+            acc += row
+    return acc, control, exits / (n * K)
 
 
-def _finish_report(estimator_id, model, y, ensemble, acc, control, seed=None):
+def _finish_report(estimator_id, model, y, ensemble, acc, control, grid_exit_fraction):
     n = ensemble.n_paths
     w0 = np.exp(ensemble.log_weights()[:, 0]).mean()
     mu_term = w0 * prior_expectation_of_initial_slice(model, y)
@@ -167,9 +199,10 @@ def _finish_report(estimator_id, model, y, ensemble, acc, control, seed=None):
         stochastic_integral_term=integral,
         control_path=control,
         n_paths=n,
-        seed=ensemble.seed if seed is None else seed,
+        seed=ensemble.seed,
         dt=ensemble.grid.dt,
         weight_collapse=ensemble.collapse_step is not None,
+        grid_exit_fraction=grid_exit_fraction,
     )
 
 
@@ -187,8 +220,9 @@ def estimate_sigma_obs(model, obs: ObservationRecord, y: GridFunction,
     _require_raw(ensemble)
     _check_grids(obs, ensemble, y)
     dZ = np.asarray(obs.dZ, dtype=float).reshape(-1)
-    acc, control = _weighted_fold(model, y, ensemble, "girsanov", False, lambda k, h: dZ[k])
-    return _finish_report("sigma_obs", model, y, ensemble, acc, control)
+    fold = _weighted_fold(model, y, ensemble, "girsanov", False,
+                          lambda rows, h: dZ[rows, None])
+    return _finish_report("sigma_obs", model, y, ensemble, *fold)
 
 
 def estimate_pi_innovation(model, obs: ObservationRecord, y: GridFunction,
@@ -210,8 +244,9 @@ def estimate_pi_innovation(model, obs: ObservationRecord, y: GridFunction,
         if not np.allclose(given, ensemble.pi_h_path, atol=1e-12):
             raise GridMismatch("pi_h source differs from the ensemble's realized path")
     dI = ensemble.innovation_increments
-    acc, control = _weighted_fold(model, y, ensemble, "innovation", True, lambda k, h: dI[k])
-    return _finish_report("pi_innovation", model, y, ensemble, acc, control)
+    fold = _weighted_fold(model, y, ensemble, "innovation", True,
+                          lambda rows, h: dI[rows, None])
+    return _finish_report("pi_innovation", model, y, ensemble, *fold)
 
 
 def estimate_sigma_obs_error(model, obs: ObservationRecord, y_fk: GridFunction,
@@ -234,9 +269,9 @@ def estimate_sigma_obs_error(model, obs: ObservationRecord, y_fk: GridFunction,
         raise MissingTruthPath("estimator needs a synthetic observation record")
     dZ = np.asarray(obs.dZ, dtype=float).reshape(-1)
     dt = ensemble.grid.dt
-    acc, control = _weighted_fold(model, y_fk, ensemble, "girsanov", False,
-                                  lambda k, h: dZ[k] - h * dt)
-    return _finish_report("sigma_obs_error", model, y_fk, ensemble, acc, control)
+    fold = _weighted_fold(model, y_fk, ensemble, "girsanov", False,
+                          lambda rows, h: dZ[rows, None] - h * dt)
+    return _finish_report("sigma_obs_error", model, y_fk, ensemble, *fold)
 
 
 # ---------------------------------------------------------------------------

@@ -114,16 +114,17 @@ def resample_multinomial(ensemble: PathEnsemble, seed: int,
     w, wsum, _ = normalized_weights(ensemble.log_weights()[:, k])
     idx = resample_indices(path_generator(seed, STREAM_RESAMPLE, 0), w, wsum)
 
-    def reindex(mat):
+    def reindex(mat, reset=True):
         if mat is None:
             return None
-        out = mat[idx].copy()
-        out[:, k:] -= out[:, k][:, None]
+        out = np.take(mat.T, idx, axis=1).T  # time-major, as the simulators store it
+        if reset:
+            out[:, k:] -= out[:, k][:, None]
         return out
 
     return replace(
         ensemble,
-        states=ensemble.states[idx].copy(),
+        states=reindex(ensemble.states, reset=False),
         log_weights_innovation=reindex(ensemble.log_weights_innovation),
         log_weights_girsanov=reindex(ensemble.log_weights_girsanov),
         resample_steps=ensemble.resample_steps + (k,),

@@ -46,13 +46,17 @@ def interp_uniform(space_grid: SpaceGrid, fp: np.ndarray, x) -> np.ndarray:
     node unless the spacing nears the float resolution of the end points.
     The value is then np.interp's own expression, fp[j] at nodes and
     slope_j (x - nodes[j]) + fp[j] between them.
+
+    A 1-D fp is read at every x, of any shape.  Stacked rows, fp of shape
+    (B, n_points) against x of shape (B, N), read row r of fp at row r of x
+    (one call for a block of time steps), bitwise the B row-by-row calls.
     """
     x = np.asarray(x, dtype=float)
     nodes, upper, widths = space_grid.bracket
     slopes = np.empty_like(fp, dtype=float)
-    np.subtract(fp[1:], fp[:-1], out=slopes[:-1])
-    slopes[:-1] /= widths
-    slopes[-1] = 0.0  # read only at x = x_max, a node
+    np.subtract(fp[..., 1:], fp[..., :-1], out=slopes[..., :-1])
+    slopes[..., :-1] /= widths
+    slopes[..., -1] = 0.0  # read only at x = x_max, a node
     xc = x.reshape(-1).clip(space_grid.x_min, space_grid.x_max)
     t = xc - space_grid.x_min
     t /= space_grid.dx
@@ -61,6 +65,10 @@ def interp_uniform(space_grid: SpaceGrid, fp: np.ndarray, x) -> np.ndarray:
     j -= xc < nodes[j]
     j += xc >= upper[j]
     xj = nodes[j]
+    if fp.ndim > 1:  # index row r of the flattened rows at offset r * n_points
+        rows, n = fp.shape
+        j = (j.reshape(rows, -1) + np.arange(0, rows * n, n)[:, None]).reshape(-1)
+        fp, slopes = fp.reshape(-1), slopes.reshape(-1)
     yj = fp[j]
     out = xc - xj
     out *= slopes[j]
@@ -106,10 +114,13 @@ class GridFunction:
         grad = np.gradient(values, space_grid.dx, axis=1)
         return GridFunction(space_grid, time_grid, values, grad)
 
-    def eval(self, k: int, x) -> np.ndarray:
+    def eval(self, k: int | slice, x) -> np.ndarray:
+        """y_k(x) for one step k, or, for a slice k of B steps and x of shape
+        (B, N), row r of x read on step k.start + r (`interp_uniform`'s stacked rows)."""
         return interp_uniform(self.space_grid, self.values[k], x)
 
-    def eval_gradient(self, k: int, x) -> np.ndarray:
+    def eval_gradient(self, k: int | slice, x) -> np.ndarray:
+        """dy_k/dx(x), with k one step or a slice of steps as in `eval`."""
         return interp_uniform(self.space_grid, self.gradient[k], x)
 
     def to_csv(self, path) -> None:

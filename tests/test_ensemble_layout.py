@@ -1,8 +1,9 @@
 """The forward ensemble is stored time-major behind its (N, K + 1) interface.
 
 The simulators fill (K + 1, N) buffers and hand out their `.T` views, so the
-per-step column states[:, k] is one contiguous row; every consumer must give
-the same numbers on a path-major (C-ordered) copy of the same ensemble.
+per-step column states[:, k] is one contiguous row, and resampling keeps that
+layout; every consumer must give the same numbers on a path-major (C-ordered)
+copy of the same ensemble.
 """
 
 import dataclasses
@@ -19,11 +20,15 @@ from fbsde_filter.estimators import (
     variance_decay,
 )
 from fbsde_filter.model import SpaceGrid, TimeGrid
-from fbsde_filter.particle import pi_estimate, sigma_estimate
+from fbsde_filter.particle import pi_estimate, resample_multinomial, sigma_estimate
 from fbsde_filter.pde_backward import solve_backward_kolmogorov, solve_feynman_kac
 from fbsde_filter.sde_sim import (
     STREAM_GIRSANOV,
+    STREAM_RESAMPLE,
     _ensemble_noise,
+    normalized_weights,
+    path_generator,
+    resample_indices,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
@@ -64,6 +69,20 @@ def test_ensemble_columns_and_noise_columns_are_contiguous(simulate, with_record
     assert (eta is None) == with_record
     if eta is not None:
         assert eta.shape == (70, GRID.n_steps) and eta.T.flags.c_contiguous
+    # resampling keeps the layout, and the values of whole-path reindexing
+    k = GRID.n_steps // 2
+    resampled = resample_multinomial(ens, seed=4, at_step=k)
+    w, wsum, _ = normalized_weights(ens.log_weights()[:, k])
+    idx = resample_indices(path_generator(4, STREAM_RESAMPLE, 0), w, wsum)
+    assert resampled.states.T.flags.c_contiguous
+    assert same_bits(resampled.states, ens.states[idx])
+    for name in WEIGHT_FIELDS:
+        lw = getattr(ens, name)
+        if lw is not None:
+            expected = lw[idx].copy()
+            expected[:, k:] -= expected[:, k][:, None]
+            assert getattr(resampled, name).T.flags.c_contiguous
+            assert same_bits(getattr(resampled, name), expected)
 
 
 def test_estimators_are_bitwise_the_same_on_a_path_major_copy():

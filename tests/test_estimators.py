@@ -6,9 +6,11 @@ import pytest
 
 from fbsde_filter.errors import (
     CFLWarning,
+    FbsdeFilterError,
     FixedPointNotConverged,
     ModeModelMismatch,
     ResamplingForbiddenInEstimatorMode,
+    WeightUnderflow,
 )
 from fbsde_filter.estimators import (
     cost_functional,
@@ -193,6 +195,56 @@ class TestSigmaObsError:
         diffs = np.array(diffs)
         se = diffs.std(ddof=1) / np.sqrt(len(diffs))
         assert abs(diffs.mean()) < 3 * se
+
+
+class TestFoldHealth:
+    """The fold of estimators I, II and IV reports states outside the space grid
+    and refuses a step whose weights all underflow."""
+
+    @staticmethod
+    def fold_reports(model, obs, sg, grid, n_paths):
+        y = solve_backward_kolmogorov(model, sg, grid)
+        ens_g = simulate_girsanov_ensemble(model, grid, obs, n_paths, seed=5)
+        ens_i = simulate_innovation_ensemble(model, grid, obs, n_paths, seed=6)
+        return ((estimate_sigma_obs(model, obs, y, ens_g), ens_g),
+                (estimate_pi_innovation(model, obs, y, ens_i), ens_i),
+                (estimate_sigma_obs_error(
+                    model, obs, solve_feynman_kac(model, sg, grid, reaction="growth"),
+                    ens_g), ens_g))
+
+    def test_a_grid_the_ensemble_leaves_gives_its_share_of_states(self, lg_scalar, lg_setup):
+        grid, _, obs, _, _, _ = lg_setup
+        narrow = SpaceGrid(-0.5, 0.5, 101)
+        for report, ens in self.fold_reports(lg_scalar, obs, narrow, grid, 300):
+            folded = ens.states[:, :-1]  # the fold reads steps 0 .. K - 1
+            outside = np.count_nonzero((folded < -0.5) | (folded > 0.5)) / folded.size
+            assert 0.0 < report.grid_exit_fraction == outside, report.estimator_id
+
+    def test_the_criterion_grids_are_not_left(self, lg_scalar, lg_setup, double_well):
+        grid, sg, obs, _, _, _ = lg_setup  # criteria 1, 3 and 4: (-8, 8), 801 nodes
+        for report, _ in self.fold_reports(lg_scalar, obs, sg, grid, 1000):
+            assert report.grid_exit_fraction == 0.0, report.estimator_id
+        dw_obs = simulate_truth_and_obs(double_well, grid, seed=100)  # criterion 11
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            reports = self.fold_reports(double_well, dw_obs, SpaceGrid(-5.5, 5.5, 601),
+                                        grid, 1000)
+        for report, _ in reports:
+            assert report.grid_exit_fraction == 0.0, report.estimator_id
+
+    @pytest.mark.parametrize("from_step", [0, 100])
+    def test_girsanov_weights_that_all_underflow_raise(self, lg_scalar, lg_setup, from_step):
+        grid, sg, obs, _, _, y = lg_setup
+        y_fk = solve_feynman_kac(lg_scalar, sg, grid, reaction="growth")
+        ens = simulate_girsanov_ensemble(lg_scalar, grid, obs, 200, seed=9)
+        lw = ens.log_weights_girsanov.copy()
+        lw[:, from_step:] -= 800.0  # exp underflows below about -745
+        shifted = dataclasses.replace(ens, log_weights_girsanov=lw)
+        assert issubclass(WeightUnderflow, FbsdeFilterError)
+        with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
+            estimate_sigma_obs(lg_scalar, obs, y, shifted)
+        with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
+            estimate_sigma_obs_error(lg_scalar, obs, y_fk, shifted)
 
 
 class TestPiObs:

@@ -1,13 +1,14 @@
 """The uniform-grid interpolation, the re-keyed ensemble noise, the cubic
-kernels, the backward sweeps, the HJB policy iteration and the one-sweep fixed
-point of estimator III equal or match the reference computations they replace."""
+kernels, the backward sweeps, the HJB policy iteration, the one-sweep fixed
+point of estimator III and the blocked Ito fold of estimators I, II and IV
+equal or match the reference computations they replace."""
 
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
@@ -41,6 +42,7 @@ from fbsde_filter.pde_backward import (
 )
 from fbsde_filter.sde_sim import (
     STREAM_GIRSANOV,
+    PathEnsemble,
     _ensemble_noise,
     path_generator,
     simulate_innovation_ensemble,
@@ -83,6 +85,11 @@ def test_interp_uniform_equals_np_interp_bitwise(n_points, x_min, width, scale, 
     assert same_bits(interp_uniform(grid, fp, x.reshape(3, -1)), reference.reshape(3, -1))
     one = interp_uniform(grid, fp, x[1])
     assert type(one) is np.float64 and same_bits(one, reference[1])
+    # stacked rows: row r of x read on row r of fp, as one call per row reads it
+    stacked_fp = np.stack([fp, -fp, fp[::-1]])
+    stacked_x = np.stack([x, x[::-1], rng.permutation(x)])
+    by_row = [interp_uniform(grid, f, xr) for f, xr in zip(stacked_fp, stacked_x)]
+    assert same_bits(interp_uniform(grid, stacked_fp, stacked_x), np.stack(by_row))
 
 
 def test_points_are_the_cached_read_only_linspace():
@@ -105,6 +112,11 @@ def test_grid_function_and_policy_field_evaluate_as_np_interp():
         assert same_bits(y.eval(k, x), np.interp(x, xs, values[k]))
         assert same_bits(y.eval_gradient(k, x), np.interp(x, xs, y.gradient[k]))
         assert same_bits(policy.policy_at(k, x), np.interp(x, xs, values[k]))
+    steps = np.stack([x, x[::-1]])  # a slice of steps reads one row of x per step
+    assert same_bits(y.eval(slice(1, 3), steps),
+                     [np.interp(x, xs, values[1]), np.interp(x[::-1], xs, values[2])])
+    assert same_bits(y.eval_gradient(slice(2, 4), steps),
+                     [np.interp(x, xs, y.gradient[2]), np.interp(x[::-1], xs, y.gradient[3])])
 
 
 @pytest.mark.parametrize("with_obs_noise", [False, True])
@@ -622,3 +634,62 @@ def test_interp_matrix_rows_are_the_interpolated_sums(n_points, x_min, width, se
     # theta is read off a node index, so it carries rounding of order n_points * eps
     bound = 4 * n_points * np.finfo(float).eps * np.abs(c).sum(axis=1) * np.abs(fp).max()
     assert np.all(np.abs(P @ fp - sums) <= bound)
+
+
+FOLD_BLOCK = estimators._FOLD_BLOCK
+
+
+def reference_fold(model, y, ensemble, weight_kind, centered, driver):
+    """The fold of estimators I, II and IV one time step per numpy call, as it was
+    before it took blocks of steps; driver(k, h) gives the increments of step k."""
+    lw = ensemble.log_weights(weight_kind)
+    K = ensemble.grid.n_steps
+    h_fn = model.obs_fn
+    acc = np.zeros(ensemble.n_paths)
+    control = np.empty(K)
+    for k in range(K):
+        xk = ensemble.states[:, k]
+        hk = np.asarray(h_fn(xk), dtype=float)
+        coeff = hk - ensemble.pi_h_path[k] if centered else hk
+        integrand = np.exp(lw[:, k]) * y.eval(k, xk) * coeff
+        control[k] = -integrand.mean()
+        acc += integrand * driver(k, hk)
+    return acc, control
+
+
+@given(n_paths=st.one_of(
+           st.sampled_from([2, FOLD_BLOCK // 2, FOLD_BLOCK // 2 + 1, FOLD_BLOCK - 1,
+                            FOLD_BLOCK, FOLD_BLOCK + 1, FOLD_BLOCK + 3001]),
+           st.integers(3, 3000)),
+       n_steps=st.integers(1, 90), h=st.sampled_from(["linear", "cubic", "sine"]),
+       path_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_blocked_fold_equals_the_per_step_fold(n_paths, n_steps, h, path_major, seed):
+    rows = max(1, FOLD_BLOCK // n_paths)
+    assume(rows == 1 or n_steps % rows)  # a last block shorter than the others
+    rng = np.random.default_rng(seed)
+    grid, space = TimeGrid(1.0, n_steps), SpaceGrid(-3.0, 3.0, 121)
+    dt = grid.dt
+    model = make_scalar("linear", {"a": -1.0}, h=h, h_params={"c": 0.7})
+    y = GridFunction.from_values(space, grid, rng.standard_normal((n_steps + 1, 121)))
+    states = 1.5 * rng.standard_normal((n_steps + 1, n_paths))  # some beyond +-3
+    lw = rng.standard_normal((n_steps + 1, n_paths))
+    dZ, dI = np.sqrt(dt) * rng.standard_normal((2, n_steps))
+    order = "C" if path_major else "K"
+    ens = PathEnsemble(grid=grid, states=np.asarray(states.T, order=order),
+                       log_weights_girsanov=np.asarray(lw.T, order=order),
+                       pi_h_path=rng.standard_normal(n_steps), innovation_increments=dI)
+    drivers = (
+        (lambda k, h: dZ[k], lambda rows, h: dZ[rows, None]),
+        (lambda k, h: dI[k], lambda rows, h: dI[rows, None]),
+        (lambda k, h: dZ[k] - h * dt, lambda rows, h: dZ[rows, None] - h * dt),
+    )
+    outside = states[:-1]
+    exits = np.count_nonzero((outside < -3.0) | (outside > 3.0)) / outside.size
+    for centered in (False, True):
+        for reference_driver, driver in drivers:
+            acc, control = reference_fold(model, y, ens, "girsanov", centered,
+                                          reference_driver)
+            fold = estimators._weighted_fold(model, y, ens, "girsanov", centered, driver)
+            assert same_bits(fold[0], acc) and same_bits(fold[1], control)
+            assert fold[2] == exits
