@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDivergence, GridMismatch, IterationNotConverged
+from .errors import FilterDivergence, IterationNotConverged
 from .estimators import (
-    _weighted_fold,
     closed_loop_dual_controls,
+    estimate_pi_innovation,
     open_loop_dual_path,
-    prior_expectation_of_initial_slice,
 )
 from .io import write_csv
 from .kalman import (
@@ -263,24 +262,16 @@ def separated_cost_estimate(model: ScalarModelSpec, policy: PolicyField,
     """Estimate the conditional (separated) cost of a fixed Markov policy.
 
     y_value must be the policy-evaluation backward solution (running cost
-    included) for the same policy, and the ensemble must have been simulated
-    under the controlled drift.  The estimate is
-    mu[y_0] + sum_k mean_i( w_ik y_k(X_ik) (h - pi_k[h]) ) dI_k; its average
-    over observation records is the unconditional cost mu[y_0].
+    included) for `policy`, and the ensemble must have been simulated under
+    the controlled drift.  The estimate is estimator II with y_value,
+    mu[y_0] + sum_k mean_i( w_ik y_k(X_ik) (h - pi_k[h]) ) dI_k, with its
+    checks; its average over observation records is the unconditional cost
+    mu[y_0].
     """
-    if ensemble.innovation_increments is None:
-        raise GridMismatch("separated cost needs an innovation-weighted ensemble")
-    dI = ensemble.innovation_increments
-    acc, _control, _exits = _weighted_fold(model, y_value, ensemble, "innovation", True,
-                                           lambda rows, h: dI[rows, None])
-    mu = prior_expectation_of_initial_slice(model, y_value)
-    n = ensemble.n_paths
-    return ControlRunReport(
-        separated_cost_estimate=float(mu + acc.mean()),
-        mc_std_err=float(acc.std(ddof=1) / math.sqrt(n)),
-        mu_y0=float(mu),
-        seed=ensemble.seed,
-    )
+    report = estimate_pi_innovation(model, obs, y_value, ensemble)
+    return ControlRunReport(separated_cost_estimate=report.point_estimate,
+                            mc_std_err=report.mc_std_err,
+                            mu_y0=report.y0_prior_term, seed=report.seed)
 
 
 # ---------------------------------------------------------------------------

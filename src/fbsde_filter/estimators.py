@@ -17,9 +17,12 @@ The prior term uses Gauss-Hermite quadrature against the initial law, scaled
 by the mean initial ensemble weight so that estimates are exactly linear in
 the weights.
 
-Estimators I, II and IV share one Ito fold, `_weighted_fold`: it reads the
-ensemble's time-major buffers a block of time steps per numpy call, in
-C-ordered blocks whatever the ensemble's layout, bitwise the step-by-step fold.
+Every reader of the weighted backward process w_k y_k(X_k) walks the ensemble
+through one generator, `_blocks`, a block of time steps per numpy call with its
+checks and its count of grid exits.  Its consumers, the Ito fold
+`_weighted_fold` of estimators I, II and IV, `cost_functional_per_path` and
+`variance_decay`, reduce one contiguous row per step and add per-path sums in
+step order, bitwise a step-by-step loop.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from .sde_sim import (
     ObservationRecord,
     PathEnsemble,
     cumulative_path,
-    normalized_weights,
     per_step_path,
+    shifted_weights,
 )
 
 ESTIMATOR_IDS = ("sigma_obs", "pi_innovation", "pi_obs", "sigma_obs_error")
@@ -99,7 +102,6 @@ class EstimatorReport:
     dt: float | None = None
     weight_collapse: bool = False
     n_iterations: int | None = None
-    diagnostics: VarianceDecayReport | None = None
     grid_exit_fraction: float | None = None  # states outside the space grid (I, II, IV)
 
     def csv_row(self):
@@ -125,12 +127,9 @@ def _require_raw(ensemble: PathEnsemble) -> None:
         )
 
 
-def _check_grids(obs: ObservationRecord, ensemble: PathEnsemble,
-                 y: GridFunction | None = None) -> None:
+def _check_grids(obs: ObservationRecord, ensemble: PathEnsemble) -> None:
     if not obs.grid.matches(ensemble.grid):
         raise GridMismatch("ensemble and observation record use different grids")
-    if y is not None and not obs.grid.matches(y.time_grid):
-        raise GridMismatch("grid function and observation record use different grids")
 
 
 def prior_expectation_of_initial_slice(model, y: GridFunction) -> float:
@@ -139,50 +138,70 @@ def prior_expectation_of_initial_slice(model, y: GridFunction) -> float:
     return prior.expectation(lambda x: y.eval(0, x))
 
 
-# elements per block of the Ito fold: max(1, _FOLD_BLOCK // N) time steps are
-# folded per numpy call (32 at N = 500), so a block temporary holds at most
+# elements per block of the ensemble walk: max(1, _FOLD_BLOCK // N) time steps
+# are read per numpy call (32 at N = 500), so a block temporary holds at most
 # 128 KB unless one step alone is larger
 _FOLD_BLOCK = 1 << 14
+
+
+def _blocks(ensemble: PathEnsemble, kind: str, y: GridFunction, n_rows: int):
+    """Walk the first n_rows time steps of a raw ensemble a block at a time.
+
+    Yields (rows, x, w, exits): a slice of B steps (one step index when
+    N > _FOLD_BLOCK / 2), the C-ordered states and weights exp(log w) of `kind`
+    on them, of shape (B, N) (or (N,)), and the count of those states outside
+    y's space grid, which y.eval clamps.  Raises ResamplingForbiddenInEstimatorMode,
+    GridMismatch for a y on another time grid, and WeightUnderflow when every
+    weight of a step is 0.
+    """
+    _require_raw(ensemble)
+    if not y.time_grid.matches(ensemble.grid):
+        raise GridMismatch("grid function and ensemble use different time grids")
+    states, lw = ensemble.states.T, ensemble.log_weights(kind).T
+    x_min, x_max = y.space_grid.x_min, y.space_grid.x_max
+    step = max(1, _FOLD_BLOCK // ensemble.n_paths)
+    for a in range(0, n_rows, step):
+        rows = a if step == 1 else slice(a, min(a + step, n_rows))
+        x = np.ascontiguousarray(states[rows])
+        w = np.exp(np.ascontiguousarray(lw[rows]))
+        top = w.max(axis=-1)
+        if not top.all():
+            raise WeightUnderflow(f"every {kind} weight underflows to 0 at "
+                                  f"step {a + int(np.argmax(top == 0.0))}")
+        exits = 0
+        if x.min() < x_min or x.max() > x_max:
+            exits = np.count_nonzero(x < x_min) + np.count_nonzero(x > x_max)
+        yield rows, x, w, exits
+
+
+def _add_rows(acc: np.ndarray, block: np.ndarray) -> None:
+    """acc += each per-step row of a block, in step order: the bits of adding
+    one step at a time."""
+    for row in block.reshape(-1, acc.shape[0]):
+        acc += row
 
 
 def _weighted_fold(model, y, ensemble, weight_kind, centered, driver):
     """Per-path Ito fold sum_k w_k y_k(X_k) c_k d_k, the averaged control and
     the share of the folded states that lie outside the space grid.
 
-    c_k = h(X_k), minus pi_k[h] when `centered`.  rows is a slice of B steps
-    (h of shape (B, N)), or one step index when N > _FOLD_BLOCK / 2 (h of
-    shape (N,)); the increments driver(rows, h) are one number per step
-    (shape (B, 1)) or one per path.  Blocks of states and log-weights are made
-    C-ordered (a no-op on the simulators' layout), so each row mean adds one
-    contiguous row, and acc adds one row per step in step order: the bits of
-    the one-step-at-a-time fold.  Raises WeightUnderflow when every weight of
-    a step is 0.
+    c_k = h(X_k), minus pi_k[h] when `centered`; the increments
+    driver(rows, h) of a block of `_blocks` are one number per step (shape
+    (B, 1)) or one per path.  Each step's control is the mean of one
+    contiguous row, so the results are the bits of the one-step-at-a-time fold.
     """
-    states, lw = ensemble.states.T, ensemble.log_weights(weight_kind).T
     K, n = ensemble.grid.n_steps, ensemble.n_paths
     h_fn = scalar_view(model).obs_fn
-    x_min, x_max = y.space_grid.x_min, y.space_grid.x_max
-    step = max(1, _FOLD_BLOCK // n)
     acc = np.zeros(n)
     control = np.empty(K)
     exits = 0
-    for a in range(0, K, step):
-        rows = a if step == 1 else slice(a, min(a + step, K))
-        x = np.ascontiguousarray(states[rows])
-        if x.min() < x_min or x.max() > x_max:  # eval clips these to the grid
-            exits += np.count_nonzero(x < x_min) + np.count_nonzero(x > x_max)
-        w = np.exp(np.ascontiguousarray(lw[rows]))
+    for rows, x, w, outside in _blocks(ensemble, weight_kind, y, K):
         h = np.asarray(h_fn(x), dtype=float)
         coeff = h - ensemble.pi_h_path[rows, None] if centered else h
         integrand = w * y.eval(rows, x) * coeff
-        control[rows] = u = -integrand.mean(axis=-1)
-        if not u.all():  # the control of a step whose weights all underflow is 0
-            top = w.max(axis=-1)
-            if not top.all():
-                raise WeightUnderflow(f"every {weight_kind} weight underflows to 0 at "
-                                      f"step {a + int(np.argmax(top == 0.0))}")
-        for row in (integrand * driver(rows, h)).reshape(-1, n):
-            acc += row
+        control[rows] = -integrand.mean(axis=-1)
+        _add_rows(acc, integrand * driver(rows, h))
+        exits += outside
     return acc, control, exits / (n * K)
 
 
@@ -217,8 +236,7 @@ def estimate_sigma_obs(model, obs: ObservationRecord, y: GridFunction,
     estimate = mu[y_0] + sum_k mean_i( w_ik y_k(X_ik) h(X_ik) ) dZ_k with
     Girsanov weights; y solves the backward Kolmogorov equation for f.
     """
-    _require_raw(ensemble)
-    _check_grids(obs, ensemble, y)
+    _check_grids(obs, ensemble)
     dZ = np.asarray(obs.dZ, dtype=float).reshape(-1)
     fold = _weighted_fold(model, y, ensemble, "girsanov", False,
                           lambda rows, h: dZ[rows, None])
@@ -235,8 +253,7 @@ def estimate_pi_innovation(model, obs: ObservationRecord, y: GridFunction,
     increments stored on the ensemble are used; an explicit pi_h_source only
     validates against them.
     """
-    _require_raw(ensemble)
-    _check_grids(obs, ensemble, y)
+    _check_grids(obs, ensemble)
     if ensemble.pi_h_path is None or ensemble.innovation_increments is None:
         raise ValueError("ensemble was not simulated with innovation weights")
     if pi_h_source is not None:
@@ -263,8 +280,7 @@ def estimate_sigma_obs_error(model, obs: ObservationRecord, y_fk: GridFunction,
     The op is restricted to synthetic records, where the data-generating
     observation error is available for diagnostics.
     """
-    _require_raw(ensemble)
-    _check_grids(obs, ensemble, y_fk)
+    _check_grids(obs, ensemble)
     if obs.X_truth is None:
         raise MissingTruthPath("estimator needs a synthetic observation record")
     dZ = np.asarray(obs.dZ, dtype=float).reshape(-1)
@@ -381,8 +397,8 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
         w = np.broadcast_to(gaussian_quadrature(0.0, 1.0)[1], x.shape)
     else:
         x = ensemble.states.T
-        w = np.array([wk / wsum for wk, wsum, _ in
-                      map(normalized_weights, ensemble.log_weights("innovation").T)])
+        w, wsum, _ = shifted_weights(ensemble.log_weights("innovation"))
+        w = (w / wsum).T
     hx = np.asarray(model.obs_fn(x), dtype=float)
     P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))
     xs = space_grid.points()
@@ -472,39 +488,27 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
 # ---------------------------------------------------------------------------
 
 def cost_functional_per_path(model, estimator_id: str, ensemble: PathEnsemble,
-                             y: GridFunction, perturbation=None) -> np.ndarray:
+                             y: GridFunction, perturbation: float = 0.0) -> np.ndarray:
     """Per-path quadratic cost int (||Q||^2 + ||U + V||^2) dt.
 
-    Q_k = w_k sigma dy/dx(X_k); the control is the estimator's optimum plus
-    `perturbation` (a constant or a callable (t, x, w) -> shift), so the
-    second term reduces to the squared perturbation.
+    Q_k = w_k sigma dy/dx(X_k); the control is the estimator's optimum shifted
+    by the constant `perturbation`, so the second term reduces to its square.
     """
     kind = {"sigma_obs": "girsanov", "sigma_obs_error": "girsanov",
             "pi_innovation": "innovation"}.get(estimator_id)
     if kind is None:
         raise ValueError(f"cost functional undefined for {estimator_id!r}")
-    lw = ensemble.log_weights(kind)
-    sigma = model.sigma
-    grid = ensemble.grid
-    dt = grid.dt
-    K = grid.n_steps
-    times = grid.times()
+    shift = float(perturbation)
+    dt = ensemble.grid.dt
     cost = np.zeros(ensemble.n_paths)
-    for k in range(K):
-        xk = ensemble.states[:, k]
-        w = np.exp(lw[:, k])
-        q = w * sigma * y.eval_gradient(k, xk)
-        total = q * q
-        if callable(perturbation):
-            total = total + np.square(np.asarray(perturbation(times[k], xk, w), dtype=float))
-        elif perturbation is not None:
-            total = total + np.square(float(perturbation))
-        cost += total * dt
+    for rows, x, w, _ in _blocks(ensemble, kind, y, ensemble.grid.n_steps):
+        q = w * model.sigma * y.eval_gradient(rows, x)
+        _add_rows(cost, (q * q + shift * shift) * dt)
     return cost
 
 
 def cost_functional(model, estimator_id: str, ensemble: PathEnsemble,
-                    y: GridFunction, perturbation=None) -> float:
+                    y: GridFunction, perturbation: float = 0.0) -> float:
     """Ensemble average of the estimator's quadratic cost functional."""
     return float(cost_functional_per_path(
         model, estimator_id, ensemble, y, perturbation).mean())
@@ -516,37 +520,34 @@ def variance_decay(model, y: GridFunction, ensemble: PathEnsemble,
 
     var_y[k] is the ensemble variance of w_k y_k(X_k); the Dirichlet-form
     right-hand side is sigma^2 E[(w dy/dx)^2] plus the centered square of
-    w y h (sigma flavor) or w y (h - pi[h]) (pi flavor); cumulative_rhs is
-    its left-point time integral.
+    w y h (sigma flavor) or w y (h - pi[h]) (pi flavor, pi_{K-1}[h] at step K);
+    cumulative_rhs is its left-point time integral.  The moments of each step
+    reduce one contiguous row, the bits of a one-step-at-a-time loop.
     """
     if flavor not in ("sigma", "pi"):
         raise ValueError(f"unknown flavor {flavor!r}")
     centered = flavor == "pi"
-    lw = ensemble.log_weights("innovation" if centered else "girsanov")
     h_fn = scalar_view(model).obs_fn
     grid = ensemble.grid
-    K = grid.n_steps
-    n = ensemble.n_paths
+    K, n = grid.n_steps, ensemble.n_paths
     sigma2 = model.sigma**2
-    var_y = np.empty(K + 1)
-    var_se = np.empty(K + 1)
-    rhs = np.empty(K + 1)
-    pih = ensemble.pi_h_path
-    for k in range(K + 1):
-        xk = ensemble.states[:, k]
-        w = np.exp(lw[:, k])
-        ytil = w * y.eval(k, xk)
-        centered_y = ytil - ytil.mean()
-        var_y[k] = np.dot(centered_y, centered_y) / (n - 1)
-        m4 = np.mean(centered_y**4)
-        var_se[k] = math.sqrt(max(m4 - var_y[k] ** 2, 0.0) / n)
-        q = w * y.eval_gradient(k, xk)
-        coeff = np.asarray(h_fn(xk), dtype=float)
+    pi_steps = np.minimum(np.arange(K + 1), K - 1)  # step K reuses pi_{K-1}[h]
+    var_y, var_se, rhs = np.empty((3, K + 1))
+    blocks = _blocks(ensemble, "innovation" if centered else "girsanov", y, K + 1)
+    for rows, x, w, _ in blocks:
+        ytil = w * y.eval(rows, x)
+        dev = ytil - ytil.mean(axis=-1, keepdims=True)
+        # one BLAS dot per row, as np.dot(dev_k, dev_k)
+        var_y[rows] = var = (dev[..., None, :] @ dev[..., None])[..., 0, 0] / (n - 1)
+        m4 = np.mean(dev**4, axis=-1)
+        var_se[rows] = np.sqrt(np.maximum(m4 - var**2, 0.0) / n)
+        q = w * y.eval_gradient(rows, x)
+        coeff = np.asarray(h_fn(x), dtype=float)
         if centered:
-            coeff = coeff - (pih[k] if k < K else pih[K - 1])
+            coeff = coeff - ensemble.pi_h_path[pi_steps[rows], None]
         v = ytil * coeff
-        v_centered = v - v.mean()
-        rhs[k] = sigma2 * np.mean(q * q) + np.mean(v_centered * v_centered)
+        v_dev = v - v.mean(axis=-1, keepdims=True)
+        rhs[rows] = sigma2 * np.mean(q * q, axis=-1) + np.mean(v_dev * v_dev, axis=-1)
     cumulative = cumulative_path(rhs[:-1]) * grid.dt
     return VarianceDecayReport(grid=grid, var_y=var_y, var_std_err=var_se,
                                dirichlet_rhs=rhs, cumulative_rhs=cumulative)

@@ -27,6 +27,7 @@ from .sde_sim import (
     path_generator,
     resample_below,
     resample_indices,
+    shifted_weights,
     weighted_step,
 )
 
@@ -49,14 +50,6 @@ class ConditionalEstimate:
         write_csv(path, ["t", "value", "std_err", "ess"], rows)
 
 
-def _shifted_weights(lw: np.ndarray):
-    """Per-time weights exp(lw - max lw) of (N, K + 1) log-weights, their sums and
-    the ESS path; a common shift of lw leaves all three unchanged up to rounding."""
-    w = np.exp(lw - lw.max(axis=0))
-    s = w.sum(axis=0)
-    return w, s, s * s / np.einsum("ij,ij->j", w, w)
-
-
 def sigma_estimate(ensemble: PathEnsemble, g) -> ConditionalEstimate:
     """Unnormalized conditional expectation: mean of girsanov-weight * g(X)."""
     lw = ensemble.log_weights("girsanov")
@@ -64,7 +57,7 @@ def sigma_estimate(ensemble: PathEnsemble, g) -> ConditionalEstimate:
     n = ensemble.n_paths
     mean = vals.mean(axis=0)
     std_err = vals.std(axis=0, ddof=1) / np.sqrt(n)
-    return ConditionalEstimate(ensemble.grid, mean, std_err, _shifted_weights(lw)[2])
+    return ConditionalEstimate(ensemble.grid, mean, std_err, shifted_weights(lw)[2])
 
 
 def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
@@ -80,7 +73,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
     lw = ensemble.log_weights()
     gv = np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
-    w, wsum, ess = _shifted_weights(lw)
+    w, wsum, ess = shifted_weights(lw)
     if normalization == "self":
         ratio = (w * gv).sum(axis=0) / wsum  # with equal weights, bitwise gv.mean(axis=0)
         resid = gv - ratio[None, :]

@@ -130,6 +130,15 @@ def normalized_weights(lw: np.ndarray):
     return w, wsum, wsum * wsum / np.dot(w, w)
 
 
+def shifted_weights(lw: np.ndarray):
+    """Per-time weights exp(lw - max lw) of (N, K + 1) log-weights, their sums and
+    the ESS path: `normalized_weights` of each time column (its ESS up to
+    rounding).  A common shift of lw leaves all three unchanged up to rounding."""
+    w = np.exp(lw - lw.max(axis=0))
+    s = w.sum(axis=0)
+    return w, s, s * s / np.einsum("ij,ij->j", w, w)
+
+
 def check_ess_floor(ess_floor) -> float:
     """ess_floor as a float: the fraction of the ensemble size below which the
     ESS triggers resampling or a collapse warning, which must be in [0, 1]."""
@@ -192,8 +201,6 @@ class ObservationRecord:
     dZ: np.ndarray
     X_truth: np.ndarray | None = None
     noise_cum: np.ndarray | None = None
-    innovation: np.ndarray | None = None
-    obs_error: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -207,7 +214,7 @@ class ObservationRecord:
     def to_npz(self, path) -> None:
         data = {"t_end": self.grid.t_end, "n_steps": self.grid.n_steps,
                 "Z": self.Z, "dZ": self.dZ}
-        for name in ("X_truth", "noise_cum", "innovation", "obs_error", "seed"):
+        for name in ("X_truth", "noise_cum", "seed"):
             if getattr(self, name) is not None:
                 data[name] = getattr(self, name)
         np.savez_compressed(path, **data)
@@ -224,8 +231,6 @@ class ObservationRecord:
                 dZ=data["dZ"],
                 X_truth=data["X_truth"] if "X_truth" in data else None,
                 noise_cum=data["noise_cum"] if "noise_cum" in data else None,
-                innovation=data["innovation"] if "innovation" in data else None,
-                obs_error=data["obs_error"] if "obs_error" in data else None,
                 seed=int(data["seed"]) if "seed" in data else None,
             )
         if grid is not None and not record.grid.matches(grid):

@@ -144,6 +144,23 @@ class TestSweep:
         assert ses[0] > ses[1] > ses[2]
 
 
+class TestVariance:
+    @pytest.mark.parametrize("estimator", ["sigma_obs", "pi_innovation"])
+    def test_writes_the_variance_path_and_reruns_byte_identically(self, tmp_path, estimator):
+        cfg, out = write_config(tmp_path)
+        argv = ["variance", "--config", str(cfg), "--seed", "6", "--estimator", estimator]
+        assert main(argv) == EXIT_OK
+        first = (out / "variance.csv").read_bytes()
+        lines = first.decode().strip().split("\n")
+        assert lines[0] == "t,var,rhs,cum_rhs"
+        assert len(lines) == 202  # header + n_steps + 1 rows
+        assert np.isfinite([[float(v) for v in line.split(",")] for line in lines[1:]]).all()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert str(out / "variance.csv") in manifest["outputs"]
+        assert main(argv) == EXIT_OK
+        assert (out / "variance.csv").read_bytes() == first
+
+
 class TestControl:
     def test_lqg_iteration(self, tmp_path):
         cfg, out = write_config(tmp_path)

@@ -13,9 +13,15 @@ from fbsde_filter.control import (
     remark_consistency_check,
     separated_cost_estimate,
 )
-from fbsde_filter.errors import IterationNotConverged
+from fbsde_filter.errors import (
+    GridMismatch,
+    IterationNotConverged,
+    ResamplingForbiddenInEstimatorMode,
+)
+from fbsde_filter.estimators import estimate_pi_innovation
 from fbsde_filter.kalman import lq_control_riccati
 from fbsde_filter.model import LinearGaussianModelSpec, SpaceGrid, TimeGrid
+from fbsde_filter.particle import resample_multinomial
 from fbsde_filter.pde_backward import solve_backward_with_source
 from fbsde_filter.sde_sim import simulate_innovation_ensemble, simulate_truth_and_obs
 
@@ -138,6 +144,26 @@ class TestSeparatedCost:
         report = separated_cost_estimate(model, policy, obs, ens, y)
         assert report.separated_cost_estimate == pytest.approx(1.0, abs=1e-12)
         assert report.mu_y0 == pytest.approx(1.0, abs=1e-12)
+
+    def test_is_estimator_two_with_its_checks(self, grid_500):
+        model = make_scalar("linear", {"a": -1.0}, f="quadratic",
+                            f_params={"weight": 1.0}, control_gain=1.0)
+        obs = simulate_truth_and_obs(model, grid_500, seed=21)
+        policy = PolicyField.zero(grid_500)
+        sg = SpaceGrid(-8, 8, 401)
+        y = solve_backward_with_source(model, sg, grid_500)
+        ens = simulate_innovation_ensemble(model, grid_500, obs, 300, seed=21)
+        report = separated_cost_estimate(model, policy, obs, ens, y)
+        ii = estimate_pi_innovation(model, obs, y, ens)
+        assert (report.separated_cost_estimate, report.mc_std_err, report.mu_y0,
+                report.seed) == (ii.point_estimate, ii.mc_std_err, ii.y0_prior_term, 21)
+        with pytest.raises(ResamplingForbiddenInEstimatorMode):
+            separated_cost_estimate(model, policy, obs, resample_multinomial(ens, seed=3), y)
+        # y on twice the horizon, on twice the steps and on half the steps
+        for other in (TimeGrid(2.0, 1000), TimeGrid(1.0, 1000), TimeGrid(1.0, 250)):
+            with pytest.raises(GridMismatch):
+                separated_cost_estimate(model, policy, obs, ens,
+                                        solve_backward_with_source(model, sg, other))
 
     def test_zero_h_returns_unconditional_cost(self):
         model = make_scalar("linear", {"a": -1.0}, h="constant", h_params={"c": 0.0},

@@ -8,6 +8,7 @@ from fbsde_filter.errors import (
     CFLWarning,
     FbsdeFilterError,
     FixedPointNotConverged,
+    GridMismatch,
     ModeModelMismatch,
     ResamplingForbiddenInEstimatorMode,
     WeightUnderflow,
@@ -198,8 +199,10 @@ class TestSigmaObsError:
 
 
 class TestFoldHealth:
-    """The fold of estimators I, II and IV reports states outside the space grid
-    and refuses a step whose weights all underflow."""
+    """The ensemble walk under estimators I, II and IV, the cost functional and
+    the variance decay reports states outside the space grid and refuses a step
+    whose weights all underflow, a y on another time grid and a resampled
+    ensemble."""
 
     @staticmethod
     def fold_reports(model, obs, sg, grid, n_paths):
@@ -245,6 +248,48 @@ class TestFoldHealth:
             estimate_sigma_obs(lg_scalar, obs, y, shifted)
         with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
             estimate_sigma_obs_error(lg_scalar, obs, y_fk, shifted)
+        with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
+            cost_functional_per_path(lg_scalar, "sigma_obs", shifted, y)
+        with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
+            variance_decay(lg_scalar, y, shifted, flavor="sigma")
+
+    def test_weights_that_underflow_at_the_last_time_fail_the_variance_only(
+            self, lg_scalar, lg_setup):
+        # the fold and the cost read steps 0 .. K - 1, the variance 0 .. K
+        grid, _, obs, _, _, y = lg_setup
+        ens = simulate_girsanov_ensemble(lg_scalar, grid, obs, 200, seed=9)
+        lw = ens.log_weights_girsanov.copy()
+        lw[:, -1] -= 800.0
+        shifted = dataclasses.replace(ens, log_weights_girsanov=lw)
+        estimate_sigma_obs(lg_scalar, obs, y, shifted)
+        cost_functional_per_path(lg_scalar, "sigma_obs", shifted, y)
+        with pytest.raises(WeightUnderflow, match=f"at step {grid.n_steps}$"):
+            variance_decay(lg_scalar, y, shifted, flavor="sigma")
+
+    @pytest.mark.parametrize("flavor", ["sigma", "pi"])
+    def test_a_y_on_another_time_grid_is_a_grid_mismatch(self, lg_scalar, lg_setup, flavor):
+        # the same dt on twice the horizon, and twice the steps on the same horizon
+        grid, sg, obs, _, _, _ = lg_setup
+        simulate = simulate_innovation_ensemble if flavor == "pi" else simulate_girsanov_ensemble
+        estimator_id = "pi_innovation" if flavor == "pi" else "sigma_obs"
+        ens = simulate(lg_scalar, grid, obs, 300, seed=7)
+        for other in (TimeGrid(2.0, 2 * grid.n_steps), TimeGrid(1.0, 2 * grid.n_steps)):
+            y = solve_backward_kolmogorov(lg_scalar, sg, other)
+            with pytest.raises(GridMismatch):
+                cost_functional_per_path(lg_scalar, estimator_id, ens, y)
+            with pytest.raises(GridMismatch):
+                variance_decay(lg_scalar, y, ens, flavor=flavor)
+
+    @pytest.mark.parametrize("flavor", ["sigma", "pi"])
+    def test_a_resampled_ensemble_is_refused(self, lg_scalar, lg_setup, flavor):
+        grid, _, obs, _, _, y = lg_setup
+        simulate = simulate_innovation_ensemble if flavor == "pi" else simulate_girsanov_ensemble
+        estimator_id = "pi_innovation" if flavor == "pi" else "sigma_obs"
+        ens = resample_multinomial(simulate(lg_scalar, grid, obs, 300, seed=7), seed=8)
+        with pytest.raises(ResamplingForbiddenInEstimatorMode):
+            cost_functional_per_path(lg_scalar, estimator_id, ens, y)
+        with pytest.raises(ResamplingForbiddenInEstimatorMode):
+            variance_decay(lg_scalar, y, ens, flavor=flavor)
 
 
 class TestPiObs:

@@ -1,8 +1,10 @@
 """The uniform-grid interpolation, the re-keyed ensemble noise, the cubic
 kernels, the backward sweeps, the HJB policy iteration, the one-sweep fixed
-point of estimator III and the blocked Ito fold of estimators I, II and IV
-equal or match the reference computations they replace."""
+point of estimator III, and the blocked ensemble walk under the Ito fold of
+estimators I, II and IV, the cost functional and the variance decay equal or
+match the reference computations they replace."""
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -23,8 +25,10 @@ from fbsde_filter.errors import (
 from fbsde_filter.estimators import (
     _lg_fixed_point,
     _scalar_fixed_point,
+    cost_functional_per_path,
     estimate_pi_obs,
     prior_expectation_of_initial_slice,
+    variance_decay,
 )
 from fbsde_filter.kalman import model_kalman, model_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid, gaussian_quadrature, registry_eval
@@ -693,3 +697,86 @@ def test_blocked_fold_equals_the_per_step_fold(n_paths, n_steps, h, path_major, 
             fold = estimators._weighted_fold(model, y, ens, "girsanov", centered, driver)
             assert same_bits(fold[0], acc) and same_bits(fold[1], control)
             assert fold[2] == exits
+
+
+def reference_cost_per_path(model, estimator_id, ensemble, y, perturbation=None):
+    """cost_functional_per_path one time step per numpy call, as it was before it
+    walked blocks of steps (its constant-perturbation form)."""
+    kind = "innovation" if estimator_id == "pi_innovation" else "girsanov"
+    lw = ensemble.log_weights(kind)
+    cost = np.zeros(ensemble.n_paths)
+    for k in range(ensemble.grid.n_steps):
+        xk = ensemble.states[:, k]
+        w = np.exp(lw[:, k])
+        q = w * model.sigma * y.eval_gradient(k, xk)
+        total = q * q
+        if perturbation is not None:
+            total = total + np.square(float(perturbation))
+        cost += total * ensemble.grid.dt
+    return cost
+
+
+def reference_variance_decay(model, y, ensemble, flavor):
+    """variance_decay one time step per numpy call, as it was before it walked
+    blocks of steps: (var_y, var_std_err, dirichlet_rhs, cumulative_rhs)."""
+    centered = flavor == "pi"
+    lw = ensemble.log_weights("innovation" if centered else "girsanov")
+    K, n = ensemble.grid.n_steps, ensemble.n_paths
+    pih = ensemble.pi_h_path
+    var_y, var_se, rhs = np.empty(K + 1), np.empty(K + 1), np.empty(K + 1)
+    for k in range(K + 1):
+        xk = ensemble.states[:, k]
+        w = np.exp(lw[:, k])
+        ytil = w * y.eval(k, xk)
+        centered_y = ytil - ytil.mean()
+        var_y[k] = np.dot(centered_y, centered_y) / (n - 1)
+        m4 = np.mean(centered_y**4)
+        var_se[k] = math.sqrt(max(m4 - var_y[k] ** 2, 0.0) / n)
+        q = w * y.eval_gradient(k, xk)
+        coeff = np.asarray(model.obs_fn(xk), dtype=float)
+        if centered:
+            coeff = coeff - (pih[k] if k < K else pih[K - 1])
+        v = ytil * coeff
+        v_centered = v - v.mean()
+        rhs[k] = model.sigma**2 * np.mean(q * q) + np.mean(v_centered * v_centered)
+    cumulative = np.concatenate([[0.0], np.cumsum(rhs[:-1])]) * ensemble.grid.dt
+    return var_y, var_se, rhs, cumulative
+
+
+def ulps_apart(a, b) -> int:
+    return int(np.abs(np.asarray(a, dtype=float).view(np.int64)
+                      - np.asarray(b, dtype=float).view(np.int64)).max())
+
+
+@pytest.mark.parametrize("n_paths", [2, 500, FOLD_BLOCK // 2 - 1, FOLD_BLOCK // 2,
+                                     FOLD_BLOCK // 2 + 1])
+@pytest.mark.parametrize("path_major", [False, True])
+def test_blocked_cost_and_variance_equal_the_per_step_loops(n_paths, path_major):
+    # K + 1 = 51 rows: every N leaves a last block shorter than the others, and
+    # N = 8 193 walks one step (a 1-D block) at a time
+    rng = np.random.default_rng(n_paths)
+    n_steps = 50
+    grid, space = TimeGrid(1.0, n_steps), SpaceGrid(-3.0, 3.0, 121)
+    model = make_scalar("linear", {"a": -1.0}, sigma=0.7, h="cubic", h_params={"c": 0.7})
+    y = GridFunction.from_values(space, grid, rng.standard_normal((n_steps + 1, 121)))
+    states = 1.5 * rng.standard_normal((n_steps + 1, n_paths))  # some beyond +-3
+    lw_g, lw_i = rng.standard_normal((2, n_steps + 1, n_paths))
+    order = "C" if path_major else "K"
+    ens = PathEnsemble(grid=grid, states=np.asarray(states.T, order=order),
+                       log_weights_girsanov=np.asarray(lw_g.T, order=order),
+                       log_weights_innovation=np.asarray(lw_i.T, order=order),
+                       pi_h_path=rng.standard_normal(n_steps))
+    for estimator_id in ("sigma_obs", "pi_innovation"):
+        for eps in (None, 0.3):
+            extra = () if eps is None else (eps,)
+            assert same_bits(cost_functional_per_path(model, estimator_id, ens, y, *extra),
+                             reference_cost_per_path(model, estimator_id, ens, y, eps))
+    for flavor in ("sigma", "pi"):
+        report = variance_decay(model, y, ens, flavor)
+        var_y, var_se, rhs, cumulative = reference_variance_decay(model, y, ens, flavor)
+        assert same_bits(report.var_y, var_y), flavor
+        assert same_bits(report.dirichlet_rhs, rhs), flavor
+        assert same_bits(report.cumulative_rhs, cumulative), flavor
+        # the reference squares a numpy scalar, which may round apart from the
+        # array square by one unit in the last place
+        assert ulps_apart(report.var_std_err, var_se) <= 1, flavor
