@@ -247,8 +247,9 @@ def cmd_variance(args, parser, model, manifest) -> None:
     scalar.validate_on_grid(sgrid)
     particles, ess_floor = _particles(args, parser), _ess_floor(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
+    estimator_id = args.estimator or setting(parser, "estimator", "id")
     flavor, simulate = (("pi", simulate_innovation_ensemble)
-                        if args.estimator == "pi_innovation"
+                        if estimator_id == "pi_innovation"
                         else ("sigma", simulate_girsanov_ensemble))
     y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
     ens = simulate(scalar, tgrid, obs, particles, args.seed, ess_floor=ess_floor)

@@ -44,6 +44,7 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
+    _ensemble_noise,
     check_ess_floor,
     path_generator,
     resample_below,
@@ -222,14 +223,13 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
 
     gen_x = path_generator(seed, STREAM_CONTROL_STATE, 0)
     gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
-    gen_f = path_generator(seed, STREAM_FILTER, 0)
     gen_r = path_generator(seed, STREAM_RESAMPLE, 0)
     x_truth = float(model.prior.sample(gen_x, 1)[0])
     xi = gen_x.standard_normal(K)
     eta = gen_z.standard_normal(K)
-    particles = model.prior.sample(gen_f, n_particles)
+    u0, z0, rows = _ensemble_noise(seed, STREAM_FILTER, n_particles, K)
+    particles = model.prior.from_draws(u0, z0)
     lw = np.zeros(n_particles)
-    pf_noise = gen_f.standard_normal((K, n_particles))
 
     cost = 0.0
     trace = np.empty(K + 1)
@@ -247,7 +247,7 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
         x_truth = x_truth + (model.drift(x_truth) + g * alpha) * dt + model.sigma * sqdt * xi[k]
         particles, lw = weighted_step(
             particles, lw, np.asarray(model.drift(particles), dtype=float) + g * alpha,
-            np.asarray(model.obs(particles), dtype=float), dZ, pf_noise[k], model.sigma, dt)
+            np.asarray(model.obs(particles), dtype=float), dZ, next(rows), model.sigma, dt)
     cost += float(f_cost(x_truth))
     return ControlRunReport(realized_cost=cost, filter_trace=trace, seed=seed)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridMismatch, WeightCollapse
+from .errors import GridMismatch, WeightCollapse, WeightUnderflow
 from .io import write_csv
 from .model import TimeGrid, scalar_view
 from .sde_sim import (
@@ -22,6 +22,7 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
+    _ensemble_noise,
     check_ess_floor,
     normalized_weights,
     path_generator,
@@ -50,10 +51,22 @@ class ConditionalEstimate:
         write_csv(path, ["t", "value", "std_err", "ess"], rows)
 
 
+def _raw_weights(lw: np.ndarray) -> np.ndarray:
+    """exp(lw) of (N, K + 1) log-weights; WeightUnderflow when every weight of
+    a time column underflows to 0."""
+    w = np.exp(lw)
+    top = w.max(axis=0)
+    if not top.all():
+        raise WeightUnderflow(f"every weight underflows to 0 at "
+                              f"step {int(np.argmax(top == 0.0))}")
+    return w
+
+
 def sigma_estimate(ensemble: PathEnsemble, g) -> ConditionalEstimate:
-    """Unnormalized conditional expectation: mean of girsanov-weight * g(X)."""
+    """Unnormalized conditional expectation: mean of girsanov-weight * g(X).
+    Raises WeightUnderflow when every weight of a step underflows to 0."""
     lw = ensemble.log_weights("girsanov")
-    vals = np.exp(lw) * np.asarray(g(ensemble.states), dtype=float)
+    vals = _raw_weights(lw) * np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
     mean = vals.mean(axis=0)
     std_err = vals.std(axis=0, ddof=1) / np.sqrt(n)
@@ -67,7 +80,8 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
     normalization="self" uses the ratio estimator sum(w g) / sum(w) with the
     weights max-shifted per time, so a common log-weight shift cancels;
     "external" divides the plain mean of w g(X) by a supplied per-time
-    normalizer path (e.g. a sigma_t[1] estimate).
+    normalizer path (e.g. a sigma_t[1] estimate) and raises WeightUnderflow
+    when every raw weight of a step underflows to 0.
     """
     floor = None if ess_floor is None else check_ess_floor(ess_floor) * ensemble.n_paths
     lw = ensemble.log_weights()
@@ -84,7 +98,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
         norm = np.asarray(normalizer, dtype=float)
         if norm.shape[0] != ensemble.grid.n_steps + 1:
             raise GridMismatch("normalizer path does not cover the grid")
-        vals = np.exp(lw) * gv
+        vals = _raw_weights(lw) * gv
         ratio = vals.mean(axis=0) / norm
         std_err = vals.std(axis=0, ddof=1) / np.sqrt(n) / np.abs(norm)
     else:
@@ -126,7 +140,12 @@ def resample_multinomial(ensemble: PathEnsemble, seed: int,
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Output of the sequential resampling particle filter."""
+    """Output of the sequential resampling particle filter.
+
+    ess[k] is the ESS at step k before the resampling decision, so it reads
+    below the floor at every step in resample_steps; each estimate's ess is
+    the ESS of the weights it was computed with (N after a resampling).
+    """
 
     grid: TimeGrid
     estimates: dict
@@ -139,10 +158,11 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
                         observables: dict | None = None) -> FilterResult:
     """Sequential Girsanov-weighted filter with ESS-triggered resampling.
 
-    Per-step noise comes from streams keyed by the step index so the run is
-    reproducible; multinomial resampling fires whenever the effective sample
-    size drops below ess_floor * N.  `observables` maps names to callables;
-    the identity is always included under "x".
+    The prior draws and the step noise come from the step-keyed schedule of
+    `sde_sim._ensemble_noise`, so the run is reproducible; multinomial
+    resampling fires whenever the effective sample size drops below
+    ess_floor * N.  `observables` maps names to callables; the identity is
+    always included under "x".
     """
     if not obs.grid.matches(grid):
         raise GridMismatch("observation record does not cover the requested grid")
@@ -154,19 +174,22 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     K = grid.n_steps
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
 
-    x = sm.prior.sample(path_generator(seed, STREAM_FILTER, 0), n_paths)
+    u0, z0, rows = _ensemble_noise(seed, STREAM_FILTER, n_paths, K)
+    x = sm.prior.from_draws(u0, z0)
     lw = np.zeros(n_paths)
     gen_resample = path_generator(seed, STREAM_RESAMPLE, 1)
 
     values = {name: np.empty(K + 1) for name in fns}
     errs = {name: np.empty(K + 1) for name in fns}
-    ess_path = np.empty(K + 1)
+    ess_path = np.empty(K + 1)  # before the resampling decision
+    seen_path = np.empty(K + 1)  # the ESS the estimates see
     resample_steps = []
     for k in range(K + 1):
         x, lw, w, wsum, ess, resampled = resample_below(gen_resample, x, lw, floor)
         if resampled:
             resample_steps.append(k)
-        ess_path[k] = n_paths if resampled else ess  # the ESS the estimates see
+        ess_path[k] = ess
+        seen_path[k] = n_paths if resampled else ess
         for name, fn in fns.items():
             gv = np.asarray(fn(x), dtype=float)
             ratio = np.dot(w, gv) / wsum
@@ -174,13 +197,12 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
             values[name][k] = ratio
             errs[name][k] = np.sqrt(np.dot(w * w, resid * resid)) / wsum
         if k < K:
-            noise = path_generator(seed, STREAM_FILTER, k + 1).standard_normal(n_paths)
             x, lw = weighted_step(x, lw, np.asarray(sm.drift(x), dtype=float),
-                                  np.asarray(sm.obs(x), dtype=float), dZ[k], noise,
+                                  np.asarray(sm.obs(x), dtype=float), dZ[k], next(rows),
                                   sm.sigma, grid.dt)
 
     estimates = {
-        name: ConditionalEstimate(grid, values[name], errs[name], ess_path.copy())
+        name: ConditionalEstimate(grid, values[name], errs[name], seen_path.copy())
         for name in fns
     }
     return FilterResult(grid=grid, estimates=estimates, ess=ess_path,

@@ -3,24 +3,35 @@
 Simulates the signal/observation pair, weighted path ensembles under the
 Girsanov change of measure (weights driven by the raw observations) and under
 the innovation reweighting (mean-field weights driven by the innovation), and
-computes innovation and observation-error processes.
+computes innovation and observation-error processes.  Weights evolve in the
+log domain via the exponential-martingale step, which is exact for observation
+maps that are constant along a step.
 
-Randomness is drawn from counter-based Philox streams keyed by
-(seed, stream tag, path index), so results are bit-reproducible regardless of
-scheduling or worker count.  The 128-bit key is the word pair
-(seed, stream << 48 | path index).  `path_generator` builds the generator of
-one key; `_ensemble_noise` builds the one of path 0, snapshots its fresh
-`bit_generator.state` (the key, a zero counter and an empty buffer) and, for
-each path, writes the path's key word into the snapshot and assigns it back,
-so row i holds exactly the draws of `path_generator(seed, stream, i)` without
-constructing N generators.  Weights evolve in the log domain via the
-exponential-martingale step, which is exact for observation maps that are
-constant along a step.
+Randomness is drawn from counter-based Philox streams, so results are
+bit-reproducible regardless of scheduling.  The 128-bit key is the word pair
+(seed, stream << 48 | index), and `path_generator` builds the generator of one
+key.  Every forward loop over an ensemble (the weighted ensembles, the particle
+filter and the particle control filter) reads one schedule through
+`_ensemble_noise`: the initial draws (N uniforms, then N normals) are those of
+key index 0, and the normals of step k (k = 0 .. K - 1) are the draws of key
+index k + 1, the N state normals first and then, for an ensemble with fresh
+observation noise, N observation normals.
 
-Storage is time-major: the ensembles step through time, so the noise, the
-states and the log-weights live in C-ordered buffers with one row per time
-step, written and read a contiguous row at a time.  The arrays handed out keep
-their path-major (N, ...) shapes as `.T` views of those buffers.
+The step rows come a block of max(1, 2**17 // N) steps at a time.  Each block
+is filled one block ahead on a single worker thread (a `ThreadPoolExecutor`
+created on first use and dropped in a forked child) while the caller steps
+through the block before it; numpy releases the interpreter lock inside the
+fill.  The worker builds one generator per block with `path_generator` and,
+for each row, writes the row's key word into the generator's fresh
+`bit_generator.state` (the key, a zero counter and an empty buffer) and assigns
+it back, so no generator is built per step.  A row's bits depend only on its
+key, so the outputs do not depend on when the worker runs.  The worker calls
+nothing but `path_generator` and the fill.
+
+Storage is time-major: the ensembles step through time, so the states and the
+log-weights live in C-ordered buffers with one row per time step, written and
+read a contiguous row at a time.  The arrays handed out keep their path-major
+(N, ...) shapes as `.T` views of those buffers.
 
 Forward kernels shared by the ensembles, the particle filter and the control
 filter: `weighted_step` (one move and log-weight step), `resample_below` (the
@@ -29,6 +40,8 @@ ESS-triggered multinomial resampling), `per_step_path` and `cumulative_path`.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -49,11 +62,11 @@ STREAM_CONTROL_STATE = 6
 STREAM_CONTROL_OBS = 7
 STREAM_FILTER = 8
 
-# paths per block of `_ensemble_noise`: the block of draws stays in cache while
-# it is copied into the time-major noise buffer, one 1-KB run per time step
-# (N = 10 000, K = 500, one Xeon core with 2 MB of L2: the copy takes 0.010 s,
-# against 0.021 s in blocks of 64 paths)
-_NOISE_BLOCK = 128
+# draws per channel in one block of step rows (1 MB: it stays in L2 while read)
+_NOISE_BLOCK = 1 << 17
+
+_worker = None
+_worker_lock = threading.Lock()
 
 
 def _key_part(name: str, value: int, bits: int) -> int:
@@ -67,53 +80,92 @@ def check_seed(seed: int) -> int:
     return _key_part("seed", seed, 64)
 
 
-def path_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
-    """Philox generator for one (seed, stream, path) triple.
+def path_generator(seed: int, stream: int, index: int) -> np.random.Generator:
+    """Philox generator for one (seed, stream, index) key: index is a path's
+    index or, in the step-keyed schedule, a step's.
 
     Key parts outside their bit fields would alias other streams: rejected.
     """
     check_seed(seed)
     _key_part("stream", stream, 16)
-    _key_part("path index", path_index, 48)
+    _key_part("key index", index, 48)
     key = np.array(
-        [np.uint64(seed), (np.uint64(stream) << np.uint64(48)) | np.uint64(path_index)],
+        [np.uint64(seed), (np.uint64(stream) << np.uint64(48)) | np.uint64(index)],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
-                    with_obs_noise: bool = False):
-    """Per-path initial draws (uniform, normal) plus step normals.
+def _noise_worker():
+    """The single thread that fills noise blocks, created on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fbsde-noise")
+        return _worker
 
-    Returns (u0, z0, xi, eta) with shapes (N,), (N,), (N, n_steps) and
-    optionally (N, n_steps) observation-channel normals (drawn after the
-    state noise, in a fixed order).  Row i holds the draws of
-    path_generator(seed, stream, i), from one re-keyed generator (see the
-    module docstring).  xi and eta are `.T` views of a time-major buffer, so
-    the per-step column xi[:, k] is contiguous.
-    """
-    _key_part("path index", max(n_paths - 1, 0), 48)
-    gen = path_generator(seed, stream, 0)
+
+def _forget_worker() -> None:
+    # a forked child inherits the executor but not its thread: start afresh
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _fill_rows(seed: int, stream: int, first: int, rows: np.ndarray) -> np.ndarray:
+    """rows[j] <- the normals of key index first + j, on one re-keyed generator."""
+    gen = path_generator(seed, stream, first)
     fresh = gen.bit_generator.state  # key, zero counter, empty buffer
     key = fresh["state"]["key"]
-    u0 = np.empty(n_paths)
-    z0 = np.empty(n_paths)
-    channels = 2 if with_obs_noise else 1
-    noise = np.empty((channels, n_steps, n_paths))
-    # a block of paths is drawn path-major (a path's xi row, then its eta row)
-    # into a small buffer, then copied transposed into the time-major buffer
-    block = np.empty((min(_NOISE_BLOCK, n_paths), channels, n_steps))
-    for start in range(0, n_paths, _NOISE_BLOCK):
-        stop = min(start + _NOISE_BLOCK, n_paths)
-        for j, i in enumerate(range(start, stop)):
-            key[1] = stream << 48 | i
-            gen.bit_generator.state = fresh
-            u0[i] = gen.random()
-            z0[i] = gen.standard_normal()
-            gen.standard_normal(out=block[j])
-        noise[:, :, start:stop] = block[: stop - start].transpose(1, 2, 0)
-    return u0, z0, noise[0].T, noise[1].T if with_obs_noise else None
+    for j, row in enumerate(rows):
+        key[1] = stream << 48 | first + j
+        gen.bit_generator.state = fresh
+        gen.standard_normal(out=row)
+    return rows
+
+
+def _rows_ahead(submit, size: int, n_steps: int, pending):
+    """Yield the step rows block by block, submitting each block's successor
+    before handing out its rows; a stream dropped early cancels its pending
+    block, which no other stream shares."""
+    try:
+        for start in range(0, n_steps, size):
+            rows = pending.result()
+            pending = submit(start + size) if start + size < n_steps else None
+            yield from rows
+    finally:
+        if pending is not None:
+            pending.cancel()
+
+
+def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
+                    with_obs_noise: bool = False):
+    """Initial draws and step rows of a forward loop (see the module docstring).
+
+    Returns (u0, z0, rows): N uniforms and then N normals of key index 0, and an
+    iterator over the n_steps step rows, row k holding the normals of key index
+    k + 1: (N,) state normals or, with_obs_noise, (2, N) state then observation
+    normals.  The first block is submitted to the worker before the initial
+    draws are made.  A row stays valid after the iterator moves on.
+    """
+    check_seed(seed)
+    _key_part("stream", stream, 16)
+    _key_part("step index", n_steps, 48)
+    size = max(1, _NOISE_BLOCK // max(n_paths, 1))
+    shape = (2, n_paths) if with_obs_noise else (n_paths,)
+    worker = _noise_worker()
+
+    def submit(start):
+        rows = np.empty((min(size, n_steps - start),) + shape)
+        return worker.submit(_fill_rows, seed, stream, start + 1, rows)
+
+    rows = _rows_ahead(submit, size, n_steps, submit(0) if n_steps > 0 else None)
+    gen = path_generator(seed, stream, 0)
+    return gen.random(n_paths), gen.standard_normal(n_paths), rows
 
 
 def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float):
@@ -396,33 +448,32 @@ def _simulate_weighted_ensemble(
 
     stream = STREAM_GIRSANOV if kind == "girsanov" else STREAM_INNOVATION
     fresh = obs is None
-    u0, z0, xi, eta = _ensemble_noise(seed, stream, n_paths, K,
-                                      with_obs_noise=fresh)
-    if fresh:
-        dZ_paths = np.sqrt(dt) * eta  # (N, K), independent per path
-        dZ = None
-    else:
+    if not fresh:
         if not obs.grid.matches(grid):
             raise GridMismatch("observation record does not cover the requested grid")
         dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
-        dZ_paths = None
+    external_pi_h = None
+    if kind == "innovation" and not (isinstance(pi_h_source, str) and pi_h_source == "self"):
+        external_pi_h = per_step_path(pi_h_source, grid, "pi_h source")
+
+    u0, z0, rows = _ensemble_noise(seed, stream, n_paths, K, with_obs_noise=fresh)
     # time-major buffers: each step reads and writes contiguous rows
     X = np.empty((K + 1, n_paths))
     lw = np.empty((K + 1, n_paths))
     X[0] = xk = sm.prior.from_draws(u0, z0)
     lw[0] = lwk = np.zeros(n_paths)
 
-    external_pi_h = None
-    if kind == "innovation" and not (isinstance(pi_h_source, str) and pi_h_source == "self"):
-        external_pi_h = per_step_path(pi_h_source, grid, "pi_h source")
-
     pi_h_path = np.empty(K) if kind == "innovation" else None
     dI = np.empty(K) if kind == "innovation" and not fresh else None
     collapse_step = None
 
-    for k in range(K):
+    sqdt = np.sqrt(dt)
+    for k, noise in enumerate(rows):
         c = np.asarray(sm.obs(xk), dtype=float)
-        d = dZ_paths[:, k] if fresh else dZ[k]
+        if fresh:  # independent per path
+            noise, d = noise[0], sqdt * noise[1]
+        else:
+            d = dZ[k]
         if kind == "innovation":
             if external_pi_h is not None:
                 pih = external_pi_h[k]
@@ -435,7 +486,7 @@ def _simulate_weighted_ensemble(
                 dI[k] = d
         b = np.asarray(sm.drift(xk), dtype=float) if drift_fn is None else \
             np.asarray(drift_fn(k, xk), dtype=float)
-        xk, lwk = weighted_step(xk, lwk, b, c, d, xi[:, k], sm.sigma, dt)
+        xk, lwk = weighted_step(xk, lwk, b, c, d, noise, sm.sigma, dt)
         X[k + 1] = xk
         lw[k + 1] = lwk
         if np.any(np.abs(xk) > STATE_OVERFLOW):

@@ -160,6 +160,18 @@ class TestVariance:
         assert main(argv) == EXIT_OK
         assert (out / "variance.csv").read_bytes() == first
 
+    def test_reads_the_estimator_id_of_the_config(self, tmp_path):
+        cfg, out = write_config(tmp_path)  # [estimator] id = pi_innovation
+        written = {}
+        for name, flag in (("config", []), ("pi", ["--estimator", "pi_innovation"]),
+                           ("sigma", ["--estimator", "sigma_obs"])):
+            argv = ["variance", "--config", str(cfg), "--seed", "3",
+                    "--out", str(tmp_path / name)] + flag
+            assert main(argv) == EXIT_OK
+            written[name] = (tmp_path / name / "variance.csv").read_bytes()
+        assert written["config"] == written["pi"]
+        assert written["config"] != written["sigma"]
+
 
 class TestControl:
     def test_lqg_iteration(self, tmp_path):

@@ -57,18 +57,18 @@ def path_major(ensemble):
 @pytest.mark.parametrize("simulate", [simulate_girsanov_ensemble,
                                       simulate_innovation_ensemble])
 @pytest.mark.parametrize("with_record", [True, False])
-def test_ensemble_columns_and_noise_columns_are_contiguous(simulate, with_record):
+def test_ensemble_columns_and_noise_rows_are_contiguous(simulate, with_record):
     obs = simulate_truth_and_obs(MODEL, GRID, seed=3) if with_record else None
     ens = simulate(MODEL, GRID, obs, 70, seed=3)
     assert ens.states.shape == (70, GRID.n_steps + 1)
     assert ens.states.T.flags.c_contiguous
     assert ens.log_weights().T.flags.c_contiguous
-    _, _, xi, eta = _ensemble_noise(3, STREAM_GIRSANOV, 70, GRID.n_steps,
-                                    with_obs_noise=not with_record)
-    assert xi.shape == (70, GRID.n_steps) and xi.T.flags.c_contiguous
-    assert (eta is None) == with_record
-    if eta is not None:
-        assert eta.shape == (70, GRID.n_steps) and eta.T.flags.c_contiguous
+    _, _, rows = _ensemble_noise(3, STREAM_GIRSANOV, 70, GRID.n_steps,
+                                 with_obs_noise=not with_record)
+    rows = list(rows)
+    assert len(rows) == GRID.n_steps
+    for row in rows:
+        assert row.shape == ((70,) if with_record else (2, 70)) and row.flags.c_contiguous
     # resampling keeps the layout, and the values of whole-path reindexing
     k = GRID.n_steps // 2
     resampled = resample_multinomial(ens, seed=4, at_step=k)

@@ -25,7 +25,7 @@ from fbsde_filter.estimators import (
 )
 from fbsde_filter.kalman import model_kalman, model_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid
-from fbsde_filter.particle import resample_multinomial, sigma_estimate
+from fbsde_filter.particle import pi_estimate, resample_multinomial, sigma_estimate
 from fbsde_filter.pde_backward import solve_backward_kolmogorov, solve_feynman_kac
 from fbsde_filter.sde_sim import (
     simulate_girsanov_ensemble,
@@ -252,6 +252,11 @@ class TestFoldHealth:
             cost_functional_per_path(lg_scalar, "sigma_obs", shifted, y)
         with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
             variance_decay(lg_scalar, y, shifted, flavor="sigma")
+        with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
+            sigma_estimate(shifted, lambda x: x)
+        with pytest.raises(WeightUnderflow, match=f"at step {from_step}$"):
+            pi_estimate(shifted, lambda x: x, normalization="external",
+                        normalizer=np.ones(grid.n_steps + 1))
 
     def test_weights_that_underflow_at_the_last_time_fail_the_variance_only(
             self, lg_scalar, lg_setup):

@@ -1,7 +1,9 @@
 """The forward loops built on the shared step kernels (`weighted_step`,
 `resample_below`, `kalman_mean_step`) equal the hand-written loops they
 replace, kept here as references: bit for bit, except the row-stacked Kalman
-batch, whose products are formed on column vectors now."""
+batch, whose products are formed on column vectors now.  The references draw
+their noise from the step-keyed schedule with one generator per key (the
+initial draws from key 0, step k's normals from key k + 1)."""
 
 import math
 import warnings
@@ -27,7 +29,6 @@ from fbsde_filter.sde_sim import (
     STREAM_GIRSANOV,
     STREAM_INNOVATION,
     STREAM_RESAMPLE,
-    _ensemble_noise,
     normalized_weights,
     path_generator,
     per_step_path,
@@ -60,11 +61,17 @@ def reference_ensemble(model, grid, obs, n_paths, seed, kind, pi_h_source="self"
     dt, sqdt, K = grid.dt, np.sqrt(grid.dt), grid.n_steps
     stream = STREAM_GIRSANOV if kind == "girsanov" else STREAM_INNOVATION
     fresh = obs is None
-    u0, z0, xi, eta = _ensemble_noise(seed, stream, n_paths, K, with_obs_noise=fresh)
+    # step k: the state normals of key k + 1, then its observation normals
+    xi, eta = np.empty((n_paths, K)), np.empty((n_paths, K))
+    for k in range(K):
+        gen_k = path_generator(seed, stream, k + 1)
+        xi[:, k] = gen_k.standard_normal(n_paths)
+        eta[:, k] = gen_k.standard_normal(n_paths)
     dZ_paths = sqdt * eta if fresh else None
     dZ = None if fresh else np.asarray(obs.dZ, dtype=float).reshape(K)
     X, lw = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1))
-    xk, lwk = sm.prior.from_draws(u0, z0), np.zeros(n_paths)
+    xk = sm.prior.sample(path_generator(seed, stream, 0), n_paths)
+    lwk = np.zeros(n_paths)
     X[:, 0], lw[:, 0] = xk, lwk
     external = None
     if kind == "innovation" and not (isinstance(pi_h_source, str) and pi_h_source == "self"):
@@ -101,7 +108,8 @@ def reference_ensemble(model, grid, obs, n_paths, seed, kind, pi_h_source="self"
 
 
 def reference_particle_filter(model, grid, obs, n_paths, seed, ess_floor, observables):
-    """(estimates {name: (values, std_err)}, ess path, resample steps)."""
+    """(estimates {name: (values, std_err)}, ESS path before each resampling
+    decision, ESS path the estimates see, resample steps)."""
     sm = scalar_view(model)
     fns = {"x": lambda x: x, **observables}
     dt, sqdt, K = grid.dt, np.sqrt(grid.dt), grid.n_steps
@@ -111,11 +119,11 @@ def reference_particle_filter(model, grid, obs, n_paths, seed, ess_floor, observ
     gen_resample = path_generator(seed, STREAM_RESAMPLE, 1)
     values = {name: np.empty(K + 1) for name in fns}
     errs = {name: np.empty(K + 1) for name in fns}
-    ess_path = np.empty(K + 1)
+    ess_path, seen_path = np.empty(K + 1), np.empty(K + 1)
     resample_steps = []
 
     def record(k):
-        w, wsum, ess_path[k] = normalized_weights(lw)
+        w, wsum, seen_path[k] = normalized_weights(lw)
         for name, fn in fns.items():
             gv = np.asarray(fn(x), dtype=float)
             ratio = np.dot(w, gv) / wsum
@@ -124,18 +132,20 @@ def reference_particle_filter(model, grid, obs, n_paths, seed, ess_floor, observ
             errs[name][k] = np.sqrt(np.dot(w * w, resid * resid)) / wsum
 
     record(0)
+    ess_path[0] = seen_path[0]
     for k in range(K):
         lw = log_weight_step(lw, np.asarray(sm.obs(x), dtype=float), dZ[k], dt)
         gen_k = path_generator(seed, STREAM_FILTER, k + 1)
         x = x + np.asarray(sm.drift(x), dtype=float) * dt \
             + sm.sigma * sqdt * gen_k.standard_normal(n_paths)
-        w, wsum, ess = normalized_weights(lw)
-        if ess < ess_floor * n_paths:
+        w, wsum, ess_path[k + 1] = normalized_weights(lw)
+        if ess_path[k + 1] < ess_floor * n_paths:
             x = x[resample_indices(gen_resample, w, wsum)]
             lw = np.zeros(n_paths)
             resample_steps.append(k + 1)
         record(k + 1)
-    return {n: (values[n], errs[n]) for n in fns}, ess_path, tuple(resample_steps)
+    return ({n: (values[n], errs[n]) for n in fns}, ess_path, seen_path,
+            tuple(resample_steps))
 
 
 def reference_ce_particle(model, policy, grid, seed, n_particles, ess_floor):
@@ -145,13 +155,11 @@ def reference_ce_particle(model, policy, grid, seed, n_particles, ess_floor):
     g = model.control_gain
     gen_x = path_generator(seed, STREAM_CONTROL_STATE, 0)
     gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
-    gen_f = path_generator(seed, STREAM_FILTER, 0)
     gen_r = path_generator(seed, STREAM_RESAMPLE, 0)
     x_truth = float(model.prior.sample(gen_x, 1)[0])
     xi, eta = gen_x.standard_normal(K), gen_z.standard_normal(K)
-    particles = model.prior.sample(gen_f, n_particles)
+    particles = model.prior.sample(path_generator(seed, STREAM_FILTER, 0), n_particles)
     lw = np.zeros(n_particles)
-    pf_noise = gen_f.standard_normal((K, n_particles))
     cost, trace, n_resamples = 0.0, np.empty(K + 1), 0
     for k in range(K):
         w, wsum, _ = normalized_weights(lw)
@@ -161,8 +169,9 @@ def reference_ce_particle(model, policy, grid, seed, n_particles, ess_floor):
         dZ = model.obs(x_truth) * dt + sqdt * eta[k]
         x_truth = x_truth + (model.drift(x_truth) + g * alpha) * dt + model.sigma * sqdt * xi[k]
         lw = log_weight_step(lw, np.asarray(model.obs(particles), dtype=float), dZ, dt)
+        noise = path_generator(seed, STREAM_FILTER, k + 1).standard_normal(n_particles)
         particles = particles + (np.asarray(model.drift(particles), dtype=float)
-                                 + g * alpha) * dt + model.sigma * sqdt * pf_noise[k]
+                                 + g * alpha) * dt + model.sigma * sqdt * noise
         w, wsum, ess = normalized_weights(lw)
         assert ess >= 1.0 + 1e-9
         if ess < ess_floor * n_particles:
@@ -232,15 +241,15 @@ def test_particle_filter_equals_the_reference_loop_while_it_resamples():
     indicator = {"f": lambda x: (x > 0.0).astype(float)}
     result = run_particle_filter(model, grid, obs, 2000, seed=12, ess_floor=0.5,
                                  observables=indicator)
-    estimates, ess, steps = reference_particle_filter(model, grid, obs, 2000, 12, 0.5,
-                                                      indicator)
+    estimates, ess, seen, steps = reference_particle_filter(model, grid, obs, 2000, 12,
+                                                            0.5, indicator)
     assert len(steps) >= 3  # resampling fired
     assert result.resample_steps == steps
     assert same_bits(result.ess, ess)
     for name, (values, errs) in estimates.items():
         assert same_bits(result.estimates[name].values, values)
         assert same_bits(result.estimates[name].std_err, errs)
-        assert same_bits(result.estimates[name].ess, ess)
+        assert same_bits(result.estimates[name].ess, seen)
 
 
 @pytest.mark.parametrize("ess_floor", [0.1, 0.9])

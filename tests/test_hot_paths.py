@@ -1,4 +1,4 @@
-"""The uniform-grid interpolation, the re-keyed ensemble noise, the cubic
+"""The uniform-grid interpolation, the step-keyed ensemble noise, the cubic
 kernels, the backward sweeps, the HJB policy iteration, the one-sweep fixed
 point of estimator III, and the blocked ensemble walk under the Ito fold of
 estimators I, II and IV, the cost functional and the variance decay equal or
@@ -124,27 +124,33 @@ def test_grid_function_and_policy_field_evaluate_as_np_interp():
 
 
 @pytest.mark.parametrize("with_obs_noise", [False, True])
-def test_ensemble_noise_rows_equal_the_per_path_generators(with_obs_noise):
-    seed, n_paths, n_steps = 2**40 + 7, 301, 25
-    u0, z0, xi, eta = _ensemble_noise(seed, STREAM_GIRSANOV, n_paths, n_steps,
-                                      with_obs_noise=with_obs_noise)
-    assert (eta is not None) == with_obs_noise
-    for i in (0, 1, n_paths // 2, n_paths - 1):
-        gen = path_generator(seed, STREAM_GIRSANOV, i)
-        assert same_bits(u0[i], gen.random())
-        assert same_bits(z0[i], gen.standard_normal())
-        assert same_bits(xi[i], gen.standard_normal(n_steps))
-        if with_obs_noise:
-            assert same_bits(eta[i], gen.standard_normal(n_steps))
+@pytest.mark.parametrize("n_paths, n_steps", [(301, 25), (30_000, 10)])  # 1 and 3 blocks
+def test_ensemble_noise_rows_equal_the_step_generators(with_obs_noise, n_paths, n_steps):
+    seed = 2**40 + 7
+    u0, z0, rows = _ensemble_noise(seed, STREAM_GIRSANOV, n_paths, n_steps,
+                                   with_obs_noise=with_obs_noise)
+    gen = path_generator(seed, STREAM_GIRSANOV, 0)
+    assert same_bits(u0, gen.random(n_paths))
+    assert same_bits(z0, gen.standard_normal(n_paths))
+    rows = list(rows)  # each row stays valid after the stream moves on
+    assert len(rows) == n_steps
+    for k, row in enumerate(rows):
+        gen = path_generator(seed, STREAM_GIRSANOV, k + 1)
+        if with_obs_noise:  # the state row, then the observation row, of one key
+            assert row.shape == (2, n_paths)
+            assert same_bits(row[0], gen.standard_normal(n_paths))
+            assert same_bits(row[1], gen.standard_normal(n_paths))
+        else:
+            assert same_bits(row, gen.standard_normal(n_paths))
 
 
-@pytest.mark.parametrize("seed, stream, n_paths", [
-    (-1, 1, 3), (2**64, 1, 3), (0, -1, 3), (0, 2**16, 3), (0, 1, 2**48 + 1),
+@pytest.mark.parametrize("seed, stream, n_steps", [
+    (-1, 1, 10), (2**64, 1, 10), (0, -1, 10), (0, 2**16, 10), (0, 1, 2**48),
 ])
-def test_ensemble_noise_rejects_key_parts_outside_their_fields(seed, stream, n_paths):
-    # checked before any array is allocated
+def test_ensemble_noise_rejects_key_parts_outside_their_fields(seed, stream, n_steps):
+    # checked before any array is allocated; the last step's key index is n_steps
     with pytest.raises(ValueError):
-        _ensemble_noise(seed, stream, n_paths, 10)
+        _ensemble_noise(seed, stream, 3, n_steps)
 
 
 def test_cubic_kernels_multiply_out_the_cube_within_one_ulp_of_the_power():

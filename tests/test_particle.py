@@ -161,6 +161,20 @@ class TestParticleFilter:
         raw_ess = normalized_weights(raw.log_weights_girsanov[:, -1])[2]
         assert raw_ess < 0.5 * 5000
 
+    def test_reports_the_ess_that_fired_each_resampling(self):
+        model = make_scalar("double_well", sigma=0.5, h="linear", h_params={"a": 5.0},
+                            f="indicator_positive")
+        grid = TimeGrid(1.0, 200)
+        obs = simulate_truth_and_obs(model, grid, seed=11)
+        result = run_particle_filter(model, grid, obs, 2000, seed=12, ess_floor=0.5)
+        steps = list(result.resample_steps)
+        assert len(steps) >= 3
+        assert np.all(result.ess[steps] < 0.5 * 2000)
+        # the estimates are computed on the offspring, whose weights are equal
+        assert np.all(result.estimates["x"].ess[steps] == 2000.0)
+        kept = np.setdiff1d(np.arange(grid.n_steps + 1), steps)
+        assert np.array_equal(result.estimates["x"].ess[kept], result.ess[kept])
+
     def test_mc_convergence_rate(self, lg_benchmark, lg_scalar):
         # |pi_T[x] - m_T| shrinks like N^{-1/2}: log-log slope -0.5 +- 0.15
         grid = TimeGrid(1.0, 200)
