@@ -17,16 +17,19 @@ key index 0, and the normals of step k (k = 0 .. K - 1) are the draws of key
 index k + 1, the N state normals first and then, for an ensemble with fresh
 observation noise, N observation normals.
 
-The step rows come a block of max(1, 2**17 // N) steps at a time.  Each block
+The step rows come a block of max(1, 2**17 // N) steps at a time, each block
+filled by `_fill_rows`: it builds one generator with `path_generator` and, for
+each row, writes the row's key word into the generator's fresh
+`bit_generator.state` (the key, a zero counter and an empty buffer) and assigns
+it back, so no generator is built per step.  With at least 2**11 paths a block
 is filled one block ahead on a single worker thread (a `ThreadPoolExecutor`
 created on first use and dropped in a forked child) while the caller steps
 through the block before it; numpy releases the interpreter lock inside the
-fill.  The worker builds one generator per block with `path_generator` and,
-for each row, writes the row's key word into the generator's fresh
-`bit_generator.state` (the key, a zero counter and an empty buffer) and assigns
-it back, so no generator is built per step.  A row's bits depend only on its
-key, so the outputs do not depend on when the worker runs.  The worker calls
-nothing but `path_generator` and the fill.
+fill.  With fewer paths a row fills in a few microseconds, the thread's
+hand-offs cost more than they hide, and the caller fills each block as it
+reaches it.  A row's bits depend only on its key, so the outputs do not depend
+on where or when a block is filled.  The worker calls nothing but
+`path_generator` and the fill.
 
 Storage is time-major: the ensembles step through time, so the states and the
 log-weights live in C-ordered buffers with one row per time step, written and
@@ -64,6 +67,11 @@ STREAM_FILTER = 8
 
 # draws per channel in one block of step rows (1 MB: it stays in L2 while read)
 _NOISE_BLOCK = 1 << 17
+# fewest paths whose blocks are filled ahead on the worker (2-vCPU host, one
+# BLAS thread: drawing ahead cut the double-well ensemble and particle filter
+# by a sixth at N = 3 000 and a third at N = 10 000, and cost a fifth at
+# N = 1 000; about even in between)
+_AHEAD_PATHS = 1 << 11
 
 _worker = None
 _worker_lock = threading.Lock()
@@ -149,7 +157,7 @@ def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
     Returns (u0, z0, rows): N uniforms and then N normals of key index 0, and an
     iterator over the n_steps step rows, row k holding the normals of key index
     k + 1: (N,) state normals or, with_obs_noise, (2, N) state then observation
-    normals.  The first block is submitted to the worker before the initial
+    normals.  On the worker, the first block is submitted before the initial
     draws are made.  A row stays valid after the iterator moves on.
     """
     check_seed(seed)
@@ -157,13 +165,17 @@ def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
     _key_part("step index", n_steps, 48)
     size = max(1, _NOISE_BLOCK // max(n_paths, 1))
     shape = (2, n_paths) if with_obs_noise else (n_paths,)
-    worker = _noise_worker()
 
-    def submit(start):
+    def fill(start):
         rows = np.empty((min(size, n_steps - start),) + shape)
-        return worker.submit(_fill_rows, seed, stream, start + 1, rows)
+        return _fill_rows(seed, stream, start + 1, rows)
 
-    rows = _rows_ahead(submit, size, n_steps, submit(0) if n_steps > 0 else None)
+    if n_paths < _AHEAD_PATHS or n_steps == 0:
+        rows = (row for start in range(0, n_steps, size) for row in fill(start))
+    else:
+        worker = _noise_worker()
+        submit = lambda start: worker.submit(fill, start)
+        rows = _rows_ahead(submit, size, n_steps, submit(0))
     gen = path_generator(seed, stream, 0)
     return gen.random(n_paths), gen.standard_normal(n_paths), rows
 

@@ -124,7 +124,8 @@ def test_grid_function_and_policy_field_evaluate_as_np_interp():
 
 
 @pytest.mark.parametrize("with_obs_noise", [False, True])
-@pytest.mark.parametrize("n_paths, n_steps", [(301, 25), (30_000, 10)])  # 1 and 3 blocks
+# three blocks each: filled by the caller (301 paths) and on the worker (30 000)
+@pytest.mark.parametrize("n_paths, n_steps", [(301, 1000), (30_000, 10)])
 def test_ensemble_noise_rows_equal_the_step_generators(with_obs_noise, n_paths, n_steps):
     seed = 2**40 + 7
     u0, z0, rows = _ensemble_noise(seed, STREAM_GIRSANOV, n_paths, n_steps,

@@ -1,9 +1,11 @@
-"""The step rows of every forward loop are drawn ahead on one worker thread.
+"""Step rows drawn ahead on the worker thread cannot move a bit.
 
-A row's bits depend only on its Philox key, so the ensembles and the particle
-filter give the same bytes whether the worker runs beside the caller, shares
-one CPU with it, or is started afresh in a forked child, and a loop that
-raises part-way leaves nothing behind that moves the next call's bits.
+With at least 2**11 paths, every forward loop's step rows are filled one block
+ahead on a worker thread.  A row's bits depend only on its Philox key, so the
+ensembles and the particle filter give the same bytes whether the worker runs
+beside the caller, shares one CPU with it, or is started afresh in a forked
+child, and a loop that raises part-way leaves nothing behind that moves the
+next call's bits.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from fbsde_filter.errors import SimulationDiverged
 from fbsde_filter.model import TimeGrid
 from fbsde_filter.particle import run_particle_filter
 from fbsde_filter.sde_sim import (
+    _AHEAD_PATHS,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
@@ -31,10 +34,14 @@ from conftest import make_scalar
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
+N_PATHS = 8_000  # blocks of 16 steps, filled on the worker
+assert N_PATHS >= _AHEAD_PATHS
 
-# 16 steps per block, so every run spans several blocks; at most 10 000 paths,
-# so that OpenBLAS sums each dot product on one thread whatever the CPU count
-N_PATHS = 8_000
+# One BLAS thread in every process compared: with more, OpenBLAS may split a
+# long dot product over threads, which moves last bits for a reason that has
+# nothing to do with the worker.
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
 
 
 def digest() -> str:
@@ -55,42 +62,50 @@ def digest() -> str:
     return h.hexdigest()
 
 
-def digest_in_subprocess(pin: bool) -> str:
+def _digest_to_pipe(conn):
+    conn.send(digest())
+    conn.close()
+
+
+def digests_before_and_after_fork() -> tuple[str, str]:
+    """The digest in this process, which runs the worker, and in a child forked
+    from it afterwards, which inherits the executor but not its thread."""
+    before = digest()
+    parent_end, child_end = multiprocessing.Pipe(duplex=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        child = multiprocessing.get_context("fork").Process(target=_digest_to_pipe,
+                                                            args=(child_end,))
+        child.start()
+    child_end.close()
+    try:
+        if not parent_end.poll(60):
+            raise TimeoutError("the forked child hung")
+        return before, parent_end.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+
+
+def run_in_subprocess(call: str, pin: bool = False) -> str:
+    """print(call) in a fresh interpreter with one BLAS thread, pinned to one
+    CPU when pin is set."""
     pin_line = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})" if pin else ""
     script = (f"import os, sys\n{pin_line}\nsys.path.insert(0, {str(TESTS)!r})\n"
-              "from test_noise_stream import digest\nprint(digest())\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+              f"import test_noise_stream as t\nprint({call})\n")
+    env = dict(os.environ, **ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     return out.stdout.strip()
 
 
-def digest_to_pipe(conn):
-    conn.send(digest())
-    conn.close()
-
-
 def test_the_worker_cannot_move_a_bit_pinned_unpinned_or_forked():
-    here = digest()  # this process has run the worker now
-    assert digest_in_subprocess(pin=False) == here
-    assert digest_in_subprocess(pin=True) == here
-    # a forked child inherits the executor but not its thread; it must start its own
-    parent_end, child_end = multiprocessing.Pipe(duplex=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-        child = multiprocessing.get_context("fork").Process(target=digest_to_pipe,
-                                                            args=(child_end,))
-        child.start()
-    child_end.close()
-    try:
-        assert parent_end.poll(120), "the forked child hung"
-        assert parent_end.recv() == here
-    finally:
-        child.join(timeout=30)
-        if child.is_alive():
-            child.kill()
-    assert not child.is_alive() and child.exitcode == 0
+    unpinned = run_in_subprocess("t.digest()")
+    assert run_in_subprocess("t.digest()", pin=True) == unpinned
+    assert run_in_subprocess("' '.join(t.digests_before_and_after_fork())") == \
+        f"{unpinned} {unpinned}"
 
 
 def test_a_loop_that_raises_part_way_leaves_no_draw_behind():
