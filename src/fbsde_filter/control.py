@@ -25,6 +25,7 @@ from .kalman import (
     backward_rk4_sweep,
     kalman_bucy_mean,
     kalman_mean_step,
+    kalman_transitions,
     lq_control_riccati,
     model_kalman,
     model_riccati,
@@ -46,6 +47,7 @@ from .sde_sim import (
     PathEnsemble,
     _ensemble_noise,
     check_ess_floor,
+    path_dot,
     path_generator,
     resample_below,
     weighted_step,
@@ -161,6 +163,7 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
     Qf = np.atleast_2d(np.asarray(terminal_hessian, dtype=float))
 
     Sigma = model_riccati(model, grid)
+    Phi, SH = kalman_transitions(model.A, model.H, Sigma, dt)
 
     # per-seed noise; state stream also carries the prior draw
     X = np.empty((S, n))
@@ -185,7 +188,7 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
         drift_truth = X @ model.A + alpha @ G.T
         dZ = (X @ H) * dt + sqdt * eta[:, k, :]
         X = X + drift_truth * dt + model.sigma * sqdt * xi[:, k, :]
-        m, _ = kalman_mean_step(m, dZ, model.A, H, Sigma[k], dt, shift=alpha @ G.T)
+        m = kalman_mean_step(m, dZ, Phi[k], SH[k], dt, shift=alpha @ G.T)
         trace[k + 1] = m[0]
     cost += 0.5 * np.einsum("si,ij,sj->s", X, Qf, X)
     return cost, trace
@@ -238,10 +241,10 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
                                                         ess_floor * n_particles)
         if ess < 1.0 + 1e-9:
             raise FilterDivergence("particle filter collapsed to a single path")
-        trace[k] = float(np.dot(w, particles) / wsum)
+        trace[k] = float(path_dot(w, particles) / wsum)
         if k == K:
             break
-        alpha = float(np.dot(w, policy.policy_at(k, particles)) / wsum)
+        alpha = float(path_dot(w, policy.policy_at(k, particles)) / wsum)
         cost += 0.5 * alpha * alpha * dt
         dZ = model.obs(x_truth) * dt + sqdt * eta[k]
         x_truth = x_truth + (model.drift(x_truth) + g * alpha) * dt + model.sigma * sqdt * xi[k]

@@ -198,7 +198,9 @@ def _weighted_fold(model, y, ensemble, weight_kind, centered, driver):
     for rows, x, w, outside in _blocks(ensemble, weight_kind, y, K):
         h = np.asarray(h_fn(x), dtype=float)
         coeff = h - ensemble.pi_h_path[rows, None] if centered else h
-        integrand = w * y.eval(rows, x) * coeff
+        integrand = y.eval(rows, x)  # then (w y) coeff in place, the same bits
+        integrand *= w
+        integrand *= coeff
         control[rows] = -integrand.mean(axis=-1)
         _add_rows(acc, integrand * driver(rows, h))
         exits += outside

@@ -8,14 +8,16 @@ h(x) = H^T x with unit observation noise: the covariance obeys
 
 and the filtered mean is stepped as
 
-    m_{k+1} = m_k + A^T m_k dt + Sigma_k H (dZ_k - H^T m_k dt).
+    m_{k+1} = m_k + A^T m_k dt + Sigma_k H (dZ_k - H^T m_k dt)
+            = Phi_k m_k + Sigma_k H dZ_k,  Phi_k = I + (A^T - Sigma_k H H^T) dt.
 
 The transpose conventions are pinned by the cross-module consistency tests
 rather than assumed.
 
 Shared linear-Gaussian kernels: `rk4_step` and `backward_rk4_sweep` (every
 Runge-Kutta loop), `covariance_path` (every Sigma-path check) and the forward
-kernel `kalman_mean_step` (every filtered-mean step, of one or of stacked means).
+kernel `kalman_mean_step` (every filtered-mean step, of one or of stacked means,
+on the transitions `kalman_transitions` forms once per Sigma path).
 """
 
 from __future__ import annotations
@@ -174,13 +176,27 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
     return _clip_psd(path)
 
 
-def kalman_mean_step(m, dz, A, H, Sigma_k, dt: float, shift=None):
-    """Kalman-Bucy step m + (A^T m + shift) dt + Sigma_k H dI, dI = dz - H^T m dt, of
-    one mean (n,) or row-stacked means (S, n) (dz and shift alike); returns the new
-    mean and dI.  Every product is formed on column vectors."""
-    dI = dz - (H.T @ m.T).T * dt
-    drift = (A.T @ m.T).T if shift is None else (A.T @ m.T).T + shift
-    return m + drift * dt + (Sigma_k @ (H @ dI.T)).T, dI
+def kalman_transitions(A, H, Sigma, dt: float, G=None, gains=None):
+    """Every step's transition Phi_k = I + (A^T - Sigma_k H H^T) dt and gain
+    Sigma_k H of the Kalman-Bucy mean, k = 0 .. n_steps - 1, in one vectorised call.
+
+    With a linear law (control matrix G and a gain path gains_k) Phi_k also
+    subtracts G gains_k dt; zero gains give bitwise the Phi_k of no gains.
+    """
+    SH = Sigma[:-1] @ H
+    rate = A.T - SH @ H.T
+    if gains is not None:
+        rate -= G @ gains[:len(SH)]
+    return np.eye(A.shape[0]) + rate * dt, SH
+
+
+def kalman_mean_step(m, dz, Phi_k, SH_k, dt: float, shift=None):
+    """Kalman-Bucy step m -> Phi_k m + Sigma_k H dz + shift dt (`kalman_transitions`)
+    of one mean (n,) or row-stacked means (S, n) (dz and shift alike).  It is
+    m + (A^T m + shift) dt + Sigma_k H (dz - H^T m dt) with the products of m
+    gathered into Phi_k.  Every product is formed on column vectors."""
+    out = (Phi_k @ m.T).T + (SH_k @ dz.T).T
+    return out if shift is None else out + shift * dt
 
 
 def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord,
@@ -190,22 +206,22 @@ def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord,
     With a linear law (control matrix G and a gain path of shape
     (n_steps + 1, p, n)) the mean is driven by alpha_k = -gains_k m_k as well:
     m_{k+1} = m_k + (A^T m_k + G alpha_k) dt + Sigma_k H dI_k.  Emits the
-    realized innovation path alongside the Gaussian state.
+    realized innovation path dI_k = dZ_k - H^T m_k dt alongside the Gaussian
+    state.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n = A.shape[0]
     Sigma = covariance_path(Sigma_path, obs.grid)
-    K = obs.grid.n_steps
+    K, dt = obs.grid.n_steps, obs.grid.dt
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K, H.shape[1])
+    Phi, SH = kalman_transitions(A, H, Sigma, dt, G, gains)
 
     mean = np.empty((K + 1, n))
     mean[0] = np.asarray(m0, dtype=float).reshape(n)
-    dI = np.empty_like(dZ)
     for k in range(K):
-        m = mean[k]
-        shift = None if gains is None else G @ -(gains[k] @ m)
-        mean[k + 1], dI[k] = kalman_mean_step(m, dZ[k], A, H, Sigma[k], obs.grid.dt, shift)
+        mean[k + 1] = kalman_mean_step(mean[k], dZ[k], Phi[k], SH[k], dt)
+    dI = dZ - np.einsum("kn,nm->km", mean[:-1], H) * dt  # H^T m_k, one row per step
     return GaussianState(grid=obs.grid, mean=mean, covariance=Sigma,
                          innovation=cumulative_path(dI))
 

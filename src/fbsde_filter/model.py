@@ -91,18 +91,13 @@ class SpaceGrid:
     def points(self) -> np.ndarray:
         """The nodes np.linspace(x_min, x_max, n_points), built once per grid
         and read-only."""
-        return self.bracket[0]
+        return self._nodes
 
     @cached_property
-    def bracket(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only nodes, each node's right neighbour (+inf after the last)
-        and the n_points - 1 node spacings, for `pde_backward.interp_uniform`."""
+    def _nodes(self) -> np.ndarray:
         nodes = np.linspace(self.x_min, self.x_max, self.n_points)
-        upper = np.append(nodes[1:], np.inf)
-        widths = nodes[1:] - nodes[:-1]
-        for a in (nodes, upper, widths):
-            a.setflags(write=False)
-        return nodes, upper, widths
+        nodes.setflags(write=False)
+        return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +196,13 @@ class NamedFunction:
             )
 
     def __call__(self, x):
+        # The hot loops' inputs go straight to the kernel, as registry_eval
+        # would call it: a float64 array as it is, a float (np.float64 too) as
+        # a 0-d array.
+        if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+            return _REGISTRY[self.name](x, self.params or {})
+        if isinstance(x, float):
+            return float(_REGISTRY[self.name](np.asarray(x), self.params or {}))
         return registry_eval(self.name, self.params, x)
 
 

@@ -25,6 +25,7 @@ from .sde_sim import (
     _ensemble_noise,
     check_ess_floor,
     normalized_weights,
+    path_dot,
     path_generator,
     resample_below,
     resample_indices,
@@ -190,12 +191,13 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
             resample_steps.append(k)
         ess_path[k] = ess
         seen_path[k] = n_paths if resampled else ess
+        w2 = w * w
         for name, fn in fns.items():
             gv = np.asarray(fn(x), dtype=float)
-            ratio = np.dot(w, gv) / wsum
+            ratio = path_dot(w, gv) / wsum
             resid = gv - ratio
             values[name][k] = ratio
-            errs[name][k] = np.sqrt(np.dot(w * w, resid * resid)) / wsum
+            errs[name][k] = np.sqrt(path_dot(w2, resid * resid)) / wsum
         if k < K:
             x, lw = weighted_step(x, lw, np.asarray(sm.drift(x), dtype=float),
                                   np.asarray(sm.obs(x), dtype=float), dZ[k], next(rows),

@@ -38,7 +38,8 @@ read a contiguous row at a time.  The arrays handed out keep their path-major
 
 Forward kernels shared by the ensembles, the particle filter and the control
 filter: `weighted_step` (one move and log-weight step), `resample_below` (the
-ESS-triggered multinomial resampling), `per_step_path` and `cumulative_path`.
+ESS-triggered multinomial resampling), `path_dot` (every weighted sum over the
+paths), `per_step_path` and `cumulative_path`.
 """
 
 from __future__ import annotations
@@ -180,18 +181,42 @@ def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
     return gen.random(n_paths), gen.standard_normal(n_paths), rows
 
 
-def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float):
+def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float, out=None):
     """One forward step of a weighted ensemble, with b, c and d read at the
     pre-move state: the Euler-Maruyama move x + b dt + sigma sqrt(dt) noise and
-    the exponential-martingale step d(log w) = c d - c^2 dt / 2."""
-    return x + b * dt + sigma * np.sqrt(dt) * noise, lw + c * d - 0.5 * c * c * dt
+    the exponential-martingale step d(log w) = c d - c^2 dt / 2.
+
+    With out=(x_row, lw_row) the two results are written there and out is
+    returned, bitwise the returned form: (x + b dt) + (sigma sqrt(dt)) noise and
+    (lw + c d) - ((0.5 c) c) dt.
+    """
+    scale = sigma * np.sqrt(dt)
+    if out is None:
+        return x + b * dt + scale * noise, lw + c * d - 0.5 * c * c * dt
+    x_row, lw_row = out
+    np.multiply(b, dt, out=x_row)
+    x_row += x
+    x_row += np.multiply(noise, scale)
+    np.multiply(c, d, out=lw_row)
+    lw_row += lw
+    square = np.multiply(c, 0.5)
+    square *= c
+    square *= dt
+    lw_row -= square
+    return out
+
+
+def path_dot(a: np.ndarray, b: np.ndarray):
+    """sum_i a_i b_i over the path axis, with numpy's own loop rather than a BLAS
+    dot, whose last bits depend on how many threads split the sum."""
+    return np.einsum("i,i->", a, b)
 
 
 def normalized_weights(lw: np.ndarray):
     """Shifted weights exp(lw - max lw), their sum and the effective sample size."""
     w = np.exp(lw - lw.max())
     wsum = w.sum()
-    return w, wsum, wsum * wsum / np.dot(w, w)
+    return w, wsum, wsum * wsum / path_dot(w, w)
 
 
 def shifted_weights(lw: np.ndarray):
@@ -490,18 +515,18 @@ def _simulate_weighted_ensemble(
             if external_pi_h is not None:
                 pih = external_pi_h[k]
             else:
-                w, wsum, _ = normalized_weights(lwk)
-                pih = float(np.dot(w, c) / wsum)
+                w = np.exp(lwk - lwk.max())  # normalized_weights' w, without its ESS
+                pih = float(path_dot(w, c) / w.sum())
             pi_h_path[k] = pih
             c, d = c - pih, d - pih * dt
             if not fresh:
                 dI[k] = d
         b = np.asarray(sm.drift(xk), dtype=float) if drift_fn is None else \
             np.asarray(drift_fn(k, xk), dtype=float)
-        xk, lwk = weighted_step(xk, lwk, b, c, d, noise, sm.sigma, dt)
-        X[k + 1] = xk
-        lw[k + 1] = lwk
-        if np.any(np.abs(xk) > STATE_OVERFLOW):
+        xk, lwk = weighted_step(xk, lwk, b, c, d, noise, sm.sigma, dt,
+                                out=(X[k + 1], lw[k + 1]))
+        # any(|x| > STATE_OVERFLOW) without temporaries; NaN is skipped as there
+        if np.fmax.reduce(xk) > STATE_OVERFLOW or np.fmin.reduce(xk) < -STATE_OVERFLOW:
             raise SimulationDiverged(f"ensemble state exceeded {STATE_OVERFLOW:g} at step {k + 1}")
         if floor > 0 and collapse_step is None:
             if normalized_weights(lwk)[2] < floor:

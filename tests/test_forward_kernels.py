@@ -3,7 +3,9 @@
 replace, kept here as references: bit for bit, except the row-stacked Kalman
 batch, whose products are formed on column vectors now.  The references draw
 their noise from the step-keyed schedule with one generator per key (the
-initial draws from key 0, step k's normals from key k + 1)."""
+initial draws from key 0, step k's normals from key k + 1), sum over the paths
+with numpy's own loop (`path_sum`), and step the Kalman-Bucy mean on the
+transition Phi_k = I + (A^T - Sigma_k H H^T - G gains_k) dt."""
 
 import math
 import warnings
@@ -50,6 +52,11 @@ def log_weight_step(lw, c, d, dt):
     return lw + c * d - 0.5 * c * c * dt
 
 
+def path_sum(a, b):
+    """sum_i a_i b_i, the same bits however many BLAS threads there are."""
+    return np.einsum("i,i->", a, b)
+
+
 # ---------------------------------------------------------------------------
 # reference loops
 # ---------------------------------------------------------------------------
@@ -90,7 +97,7 @@ def reference_ensemble(model, grid, obs, n_paths, seed, kind, pi_h_source="self"
                 pih = external[k]
             else:
                 w, wsum, _ = normalized_weights(lwk)
-                pih = float(np.dot(w, hk) / wsum)
+                pih = float(path_sum(w, hk) / wsum)
             pi_h_path[k] = pih
             di_k = dz_k - pih * dt
             if not fresh:
@@ -126,10 +133,10 @@ def reference_particle_filter(model, grid, obs, n_paths, seed, ess_floor, observ
         w, wsum, seen_path[k] = normalized_weights(lw)
         for name, fn in fns.items():
             gv = np.asarray(fn(x), dtype=float)
-            ratio = np.dot(w, gv) / wsum
+            ratio = path_sum(w, gv) / wsum
             resid = gv - ratio
             values[name][k] = ratio
-            errs[name][k] = np.sqrt(np.dot(w * w, resid * resid)) / wsum
+            errs[name][k] = np.sqrt(path_sum(w * w, resid * resid)) / wsum
 
     record(0)
     ess_path[0] = seen_path[0]
@@ -163,8 +170,8 @@ def reference_ce_particle(model, policy, grid, seed, n_particles, ess_floor):
     cost, trace, n_resamples = 0.0, np.empty(K + 1), 0
     for k in range(K):
         w, wsum, _ = normalized_weights(lw)
-        trace[k] = float(np.dot(w, particles) / wsum)
-        alpha = float(np.dot(w, policy.policy_at(k, particles)) / wsum)
+        trace[k] = float(path_sum(w, particles) / wsum)
+        alpha = float(path_sum(w, policy.policy_at(k, particles)) / wsum)
         cost += 0.5 * alpha * alpha * dt
         dZ = model.obs(x_truth) * dt + sqdt * eta[k]
         x_truth = x_truth + (model.drift(x_truth) + g * alpha) * dt + model.sigma * sqdt * xi[k]
@@ -179,7 +186,7 @@ def reference_ce_particle(model, policy, grid, seed, n_particles, ess_floor):
             lw = np.zeros(n_particles)
             n_resamples += 1
     w, wsum, _ = normalized_weights(lw)
-    trace[K] = float(np.dot(w, particles) / wsum)
+    trace[K] = float(path_sum(w, particles) / wsum)
     return cost + float(model.terminal(x_truth)), trace, n_resamples
 
 
@@ -193,10 +200,10 @@ def reference_kalman_mean(A, H, Sigma, m0, obs, G=None, gains=None):
     innovation = np.zeros((K + 1, H.shape[1]))
     for k in range(K):
         m = mean[k]
-        dI = dZ[k] - (H.T @ m) * dt
-        innovation[k + 1] = innovation[k] + dI
-        drift = A.T @ m if gains is None else A.T @ m + G @ -(gains[k] @ m)
-        mean[k + 1] = m + drift * dt + Sigma[k] @ (H @ dI)
+        innovation[k + 1] = innovation[k] + (dZ[k] - np.einsum("n,nm->m", m, H) * dt)
+        SH = Sigma[k] @ H
+        rate = A.T - SH @ H.T if gains is None else A.T - SH @ H.T - G @ gains[k]
+        mean[k + 1] = (np.eye(A.shape[0]) + rate * dt) @ m + SH @ dZ[k]
     return mean, innovation
 
 

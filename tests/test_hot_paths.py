@@ -56,6 +56,9 @@ from fbsde_filter.sde_sim import (
 from conftest import make_scalar
 
 
+EPS = np.finfo(float).eps
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -77,23 +80,46 @@ def probe_points(grid: SpaceGrid, rng) -> np.ndarray:
        width=st.floats(1e-2, 1e3), scale=st.floats(1e-3, 1e3),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_interp_uniform_equals_np_interp_bitwise(n_points, x_min, width, scale, seed):
+def test_interp_uniform_matches_np_interp_to_rounding(n_points, x_min, width, scale, seed):
     grid = SpaceGrid(x_min, x_min + width, n_points)
     rng = np.random.default_rng(seed)
     fp = scale * rng.standard_normal(n_points)
-    fp[rng.integers(0, n_points, 3)] = -0.0  # signed zeros at nodes must survive
-    fp[rng.integers(0, n_points, 3)] = 0.0
     x = probe_points(grid, rng)
-    reference = np.interp(x, np.linspace(grid.x_min, grid.x_max, n_points), fp)
-    assert same_bits(interp_uniform(grid, fp, x), reference)
-    assert same_bits(interp_uniform(grid, fp, x.reshape(3, -1)), reference.reshape(3, -1))
+    got = interp_uniform(grid, fp, x)
+    reference = np.interp(x, grid.points(), fp)
+    # t = (x - x_min) / dx carries an error of a few n_points eps; the linspace
+    # nodes np.interp reads sit up to eps |x| / dx node widths off x_min + i dx,
+    # which matters only for a grid far from 0 against its width
+    offset = max(abs(grid.x_min), abs(grid.x_max)) / width
+    bound = 4 * n_points * EPS * np.abs(fp).max() * (1.0 + offset)
+    assert np.all(np.abs(got - reference) <= bound)
+    assert np.all(got[x <= grid.x_min] == fp[0]) and np.all(got[x >= grid.x_max] == fp[-1])
+    assert same_bits(interp_uniform(grid, fp, x.reshape(3, -1)), got.reshape(3, -1))
     one = interp_uniform(grid, fp, x[1])
-    assert type(one) is np.float64 and same_bits(one, reference[1])
+    assert type(one) is np.float64 and same_bits(one, got[1])
     # stacked rows: row r of x read on row r of fp, as one call per row reads it
     stacked_fp = np.stack([fp, -fp, fp[::-1]])
     stacked_x = np.stack([x, x[::-1], rng.permutation(x)])
     by_row = [interp_uniform(grid, f, xr) for f, xr in zip(stacked_fp, stacked_x)]
     assert same_bits(interp_uniform(grid, stacked_fp, stacked_x), np.stack(by_row))
+
+
+def test_interp_uniform_reads_nan_as_nan_without_a_warning():
+    grid = SpaceGrid(-4.0, 4.0, 81)
+    fp = np.random.default_rng(3).standard_normal(81)
+    x = np.array([np.nan, -np.inf, -4.0, 0.3, 4.0, np.inf, 1.7e308, -1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = interp_uniform(grid, fp, x)
+        stacked = interp_uniform(grid, np.stack([fp, fp]), np.stack([x, x[::-1]]))
+        row = interp_matrix(grid, x.reshape(2, -1), np.ones((2, 4)))
+        assert np.isnan(interp_uniform(grid, fp, np.nan))
+    assert np.isnan(got[0]) and np.isfinite(got[1:]).all()
+    assert np.isnan(stacked[0, 0]) and np.isnan(stacked[1, -1])
+    assert np.isnan(stacked).sum() == 2
+    assert np.isnan(row[0] @ fp) and np.isfinite(row[1]).all()
+    assert same_bits(got[[1, 2, 7]], np.full(3, fp[0]))
+    assert same_bits(got[[4, 5, 6]], np.full(3, fp[-1]))
 
 
 def test_points_are_the_cached_read_only_linspace():
@@ -104,23 +130,22 @@ def test_points_are_the_cached_read_only_linspace():
         grid.points()[0] = 0.0
 
 
-def test_grid_function_and_policy_field_evaluate_as_np_interp():
+def test_grid_function_and_policy_field_read_interp_uniform():
     sg, tg = SpaceGrid(-4.0, 4.0, 81), TimeGrid(1.0, 3)
     rng = np.random.default_rng(11)
     values = rng.standard_normal((4, 81))
     y = GridFunction.from_values(sg, tg, values)
     policy = PolicyField(time_grid=tg, provenance="hjb", values=values, space_grid=sg)
     x = probe_points(sg, rng)
-    xs = np.linspace(-4.0, 4.0, 81)
     for k in range(4):
-        assert same_bits(y.eval(k, x), np.interp(x, xs, values[k]))
-        assert same_bits(y.eval_gradient(k, x), np.interp(x, xs, y.gradient[k]))
-        assert same_bits(policy.policy_at(k, x), np.interp(x, xs, values[k]))
+        assert same_bits(y.eval(k, x), interp_uniform(sg, values[k], x))
+        assert same_bits(y.eval_gradient(k, x), interp_uniform(sg, y.gradient[k], x))
+        assert same_bits(policy.policy_at(k, x), interp_uniform(sg, values[k], x))
     steps = np.stack([x, x[::-1]])  # a slice of steps reads one row of x per step
     assert same_bits(y.eval(slice(1, 3), steps),
-                     [np.interp(x, xs, values[1]), np.interp(x[::-1], xs, values[2])])
+                     [y.eval(1, x), y.eval(2, x[::-1])])
     assert same_bits(y.eval_gradient(slice(2, 4), steps),
-                     [np.interp(x, xs, y.gradient[2]), np.interp(x[::-1], xs, y.gradient[3])])
+                     [y.eval_gradient(2, x), y.eval_gradient(3, x[::-1])])
 
 
 @pytest.mark.parametrize("with_obs_noise", [False, True])
@@ -643,7 +668,7 @@ def test_interp_matrix_rows_are_the_interpolated_sums(n_points, x_min, width, se
     sums = np.array([np.dot(c[r], interp_uniform(grid, fp, x[r])) for r in range(3)])
     assert P.shape == (3, n_points)
     # theta is read off a node index, so it carries rounding of order n_points * eps
-    bound = 4 * n_points * np.finfo(float).eps * np.abs(c).sum(axis=1) * np.abs(fp).max()
+    bound = 4 * n_points * EPS * np.abs(c).sum(axis=1) * np.abs(fp).max()
     assert np.all(np.abs(P @ fp - sums) <= bound)
 
 

@@ -14,6 +14,7 @@ from fbsde_filter.errors import (
 from fbsde_filter.model import (
     GaussianMixturePrior,
     LinearGaussianModelSpec,
+    NamedFunction,
     ScalarModelSpec,
     SpaceGrid,
     TimeGrid,
@@ -72,6 +73,30 @@ class TestRegistry:
     @settings(max_examples=60, deadline=None)
     def test_finite_on_finite_inputs(self, name, x):
         assert math.isfinite(registry_eval(name, {}, x))
+
+    PARAMS = {"linear": {"a": -1.3, "b": 0.2}, "cubic": {"c": 0.7},
+              "sine": {"amplitude": 1.2, "frequency": 2.1, "phase": 0.3},
+              "constant": {"c": 2.5}, "quadratic": {"center": -0.2, "weight": 2.0},
+              "gaussian_bump": {"center": 0.3, "width": 0.7, "amplitude": 1.5}}
+
+    @pytest.mark.parametrize("name", registry_names())
+    def test_named_function_call_is_bitwise_registry_eval(self, name):
+        # the direct kernel call of float64 arrays and Python floats, and the
+        # registry_eval route of everything else
+        f = NamedFunction(name, self.PARAMS.get(name, {}))
+        rng = np.random.default_rng(7)
+        x = np.concatenate([3.0 * rng.standard_normal(300), [0.0, -0.0, 1e-300, 40.0]])
+        for arg in (x, x.reshape(2, -1), x[::2]):
+            got, want = f(arg), registry_eval(f.name, f.params, arg)
+            assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+        for v in x[:50].tolist() + [np.float64(0.7), 1e200, -1e200]:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, as numpy gives it
+                got, want = f(v), registry_eval(f.name, f.params, v)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+        for arg in (np.array(0.4), 3, [0.1, -2.0], np.arange(4)):
+            got, want = f(arg), registry_eval(f.name, f.params, arg)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestBuildModel:
