@@ -539,8 +539,8 @@ def variance_decay(model, y: GridFunction, ensemble: PathEnsemble,
     for rows, x, w, _ in blocks:
         ytil = w * y.eval(rows, x)
         dev = ytil - ytil.mean(axis=-1, keepdims=True)
-        # one BLAS dot per row, as np.dot(dev_k, dev_k)
-        var_y[rows] = var = (dev[..., None, :] @ dev[..., None])[..., 0, 0] / (n - 1)
+        # numpy's own loop per row, as sde_sim.path_dot(dev_k, dev_k)
+        var_y[rows] = var = np.einsum("...i,...i->...", dev, dev) / (n - 1)
         m4 = np.mean(dev**4, axis=-1)
         var_se[rows] = np.sqrt(np.maximum(m4 - var**2, 0.0) / n)
         q = w * y.eval_gradient(rows, x)

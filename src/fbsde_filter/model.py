@@ -176,6 +176,12 @@ def registry_eval(name: str, params: dict | None, x):
         raise UnknownFunctionName(
             f"unknown function {name!r}; known: {', '.join(registry_names())}"
         ) from None
+    # The hot loops' inputs skip the conversions, which would leave them as
+    # they are: a float64 array, and a float (np.float64 too) read as a 0-d array.
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+        return fn(x, params or {})
+    if isinstance(x, float):
+        return float(fn(np.asarray(x), params or {}))
     out = fn(np.asarray(x, dtype=float), params or {})
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
@@ -196,13 +202,6 @@ class NamedFunction:
             )
 
     def __call__(self, x):
-        # The hot loops' inputs go straight to the kernel, as registry_eval
-        # would call it: a float64 array as it is, a float (np.float64 too) as
-        # a 0-d array.
-        if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
-            return _REGISTRY[self.name](x, self.params or {})
-        if isinstance(x, float):
-            return float(_REGISTRY[self.name](np.asarray(x), self.params or {}))
         return registry_eval(self.name, self.params, x)
 
 

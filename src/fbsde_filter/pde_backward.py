@@ -60,9 +60,12 @@ def interp_uniform(space_grid: SpaceGrid, fp: np.ndarray, x) -> np.ndarray:
     theta = t - j (`_cells`), the value is fp[j] + theta (fp[j + 1] - fp[j]): two
     gathers and a few passes, with no table built per call.  It agrees with
     np.interp(x, space_grid.points(), fp) to rounding, not bitwise: t carries an
-    error of a few n_points * eps, so the two differ by at most about
-    4 n_points eps max|fp|.  It is exact at and beyond both ends (fp[0] and
-    fp[-1]), and a NaN x reads NaN, without a warning.
+    error of a few n_points * eps, so the value is within about
+    4 n_points eps max|fp| of the interpolant on the exact nodes x_min + i dx, and
+    of np.interp on a grid within a width of 0 (np.interp reads the linspace
+    nodes, which sit up to eps |x| / dx node widths off the exact ones).  It is
+    exact at and beyond both ends (fp[0] and fp[-1]), and a NaN x reads NaN,
+    without a warning.
 
     A 1-D fp is read at every x, of any shape.  Stacked rows, fp of shape
     (B, n_points) against x of shape (B, N), read row r of fp at row r of x

@@ -186,13 +186,13 @@ def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float, out=None):
     pre-move state: the Euler-Maruyama move x + b dt + sigma sqrt(dt) noise and
     the exponential-martingale step d(log w) = c d - c^2 dt / 2.
 
-    With out=(x_row, lw_row) the two results are written there and out is
-    returned, bitwise the returned form: (x + b dt) + (sigma sqrt(dt)) noise and
-    (lw + c d) - ((0.5 c) c) dt.
+    Returns (x_row, lw_row), (x + b dt) + (sigma sqrt(dt)) noise and
+    (lw + c d) - ((0.5 c) c) dt, written into out=(x_row, lw_row) when it is
+    given and into new arrays otherwise.
     """
     scale = sigma * np.sqrt(dt)
     if out is None:
-        return x + b * dt + scale * noise, lw + c * d - 0.5 * c * c * dt
+        out = (np.empty_like(x), np.empty_like(lw))
     x_row, lw_row = out
     np.multiply(b, dt, out=x_row)
     x_row += x

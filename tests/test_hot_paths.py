@@ -76,23 +76,33 @@ def probe_points(grid: SpaceGrid, rng) -> np.ndarray:
     ])
 
 
-@given(n_points=st.integers(3, 1001), x_min=st.floats(-1e3, 1e3),
+def interp_on_exact_nodes(grid: SpaceGrid, fp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """fp read at x on the nodes x_min + i dx, in extended precision (np.longdouble)."""
+    ld, n = np.longdouble, grid.n_points
+    t = (np.clip(x, grid.x_min, grid.x_max).astype(ld) - ld(grid.x_min)) \
+        / (ld(grid.x_max) - ld(grid.x_min)) * ld(n - 1)
+    j = np.minimum(np.floor(t), n - 2).astype(np.intp)
+    f = fp.astype(ld)
+    return (f[j] + (t - j) * (f[j + 1] - f[j])).astype(float)
+
+
+def rounding_bound(fp: np.ndarray) -> float:
+    # t = (x - x_min) / dx carries an error of a few n_points eps
+    return 4 * fp.shape[-1] * EPS * np.abs(fp).max()
+
+
+@given(n_points=st.integers(3, 1001), lower=st.floats(0.0, 1.0),
        width=st.floats(1e-2, 1e3), scale=st.floats(1e-3, 1e3),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_interp_uniform_matches_np_interp_to_rounding(n_points, x_min, width, scale, seed):
-    grid = SpaceGrid(x_min, x_min + width, n_points)
+def test_interp_uniform_matches_np_interp_to_rounding(n_points, lower, width, scale, seed):
+    # a grid within one width of 0, as every grid of the library is
+    grid = SpaceGrid(-lower * width, (1.0 - lower) * width, n_points)
     rng = np.random.default_rng(seed)
     fp = scale * rng.standard_normal(n_points)
     x = probe_points(grid, rng)
     got = interp_uniform(grid, fp, x)
-    reference = np.interp(x, grid.points(), fp)
-    # t = (x - x_min) / dx carries an error of a few n_points eps; the linspace
-    # nodes np.interp reads sit up to eps |x| / dx node widths off x_min + i dx,
-    # which matters only for a grid far from 0 against its width
-    offset = max(abs(grid.x_min), abs(grid.x_max)) / width
-    bound = 4 * n_points * EPS * np.abs(fp).max() * (1.0 + offset)
-    assert np.all(np.abs(got - reference) <= bound)
+    assert np.all(np.abs(got - np.interp(x, grid.points(), fp)) <= rounding_bound(fp))
     assert np.all(got[x <= grid.x_min] == fp[0]) and np.all(got[x >= grid.x_max] == fp[-1])
     assert same_bits(interp_uniform(grid, fp, x.reshape(3, -1)), got.reshape(3, -1))
     one = interp_uniform(grid, fp, x[1])
@@ -102,6 +112,24 @@ def test_interp_uniform_matches_np_interp_to_rounding(n_points, x_min, width, sc
     stacked_x = np.stack([x, x[::-1], rng.permutation(x)])
     by_row = [interp_uniform(grid, f, xr) for f, xr in zip(stacked_fp, stacked_x)]
     assert same_bits(interp_uniform(grid, stacked_fp, stacked_x), np.stack(by_row))
+
+
+@given(n_points=st.integers(3, 1001), x_min=st.floats(-1e3, 1e3),
+       width=st.floats(1e-2, 1e3), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_interp_uniform_reads_the_exact_nodes_to_rounding_on_any_grid(
+        n_points, x_min, width, scale, seed):
+    # np.interp reads the linspace nodes, which sit up to eps |x| / dx node
+    # widths off x_min + i dx: far from 0 against the width, that is more than
+    # the rounding bound, so the reference here reads the exact nodes
+    grid = SpaceGrid(x_min, x_min + width, n_points)
+    rng = np.random.default_rng(seed)
+    fp = scale * rng.standard_normal(n_points)
+    x = probe_points(grid, rng)
+    got = interp_uniform(grid, fp, x)
+    assert np.all(np.abs(got - interp_on_exact_nodes(grid, fp, x)) <= rounding_bound(fp))
+    assert np.all(got[x <= grid.x_min] == fp[0]) and np.all(got[x >= grid.x_max] == fp[-1])
 
 
 def test_interp_uniform_reads_nan_as_nan_without_a_warning():
@@ -761,7 +789,7 @@ def reference_variance_decay(model, y, ensemble, flavor):
         w = np.exp(lw[:, k])
         ytil = w * y.eval(k, xk)
         centered_y = ytil - ytil.mean()
-        var_y[k] = np.dot(centered_y, centered_y) / (n - 1)
+        var_y[k] = np.einsum("i,i->", centered_y, centered_y) / (n - 1)
         m4 = np.mean(centered_y**4)
         var_se[k] = math.sqrt(max(m4 - var_y[k] ** 2, 0.0) / n)
         q = w * y.eval_gradient(k, xk)

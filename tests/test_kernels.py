@@ -18,7 +18,6 @@ from fbsde_filter.sde_sim import (
     path_generator,
     resample_indices,
     simulate_truth_and_obs,
-    weighted_step,
 )
 
 log_weight_arrays = arrays(np.float64, st.integers(1, 200),
@@ -51,18 +50,6 @@ def test_normalized_weights_resample_only_positive_paths():
     idx = resample_indices(path_generator(3, STREAM_RESAMPLE, 0), w, wsum)
     assert set(idx.tolist()) <= {0, 2}
     assert 1.0 <= ess <= 2.0
-
-
-@pytest.mark.parametrize("per_path_d", [False, True])
-def test_weighted_step_into_rows_is_bitwise_the_returned_form(per_path_d):
-    rng = np.random.default_rng(5)
-    x, lw, b, c, noise = 3.0 * rng.standard_normal((5, 1000))
-    d = rng.standard_normal(1000) if per_path_d else 0.37
-    want = weighted_step(x, lw, b, c, d, noise, 0.8, 0.002)
-    rows = np.full((2, 1000), np.nan)
-    out = (rows[0], rows[1])
-    assert weighted_step(x, lw, b, c, d, noise, 0.8, 0.002, out=out) is out
-    assert rows.tobytes() == np.stack(want).tobytes()
 
 
 def test_prior_from_draws_matches_sample_bitwise():

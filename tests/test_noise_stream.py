@@ -6,8 +6,9 @@ ahead on a worker thread.  A row's bits depend only on its Philox key, so the
 ensembles and the particle filter give the same bytes whether the worker runs
 beside the caller, shares one CPU with it, or is started afresh in a forked
 child, and a loop that raises part-way leaves nothing behind that moves the
-next call's bits.  Their sums over the paths use numpy's own loop, not a BLAS
-dot, so they keep their bits when the BLAS may split a long sum over threads.
+next call's bits.  Their sums over the paths, and the variance decay's, use
+numpy's own loop, not a BLAS dot, so they keep their bits when the BLAS may
+split a long sum over threads.
 """
 
 import hashlib
@@ -22,8 +23,10 @@ import numpy as np
 import pytest
 
 from fbsde_filter.errors import SimulationDiverged
-from fbsde_filter.model import TimeGrid
+from fbsde_filter.estimators import variance_decay
+from fbsde_filter.model import SpaceGrid, TimeGrid
 from fbsde_filter.particle import run_particle_filter
+from fbsde_filter.pde_backward import GridFunction
 from fbsde_filter.sde_sim import (
     _AHEAD_PATHS,
     simulate_girsanov_ensemble,
@@ -47,16 +50,21 @@ ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 
 
 def digest(n_paths: int = N_PATHS) -> str:
-    """SHA-256 of two ensembles and a particle filter of n_paths paths."""
+    """SHA-256 of two ensembles, their variance decay and a particle filter of
+    n_paths paths."""
     model = make_scalar("double_well", sigma=0.5, h="linear", h_params={"a": 2.0},
                         f="indicator_positive")
     grid = TimeGrid(1.0, 60)
     obs = simulate_truth_and_obs(model, grid, seed=41)
+    space = SpaceGrid(-3.0, 3.0, 121)
+    y = GridFunction.from_values(space, grid, np.tanh(space.points()) * np.ones((61, 1)))
     h = hashlib.sha256()
-    for ens in (simulate_innovation_ensemble(model, grid, obs, n_paths, seed=42),
-                simulate_girsanov_ensemble(model, grid, None, n_paths, seed=43)):
+    for ens, flavor in ((simulate_innovation_ensemble(model, grid, obs, n_paths, seed=42), "pi"),
+                        (simulate_girsanov_ensemble(model, grid, None, n_paths, seed=43),
+                         "sigma")):
         h.update(ens.states.tobytes())
         h.update(ens.log_weights().tobytes())
+        h.update(variance_decay(model, y, ens, flavor).var_y.tobytes())
     pf = run_particle_filter(model, grid, obs, n_paths, seed=44, ess_floor=0.9)
     h.update(pf.estimates["x"].values.tobytes())
     h.update(pf.ess.tobytes())
