@@ -403,11 +403,10 @@ def remark_consistency_check(model: LinearGaussianModelSpec,
         raise ValueError(f"unknown alpha mode {alpha!r}")
 
     pi_h = state.mean @ model.H  # (K+1, m)
-    integrand_dI = np.einsum("kn,knl,lm->km", ybar[1:], Sigma[:-1], model.H)
     rhs = float(ybar[0] @ model.m0)
     if alpha == "optimal":
         rhs -= float(np.einsum("km,km->", alpha_path, pi_h[:-1])) * dt
-    rhs += float(np.einsum("km,km->", integrand_dI, dI))
+    rhs += float(np.einsum("kn,knm,km->", ybar[1:], Sigma[:-1] @ model.H, dI))
     lhs = float(model.f_bar @ state.mean[-1])
     return abs(lhs - rhs)
 

@@ -38,10 +38,9 @@ from .errors import (
     MissingTruthPath,
     ModeModelMismatch,
     ResamplingForbiddenInEstimatorMode,
-    WeightUnderflow,
 )
 from .io import write_csv
-from .kalman import covariance_path, model_riccati
+from .kalman import covariance_path, dual_sweep, kalman_transitions, model_riccati
 from .model import (
     LinearGaussianModelSpec,
     ScalarModelSpec,
@@ -61,8 +60,9 @@ from .sde_sim import (
     ObservationRecord,
     PathEnsemble,
     cumulative_path,
+    normalized_weights,
     per_step_path,
-    shifted_weights,
+    raw_weights,
 )
 
 ESTIMATOR_IDS = ("sigma_obs", "pi_innovation", "pi_obs", "sigma_obs_error")
@@ -163,11 +163,7 @@ def _blocks(ensemble: PathEnsemble, kind: str, y: GridFunction, n_rows: int):
     for a in range(0, n_rows, step):
         rows = a if step == 1 else slice(a, min(a + step, n_rows))
         x = np.ascontiguousarray(states[rows])
-        w = np.exp(np.ascontiguousarray(lw[rows]))
-        top = w.max(axis=-1)
-        if not top.all():
-            raise WeightUnderflow(f"every {kind} weight underflows to 0 at "
-                                  f"step {a + int(np.argmax(top == 0.0))}")
+        w = raw_weights(np.ascontiguousarray(lw[rows]), a)
         exits = 0
         if x.min() < x_min or x.max() > x_max:
             exits = np.count_nonzero(x < x_min) + np.count_nonzero(x > x_max)
@@ -299,37 +295,29 @@ def estimate_sigma_obs_error(model, obs: ObservationRecord, y_fk: GridFunction,
 def closed_loop_dual_controls(A, H, Sigma_path, f_bar, grid: TimeGrid):
     """Discrete-dual closed-loop backward recursion.
 
-    ybar_k = (I + A dt - H H^T Sigma_k dt) ybar_{k+1},
-    u_k    = -H^T Sigma_k ybar_{k+1},
+    ybar_k = Phi_k^T ybar_{k+1} = (I + A dt - H H^T Sigma_k dt) ybar_{k+1},
+    u_k    = -(Sigma_k H)^T ybar_{k+1},
 
-    which is the left-point discretization of the closed-loop backward
-    equation paired exactly with the filtered-mean recursion: the resulting
-    estimate ybar_0^T m_0 - sum u_k^T dZ_k telescopes to f_bar^T m_T to
-    machine precision on the same grid.
+    the `dual_sweep` on the transitions of the filtered-mean recursion
+    (`kalman_transitions`): the left-point discretization of the closed-loop
+    backward equation paired exactly with that recursion, so the estimate
+    ybar_0^T m_0 - sum u_k^T dZ_k telescopes to f_bar^T m_T to machine
+    precision on the same grid.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
-    Sigma = covariance_path(Sigma_path, grid)
-    K, dt = grid.n_steps, grid.dt
-    ybar, u = np.empty((K + 1, A.shape[0])), np.empty((K, H.shape[1]))
-    ybar[K] = f_bar
-    for k in range(K - 1, -1, -1):
-        u[k] = -H.T @ (Sigma[k] @ ybar[k + 1])
-        ybar[k] = ybar[k + 1] + dt * (A @ ybar[k + 1]) + dt * (H @ u[k])
-    return ybar, u
+    Phi, SH = kalman_transitions(A, H, covariance_path(Sigma_path, grid), grid.dt)
+    ybar = dual_sweep(Phi, np.asarray(f_bar, dtype=float).reshape(-1))
+    return ybar, -np.einsum("knm,kn->km", SH, ybar[1:])
 
 
 def open_loop_dual_path(A, f_bar, grid: TimeGrid) -> np.ndarray:
-    """Open-loop dual recursion ybar_k = (I + A dt) ybar_{k+1}, ybar_K = f_bar."""
+    """Open-loop dual recursion ybar_k = (I + A dt) ybar_{k+1}, ybar_K = f_bar:
+    the `dual_sweep` on I + A^T dt."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
-    K = grid.n_steps
-    ybar = np.empty((K + 1, f_bar.shape[0]))
-    ybar[K] = f_bar
-    for k in range(K - 1, -1, -1):
-        ybar[k] = ybar[k + 1] + grid.dt * (A @ ybar[k + 1])
-    return ybar
+    Phi = np.eye(A.shape[0]) + A.T * grid.dt
+    return dual_sweep(np.broadcast_to(Phi, (grid.n_steps,) + Phi.shape),
+                      np.asarray(f_bar, dtype=float).reshape(-1))
 
 
 def open_loop_dual_estimate(A, H, Sigma_path, f_bar, m0, innovation_increments,
@@ -345,8 +333,8 @@ def open_loop_dual_estimate(A, H, Sigma_path, f_bar, m0, innovation_increments,
     K = grid.n_steps
     dI = np.asarray(innovation_increments, dtype=float).reshape(K, H.shape[1])
     ybar = open_loop_dual_path(A, f_bar, grid)
-    total = np.sum([float(ybar[k + 1] @ (Sigma[k] @ (H @ dI[k]))) for k in range(K)])
-    return float(ybar[0] @ np.asarray(m0, dtype=float).reshape(-1)) + total
+    total = np.einsum("kn,knm,km->", ybar[1:], Sigma[:-1] @ H, dI)
+    return float(ybar[0] @ np.asarray(m0, dtype=float).reshape(-1) + total)
 
 
 def _check_fixed_point(residual, tol: float) -> None:
@@ -399,7 +387,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
         w = np.broadcast_to(gaussian_quadrature(0.0, 1.0)[1], x.shape)
     else:
         x = ensemble.states.T
-        w, wsum, _ = shifted_weights(ensemble.log_weights("innovation"))
+        w, wsum, _ = normalized_weights(ensemble.log_weights("innovation"))
         w = (w / wsum).T
     hx = np.asarray(model.obs_fn(x), dtype=float)
     P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))

@@ -15,9 +15,10 @@ The transpose conventions are pinned by the cross-module consistency tests
 rather than assumed.
 
 Shared linear-Gaussian kernels: `rk4_step` and `backward_rk4_sweep` (every
-Runge-Kutta loop), `covariance_path` (every Sigma-path check) and the forward
+Runge-Kutta loop), `covariance_path` (every Sigma-path check), the forward
 kernel `kalman_mean_step` (every filtered-mean step, of one or of stacked means,
-on the transitions `kalman_transitions` forms once per Sigma path).
+on the transitions `kalman_transitions` forms once per Sigma path) and its
+adjoint `dual_sweep` (every discrete dual recursion y_k = Phi_k^T y_{k+1}).
 """
 
 from __future__ import annotations
@@ -85,18 +86,13 @@ def _symmetrize(S):
 
 
 def _clip_psd(path: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues below -1e-10 to zero along a covariance path."""
-    n = path.shape[1]
-    if n == 1:
-        out = path.copy()
-        neg = out[:, 0, 0] < 0.0
-        out[neg] = 0.0
-        return out
+    """Clip negative eigenvalues to zero along a covariance path, with one batched
+    eigh; a step without a negative eigenvalue keeps its bits."""
+    w, V = np.linalg.eigh(path)
+    neg = w.min(axis=-1) < 0.0
     out = path.copy()
-    for k in range(out.shape[0]):
-        w, V = np.linalg.eigh(out[k])
-        if w.min() < 0.0:
-            out[k] = (V * np.maximum(w, 0.0)) @ V.T
+    V = V[neg]
+    out[neg] = (V * np.maximum(w[neg], 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
     return out
 
 
@@ -188,6 +184,18 @@ def kalman_transitions(A, H, Sigma, dt: float, G=None, gains=None):
     if gains is not None:
         rate -= G @ gains[:len(SH)]
     return np.eye(A.shape[0]) + rate * dt, SH
+
+
+def dual_sweep(Phi, y_end) -> np.ndarray:
+    """The (K + 1, n) path y_K = y_end, y_k = Phi_k^T y_{k+1} over transitions Phi
+    (K, n, n): the adjoint of x_{k+1} = Phi_k x_k + forcing_k, so that
+    y_{k+1}^T x_{k+1} - y_k^T x_k = y_{k+1}^T forcing_k."""
+    K = len(Phi)
+    y = np.empty((K + 1, len(y_end)))
+    y[K] = y_end
+    for k in range(K - 1, -1, -1):
+        y[k] = Phi[k].T @ y[k + 1]
+    return y
 
 
 def kalman_mean_step(m, dz, Phi_k, SH_k, dt: float, shift=None):

@@ -52,8 +52,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -79,8 +79,9 @@ class SpaceGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be < x_max")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise ValueError(f"x_min and x_max must be finite with x_min < x_max, "
+                             f"got {self.x_min}, {self.x_max}")
         if self.n_points < 3:
             raise ValueError("n_points must be >= 3")
 

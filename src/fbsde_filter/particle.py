@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridMismatch, WeightCollapse, WeightUnderflow
+from .errors import GridMismatch, WeightCollapse
 from .io import write_csv
 from .model import TimeGrid, scalar_view
 from .sde_sim import (
@@ -27,9 +27,9 @@ from .sde_sim import (
     normalized_weights,
     path_dot,
     path_generator,
+    raw_weights,
     resample_below,
     resample_indices,
-    shifted_weights,
     weighted_step,
 )
 
@@ -52,26 +52,15 @@ class ConditionalEstimate:
         write_csv(path, ["t", "value", "std_err", "ess"], rows)
 
 
-def _raw_weights(lw: np.ndarray) -> np.ndarray:
-    """exp(lw) of (N, K + 1) log-weights; WeightUnderflow when every weight of
-    a time column underflows to 0."""
-    w = np.exp(lw)
-    top = w.max(axis=0)
-    if not top.all():
-        raise WeightUnderflow(f"every weight underflows to 0 at "
-                              f"step {int(np.argmax(top == 0.0))}")
-    return w
-
-
 def sigma_estimate(ensemble: PathEnsemble, g) -> ConditionalEstimate:
     """Unnormalized conditional expectation: mean of girsanov-weight * g(X).
     Raises WeightUnderflow when every weight of a step underflows to 0."""
     lw = ensemble.log_weights("girsanov")
-    vals = _raw_weights(lw) * np.asarray(g(ensemble.states), dtype=float)
+    vals = raw_weights(lw.T).T * np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
     mean = vals.mean(axis=0)
     std_err = vals.std(axis=0, ddof=1) / np.sqrt(n)
-    return ConditionalEstimate(ensemble.grid, mean, std_err, shifted_weights(lw)[2])
+    return ConditionalEstimate(ensemble.grid, mean, std_err, normalized_weights(lw)[2])
 
 
 def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
@@ -88,7 +77,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
     lw = ensemble.log_weights()
     gv = np.asarray(g(ensemble.states), dtype=float)
     n = ensemble.n_paths
-    w, wsum, ess = shifted_weights(lw)
+    w, wsum, ess = normalized_weights(lw)
     if normalization == "self":
         ratio = (w * gv).sum(axis=0) / wsum  # with equal weights, bitwise gv.mean(axis=0)
         resid = gv - ratio[None, :]
@@ -99,7 +88,7 @@ def pi_estimate(ensemble: PathEnsemble, g, normalization: str = "self",
         norm = np.asarray(normalizer, dtype=float)
         if norm.shape[0] != ensemble.grid.n_steps + 1:
             raise GridMismatch("normalizer path does not cover the grid")
-        vals = _raw_weights(lw) * gv
+        vals = raw_weights(lw.T).T * gv
         ratio = vals.mean(axis=0) / norm
         std_err = vals.std(axis=0, ddof=1) / np.sqrt(n) / np.abs(norm)
     else:
@@ -114,11 +103,15 @@ def resample_multinomial(ensemble: PathEnsemble, seed: int,
     """Multinomial resampling of whole paths using the weights at one step.
 
     Offspring counts are multinomial in the normalized weights at `at_step`
-    (default: the final step); weights are reset to 1 from that step onward.
-    The returned ensemble records the resampling step and is rejected by the
-    minimum-variance estimators.
+    (default: the final step), an integer in [0, n_steps]; weights are reset to
+    1 from that step onward.  The returned ensemble records the resampling step
+    and is rejected by the minimum-variance estimators.
     """
-    k = ensemble.grid.n_steps if at_step is None else at_step
+    n_steps = ensemble.grid.n_steps
+    k = n_steps if at_step is None else at_step
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n_steps:
+        raise ValueError(f"at_step must be an integer in [0, {n_steps}], got {at_step!r}")
+    k = int(k)
     w, wsum, _ = normalized_weights(ensemble.log_weights()[:, k])
     idx = resample_indices(path_generator(seed, STREAM_RESAMPLE, 0), w, wsum)
 

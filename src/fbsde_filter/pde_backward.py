@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure, PolicyIterationDiverged
 from .io import write_csv
-from .kalman import backward_rk4_sweep, covariance_path
+from .kalman import backward_rk4_sweep, covariance_path, dual_sweep
 from .model import CELL_AVERAGES, NamedFunction, ScalarModelSpec, SpaceGrid, TimeGrid
 
 
@@ -405,18 +405,13 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
 def linear_backward_vector(A, f_bar, time_grid: TimeGrid) -> BackwardVector:
     """Solve -dy/dt = A y, y_T = f_bar: y_{t_k} = exp((T - t_k) A) f_bar.
 
-    Stepped with the scaling-and-squaring matrix exponential of dt*A, so each
-    step is exact to machine precision.
+    The `dual_sweep` on the scaling-and-squaring matrix exponential of dt*A
+    (as Phi_k = expm(dt A)^T), so each step is exact to machine precision.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
-    K = time_grid.n_steps
     E = expm(time_grid.dt * A)
-    values = np.empty((K + 1, f_bar.shape[0]))
-    values[K] = f_bar
-    for k in range(K - 1, -1, -1):
-        values[k] = E @ values[k + 1]
-    return BackwardVector(time_grid, values)
+    Phi = np.broadcast_to(E.T, (time_grid.n_steps,) + E.shape)
+    return BackwardVector(time_grid, dual_sweep(Phi, np.asarray(f_bar, dtype=float).reshape(-1)))
 
 
 def linear_backward_closed_loop(A, H, Sigma_path, f_bar, time_grid: TimeGrid):

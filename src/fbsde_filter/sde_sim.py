@@ -39,7 +39,9 @@ read a contiguous row at a time.  The arrays handed out keep their path-major
 Forward kernels shared by the ensembles, the particle filter and the control
 filter: `weighted_step` (one move and log-weight step), `resample_below` (the
 ESS-triggered multinomial resampling), `path_dot` (every weighted sum over the
-paths), `per_step_path` and `cumulative_path`.
+paths), `normalized_weights` and `raw_weights` (every weight read-out: shifted by
+the max with the ESS, or raw with an underflow check), `per_step_path` and
+`cumulative_path`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridMismatch, MissingTruthPath, SimulationDiverged, WeightCollapse
+from .errors import (GridMismatch, MissingTruthPath, SimulationDiverged, WeightCollapse,
+                     WeightUnderflow)
 from .model import LinearGaussianModelSpec, TimeGrid, scalar_view
 
 STATE_OVERFLOW = 1.0e8
@@ -213,19 +216,24 @@ def path_dot(a: np.ndarray, b: np.ndarray):
 
 
 def normalized_weights(lw: np.ndarray):
-    """Shifted weights exp(lw - max lw), their sum and the effective sample size."""
-    w = np.exp(lw - lw.max())
-    wsum = w.sum()
-    return w, wsum, wsum * wsum / path_dot(w, w)
-
-
-def shifted_weights(lw: np.ndarray):
-    """Per-time weights exp(lw - max lw) of (N, K + 1) log-weights, their sums and
-    the ESS path: `normalized_weights` of each time column (its ESS up to
-    rounding).  A common shift of lw leaves all three unchanged up to rounding."""
+    """Shifted weights exp(lw - max lw), their sum and the effective sample size
+    of log-weights with the paths on axis 0: one step (N,) or one column per time
+    (N, K + 1), each column shifted by its own max.  A common shift of lw leaves
+    all three unchanged up to rounding."""
     w = np.exp(lw - lw.max(axis=0))
-    s = w.sum(axis=0)
-    return w, s, s * s / np.einsum("ij,ij->j", w, w)
+    wsum = w.sum(axis=0)
+    return w, wsum, wsum * wsum / np.einsum("i...,i...->...", w, w)
+
+
+def raw_weights(lw: np.ndarray, first_step: int = 0) -> np.ndarray:
+    """exp(lw) of time-major log-weight rows (..., N), row j being step
+    first_step + j; WeightUnderflow when every weight of a step underflows to 0."""
+    w = np.exp(lw)
+    top = w.max(axis=-1)
+    if not top.all():
+        raise WeightUnderflow(f"every weight underflows to 0 at "
+                              f"step {first_step + int(np.argmax(top == 0.0))}")
+    return w
 
 
 def check_ess_floor(ess_floor) -> float:
@@ -411,9 +419,11 @@ class PathEnsemble:
 # simulators
 # ---------------------------------------------------------------------------
 
-def _check_overflow(x) -> None:
-    if np.any(np.abs(x) > STATE_OVERFLOW) or not np.all(np.isfinite(x)):
-        raise SimulationDiverged(f"state exceeded {STATE_OVERFLOW:g}")
+def _check_state(x: np.ndarray, step: int, label: str) -> None:
+    """SimulationDiverged naming the step if an entry of the state row x lies
+    beyond +-STATE_OVERFLOW (no temporaries; a NaN passes)."""
+    if np.fmax.reduce(x) > STATE_OVERFLOW or np.fmin.reduce(x) < -STATE_OVERFLOW:
+        raise SimulationDiverged(f"{label} exceeded {STATE_OVERFLOW:g} at step {step}")
 
 
 def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
@@ -441,7 +451,9 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
         eta = gen_z.standard_normal((K, model.n_obs))
         for k in range(K):
             X[k + 1] = X[k] + (model.A.T @ X[k]) * dt + model.sigma * sqdt * xi[k]
-        _check_overflow(X)
+            _check_state(X[k + 1], k + 1, "state")
+        if not np.all(np.isfinite(X)):
+            raise SimulationDiverged("state became non-finite")
         signal = (X[:-1] @ model.H) * dt
     else:
         sm = scalar_view(model)
@@ -525,9 +537,7 @@ def _simulate_weighted_ensemble(
             np.asarray(drift_fn(k, xk), dtype=float)
         xk, lwk = weighted_step(xk, lwk, b, c, d, noise, sm.sigma, dt,
                                 out=(X[k + 1], lw[k + 1]))
-        # any(|x| > STATE_OVERFLOW) without temporaries; NaN is skipped as there
-        if np.fmax.reduce(xk) > STATE_OVERFLOW or np.fmin.reduce(xk) < -STATE_OVERFLOW:
-            raise SimulationDiverged(f"ensemble state exceeded {STATE_OVERFLOW:g} at step {k + 1}")
+        _check_state(xk, k + 1, "ensemble state")
         if floor > 0 and collapse_step is None:
             if normalized_weights(lwk)[2] < floor:
                 collapse_step = k + 1

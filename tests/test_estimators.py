@@ -258,6 +258,22 @@ class TestFoldHealth:
             pi_estimate(shifted, lambda x: x, normalization="external",
                         normalizer=np.ones(grid.n_steps + 1))
 
+    def test_underflow_is_named_when_the_walk_reads_one_step_per_block(self, lg_scalar):
+        # N > 8 192: `_blocks` hands out one step row at a time
+        grid = TimeGrid(0.2, 20)
+        obs = simulate_truth_and_obs(lg_scalar, grid, seed=5)
+        y = solve_backward_kolmogorov(lg_scalar, SpaceGrid(-8, 8, 161), grid)
+        ens = simulate_girsanov_ensemble(lg_scalar, grid, obs, 9000, seed=5)
+        lw = ens.log_weights_girsanov.copy()
+        lw[:, 7:] -= 800.0
+        shifted = dataclasses.replace(ens, log_weights_girsanov=lw)
+        with pytest.raises(WeightUnderflow, match="^every weight underflows to 0 at step 7$"):
+            estimate_sigma_obs(lg_scalar, obs, y, shifted)
+        with pytest.raises(WeightUnderflow, match="at step 7$"):
+            variance_decay(lg_scalar, y, shifted, flavor="sigma")
+        with pytest.raises(WeightUnderflow, match="at step 7$"):
+            sigma_estimate(shifted, lambda x: x)
+
     def test_weights_that_underflow_at_the_last_time_fail_the_variance_only(
             self, lg_scalar, lg_setup):
         # the fold and the cost read steps 0 .. K - 1, the variance 0 .. K

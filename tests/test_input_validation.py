@@ -1,5 +1,9 @@
-"""Seeds and stream keys, ESS floors, singular prior covariances and multi-channel
-zero policies."""
+"""Seeds and stream keys, ESS floors, singular prior covariances, multi-channel
+zero policies, diverging n-dimensional truth paths, non-finite grid bounds and
+resampling steps."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +14,9 @@ from fbsde_filter.control import (
     certainty_equivalence_batch,
     certainty_equivalence_run,
 )
-from fbsde_filter.model import LinearGaussianModelSpec, TimeGrid
-from fbsde_filter.particle import pi_estimate, run_particle_filter
+from fbsde_filter.errors import SimulationDiverged
+from fbsde_filter.model import LinearGaussianModelSpec, SpaceGrid, TimeGrid
+from fbsde_filter.particle import pi_estimate, resample_multinomial, run_particle_filter
 from fbsde_filter.sde_sim import (
     STREAM_GIRSANOV,
     path_generator,
@@ -104,3 +109,79 @@ def test_certainty_equivalence_batch_rejects_an_empty_seed_list():
     with pytest.raises(ValueError, match="at least one seed"):
         certainty_equivalence_batch(_lg2(np.eye(2)), PolicyField.zero(grid), grid,
                                     [], np.eye(2))
+
+
+_EXPLODING_2D = """
+[model]
+a = 60,0;0,60
+h = 1;0.4
+sigma = 0.8
+m0 = 0,0
+sigma0 = 1,0;0,1
+f_bar = 1,0
+
+[grid]
+t_end = 20
+n_steps = 2000
+"""
+
+
+def test_an_n_dimensional_truth_path_is_stopped_at_the_step_it_overflows():
+    model = LinearGaussianModelSpec(A=60.0 * np.eye(2), H=[[1.0], [0.4]], sigma=0.8,
+                                    m0=[0.0, 0.0], Sigma0=np.eye(2), f_bar=[1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SimulationDiverged, match=r"^state exceeded 1e\+08 at step \d+$"):
+            simulate_truth_and_obs(model, TimeGrid(20.0, 2000), seed=1)
+
+
+def test_cli_simulate_reports_an_overflowing_n_dimensional_state(tmp_path, capsys):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(_EXPLODING_2D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: state exceeded 1e+08 at step ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeGrid(math.inf, 10),
+    lambda: TimeGrid(math.nan, 10),
+    lambda: SpaceGrid(-math.inf, 1.0, 11),
+    lambda: SpaceGrid(0.0, math.inf, 11),
+    lambda: SpaceGrid(math.nan, 1.0, 11),
+])
+def test_grids_reject_non_finite_bounds(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("key, value, subcommand", [
+    ("x_min", "-inf", "estimate"), ("x_max", "inf", "estimate"), ("t_end", "inf", "simulate"),
+])
+def test_cli_rejects_non_finite_grid_bounds(tmp_path, capsys, key, value, subcommand):
+    grid = {"t_end": "1.0", "n_steps": "20", "x_min": "-8", "x_max": "8", "n_points": "41"}
+    grid[key] = value
+    cfg = tmp_path / "model.ini"
+    cfg.write_text("[model]\ndrift = linear\na = -1\nsigma = 1\nh = linear\nf = linear\n"
+                   "[grid]\n" + "".join(f"{k} = {v}\n" for k, v in grid.items())
+                   + "[estimator]\nid = sigma_obs\nparticles = 50\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([subcommand, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "finite" in err
+
+
+@pytest.mark.parametrize("at_step", [11, 2.5, -1, True, np.float64(3.0)])
+def test_resampling_takes_only_an_integer_step_on_the_grid(at_step):
+    model = make_scalar("linear", {"a": -1.0})
+    grid = TimeGrid(1.0, 10)
+    ens = simulate_girsanov_ensemble(model, grid, simulate_truth_and_obs(model, grid, 1), 50, 1)
+    with pytest.raises(ValueError, match="at_step"):
+        resample_multinomial(ens, seed=1, at_step=at_step)
+    for k in (0, np.int64(4), 10):  # the ends and a numpy integer stay allowed
+        assert resample_multinomial(ens, seed=1, at_step=k).resample_steps == (k,)

@@ -3,15 +3,20 @@ import pytest
 from scipy.linalg import expm
 
 from fbsde_filter.errors import RiccatiBlowup
-from fbsde_filter.estimators import open_loop_dual_estimate
+from fbsde_filter.estimators import (
+    closed_loop_dual_controls,
+    open_loop_dual_estimate,
+    open_loop_dual_path,
+)
 from fbsde_filter.kalman import (
+    _clip_psd,
     kalman_bucy_mean,
     lq_control_riccati,
     model_kalman,
     model_riccati,
     riccati_filter,
 )
-from fbsde_filter.model import TimeGrid
+from fbsde_filter.model import LinearGaussianModelSpec, TimeGrid
 from fbsde_filter.sde_sim import ObservationRecord, simulate_truth_and_obs
 
 
@@ -104,6 +109,79 @@ class TestKalmanBucyMean:
                                         lg_benchmark.f_bar, lg_benchmark.m0, dI, grid)
         target = float(lg_benchmark.f_bar @ state.mean[-1])
         assert abs(value - target) < 1e-10
+
+
+def reference_clip_psd(path):
+    """The per-step clip: each step with a negative eigenvalue is rebuilt from
+    its eigh with those eigenvalues set to 0, the others are kept as they are."""
+    out = path.copy()
+    for k in range(out.shape[0]):
+        w, V = np.linalg.eigh(out[k])
+        if w.min() < 0.0:
+            out[k] = (V * np.maximum(w, 0.0)) @ V.T
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_clip_psd_is_the_per_step_eigh_clip_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    M = rng.standard_normal((200, n, n))
+    path = M @ M.transpose(0, 2, 1)
+    indefinite = rng.random(200) < 0.4
+    path[indefinite] -= 2.0 * np.eye(n)  # some steps get negative eigenvalues
+    path = 0.5 * (path + path.transpose(0, 2, 1))
+    assert np.count_nonzero(np.linalg.eigvalsh(path).min(axis=-1) < 0.0) > 20
+    clipped = _clip_psd(path)
+    assert clipped.tobytes() == reference_clip_psd(path).tobytes()  # signs of 0 too
+    assert np.linalg.eigvalsh(clipped).min() > -1e-12
+
+
+class TestClosedLoopDualTwoStates:
+    A = np.array([[-1.0, 0.5], [0.0, -0.3]])
+    H = np.array([[1.0], [0.4]])
+    f_bar = np.array([1.0, -0.5])
+    grid = TimeGrid(1.0, 1000)
+
+    def setup_method(self):
+        self.Sigma = riccati_filter(self.A, self.H, 0.8, np.eye(2), self.grid)
+
+    def reference_loop(self):
+        """The hand-written closed-loop dual: u_k = -H^T Sigma_k ybar_{k+1},
+        ybar_k = ybar_{k+1} + dt A ybar_{k+1} + dt H u_k."""
+        K, dt, H, A = self.grid.n_steps, self.grid.dt, self.H, self.A
+        ybar, u = np.empty((K + 1, 2)), np.empty((K, 1))
+        ybar[K] = self.f_bar
+        for k in range(K - 1, -1, -1):
+            u[k] = -H.T @ (self.Sigma[k] @ ybar[k + 1])
+            ybar[k] = ybar[k + 1] + dt * (A @ ybar[k + 1]) + dt * (H @ u[k])
+        return ybar, u
+
+    def test_agrees_with_the_hand_written_loop(self):
+        ybar, u = closed_loop_dual_controls(self.A, self.H, self.Sigma, self.f_bar, self.grid)
+        ref_ybar, ref_u = self.reference_loop()
+        assert np.max(np.abs(ybar - ref_ybar)) <= 1e-13 * np.max(np.abs(ref_ybar))
+        assert np.max(np.abs(u - ref_u)) <= 1e-13 * np.max(np.abs(ref_u))
+
+    def test_open_loop_dual_agrees_with_the_hand_written_loop(self):
+        ref = np.empty((self.grid.n_steps + 1, 2))
+        ref[-1] = self.f_bar
+        for k in range(self.grid.n_steps - 1, -1, -1):
+            ref[k] = ref[k + 1] + self.grid.dt * (self.A @ ref[k + 1])
+        ybar = open_loop_dual_path(self.A, self.f_bar, self.grid)
+        assert np.max(np.abs(ybar - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_each_step_telescopes_against_the_filtered_mean(self):
+        ybar, u = closed_loop_dual_controls(self.A, self.H, self.Sigma, self.f_bar, self.grid)
+        lg = LinearGaussianModelSpec(A=self.A, H=self.H, sigma=0.8, m0=[0.3, -0.2],
+                                     Sigma0=np.eye(2), f_bar=self.f_bar)
+        obs = simulate_truth_and_obs(lg, self.grid, seed=17)
+        m = kalman_bucy_mean(self.A, self.H, self.Sigma, lg.m0, obs).mean
+        dZ = obs.dZ.reshape(self.grid.n_steps, 1)
+        # ybar_{k+1}^T m_{k+1} - ybar_k^T m_k = -u_k^T dZ_k
+        lhs = np.einsum("kn,kn->k", ybar[1:], m[1:]) - np.einsum("kn,kn->k", ybar[:-1], m[:-1])
+        rhs = -np.einsum("km,km->k", u, dZ)
+        scale = np.abs(ybar[1:] * m[1:]).sum(axis=1) + np.abs(u * dZ).sum(axis=1)
+        assert np.all(np.abs(lhs - rhs) <= 1e-14 * scale)
 
 
 class TestControlRiccati:

@@ -20,7 +20,10 @@ from fbsde_filter.sde_sim import (
     simulate_truth_and_obs,
 )
 
-log_weight_arrays = arrays(np.float64, st.integers(1, 200),
+# one step (N,) or one column per time (N, K + 1)
+log_weight_arrays = arrays(np.float64,
+                           st.tuples(st.integers(1, 200))
+                           | st.tuples(st.integers(1, 200), st.integers(1, 6)),
                            elements=st.floats(-30.0, 30.0))
 
 
@@ -29,8 +32,21 @@ log_weight_arrays = arrays(np.float64, st.integers(1, 200),
 def test_ess_is_shift_invariant_and_between_one_and_n(lw, shift):
     ess = normalized_weights(lw)[2]
     n = lw.shape[0]
-    assert 1.0 - 1e-12 <= ess <= n * (1.0 + 1e-12)
-    assert math.isclose(normalized_weights(lw + shift)[2], ess, rel_tol=1e-9)
+    assert np.all((1.0 - 1e-12 <= ess) & (ess <= n * (1.0 + 1e-12)))
+    np.testing.assert_allclose(normalized_weights(lw + shift)[2], ess, rtol=1e-9)
+
+
+@pytest.mark.parametrize("n_paths", [1, 7, 500, 20_001])
+def test_normalized_weights_of_every_time_are_the_one_step_call_per_column(n_paths):
+    rng = np.random.default_rng(n_paths)
+    lw = (20.0 * rng.standard_normal((6, n_paths))).T  # time-major, as the ensembles
+    w, wsum, ess = normalized_weights(lw)
+    for k in range(lw.shape[1]):
+        w_k, wsum_k, _ = normalized_weights(lw[:, k])
+        assert w[:, k].tobytes() == w_k.tobytes()
+        assert wsum[k] == wsum_k
+    # the ESS path of the former two-dimensional kernel, kept as the reference
+    assert ess.tobytes() == (wsum * wsum / np.einsum("ij,ij->j", w, w)).tobytes()
 
 
 @given(arrays(np.float64, st.integers(1, 100), elements=st.floats(0.0, 1.0)),
