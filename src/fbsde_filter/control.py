@@ -38,19 +38,16 @@ from .model import (
     gaussian_quadrature,
 )
 from .pde_backward import GridFunction, interp_uniform, solve_hjb_quadratic
+from .particle import particle_steps
 from .sde_sim import (
     STREAM_CONTROL_OBS,
     STREAM_CONTROL_STATE,
-    STREAM_FILTER,
-    STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
-    _ensemble_noise,
     check_ess_floor,
     path_dot,
     path_generator,
-    resample_below,
-    weighted_step,
+    truth_step,
 )
 
 
@@ -154,12 +151,8 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
     S = len(seeds)
     if S == 0:
         raise ValueError("certainty_equivalence_batch needs at least one seed")
-    n = model.n_state
-    m_obs = model.n_obs
-    p = model.G.shape[1]
-    K = grid.n_steps
-    dt = grid.dt
-    sqdt = math.sqrt(dt)
+    n, m_obs, p = model.n_state, model.n_obs, model.G.shape[1]
+    K, dt, sqdt = grid.n_steps, grid.dt, math.sqrt(grid.dt)
     Qf = np.atleast_2d(np.asarray(terminal_hessian, dtype=float))
 
     Sigma = model_riccati(model, grid)
@@ -187,7 +180,7 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
         cost += 0.5 * np.einsum("sp,sp->s", alpha, alpha) * dt
         drift_truth = X @ model.A + alpha @ G.T
         dZ = (X @ H) * dt + sqdt * eta[:, k, :]
-        X = X + drift_truth * dt + model.sigma * sqdt * xi[:, k, :]
+        X = truth_step(X, drift_truth, xi[:, k, :], model.sigma, dt, k + 1)
         m = kalman_mean_step(m, dZ, Phi[k], SH[k], dt, shift=alpha @ G.T)
         trace[k + 1] = m[0]
     cost += 0.5 * np.einsum("si,ij,sj->s", X, Qf, X)
@@ -218,27 +211,21 @@ def certainty_equivalence_run(model, policy: PolicyField, grid: TimeGrid,
 
 def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
                      n_particles, ess_floor):
-    dt = grid.dt
-    sqdt = math.sqrt(dt)
-    K = grid.n_steps
+    K, dt, sqdt = grid.n_steps, grid.dt, math.sqrt(grid.dt)
     g = model.control_gain
     f_cost = terminal_cost if terminal_cost is not None else model.terminal
 
     gen_x = path_generator(seed, STREAM_CONTROL_STATE, 0)
     gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
-    gen_r = path_generator(seed, STREAM_RESAMPLE, 0)
     x_truth = float(model.prior.sample(gen_x, 1)[0])
     xi = gen_x.standard_normal(K)
     eta = gen_z.standard_normal(K)
-    u0, z0, rows = _ensemble_noise(seed, STREAM_FILTER, n_particles, K)
-    particles = model.prior.from_draws(u0, z0)
-    lw = np.zeros(n_particles)
+    steps = particle_steps(model, grid, n_particles, seed, ess_floor * n_particles, 0)
 
     cost = 0.0
     trace = np.empty(K + 1)
-    for k in range(K + 1):
-        particles, lw, w, wsum, ess, _ = resample_below(gen_r, particles, lw,
-                                                        ess_floor * n_particles)
+    for k in range(K + 1):  # step k - 1 is taken on the last dZ, shifted by g alpha
+        particles, w, wsum, ess, _ = steps.send(None if k == 0 else (dZ, g * alpha))
         if ess < 1.0 + 1e-9:
             raise FilterDivergence("particle filter collapsed to a single path")
         trace[k] = float(path_dot(w, particles) / wsum)
@@ -247,10 +234,8 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
         alpha = float(path_dot(w, policy.policy_at(k, particles)) / wsum)
         cost += 0.5 * alpha * alpha * dt
         dZ = model.obs(x_truth) * dt + sqdt * eta[k]
-        x_truth = x_truth + (model.drift(x_truth) + g * alpha) * dt + model.sigma * sqdt * xi[k]
-        particles, lw = weighted_step(
-            particles, lw, np.asarray(model.drift(particles), dtype=float) + g * alpha,
-            np.asarray(model.obs(particles), dtype=float), dZ, next(rows), model.sigma, dt)
+        x_truth = truth_step(x_truth, model.drift(x_truth) + g * alpha, xi[k],
+                             model.sigma, dt, k + 1)
     cost += float(f_cost(x_truth))
     return ControlRunReport(realized_cost=cost, filter_trace=trace, seed=seed)
 

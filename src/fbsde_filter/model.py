@@ -44,6 +44,12 @@ def gaussian_quadrature(mean, var: float):
 # grids
 # ---------------------------------------------------------------------------
 
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer (a numpy one too, not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid t_k = k * dt covering [0, t_end]."""
@@ -54,8 +60,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _check_count("n_steps", self.n_steps, 1)
 
     @property
     def dt(self) -> float:
@@ -82,8 +87,7 @@ class SpaceGrid:
         if not -math.inf < self.x_min < self.x_max < math.inf:
             raise ValueError(f"x_min and x_max must be finite with x_min < x_max, "
                              f"got {self.x_min}, {self.x_max}")
-        if self.n_points < 3:
-            raise ValueError("n_points must be >= 3")
+        _check_count("n_points", self.n_points, 3)
 
     @property
     def dx(self) -> float:

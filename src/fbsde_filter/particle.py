@@ -4,7 +4,8 @@ sigma-type functionals are plain ensemble averages of weight * g(X) under the
 Girsanov weights (Zakai normalization); pi-type functionals are
 self-normalized ratio estimators.  Multinomial resampling is available for
 long-horizon filtering, but resampled ensembles are rejected by the
-minimum-variance estimators, which require raw weighted paths.
+minimum-variance estimators, which require raw weighted paths.  `particle_steps`
+is the one resampling particle loop, under the filter and the control filter.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
+    _check_state,
     _ensemble_noise,
     check_ess_floor,
     normalized_weights,
     path_dot,
     path_generator,
     raw_weights,
-    resample_below,
     resample_indices,
     weighted_step,
 )
@@ -147,39 +148,55 @@ class FilterResult:
     resample_steps: tuple
 
 
+def particle_steps(model, grid: TimeGrid, n_paths: int, seed: int, floor: float,
+                   resample_index: int):
+    """Generator of the particle loop: yields (x, w, wsum, ess, resampled) at
+    k = 0 .. K after resampling (key index `resample_index`) if the ESS, read
+    before, is below floor; w, wsum weigh the x handed out.  Sending back
+    (dZ_k, drift shift or None) takes step k, its new row checked for overflow.
+    """
+    sm = scalar_view(model)
+    u0, z0, rows = _ensemble_noise(seed, STREAM_FILTER, n_paths, grid.n_steps)
+    x = sm.prior.from_draws(u0, z0)
+    lw = np.zeros(n_paths)
+    gen = path_generator(seed, STREAM_RESAMPLE, resample_index)
+    for k in range(grid.n_steps + 1):
+        w, wsum, ess = normalized_weights(lw)
+        resampled = bool(ess < floor)
+        if resampled:
+            x = x[resample_indices(gen, w, wsum)]
+            lw, w, wsum = np.zeros(n_paths), np.ones(n_paths), float(n_paths)
+        dz, shift = yield x, w, wsum, ess, resampled  # not resumed after step K
+        b = np.asarray(sm.drift(x), dtype=float)
+        x, lw = weighted_step(x, lw, b if shift is None else b + shift,
+                              np.asarray(sm.obs(x), dtype=float), dz, next(rows),
+                              sm.sigma, grid.dt)
+        _check_state(x, k + 1, "particle state")
+
+
 def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
                         n_paths: int, seed: int, ess_floor: float = 0.5,
                         observables: dict | None = None) -> FilterResult:
-    """Sequential Girsanov-weighted filter with ESS-triggered resampling.
-
-    The prior draws and the step noise come from the step-keyed schedule of
-    `sde_sim._ensemble_noise`, so the run is reproducible; multinomial
-    resampling fires whenever the effective sample size drops below
-    ess_floor * N.  `observables` maps names to callables; the identity is
-    always included under "x".
+    """Sequential Girsanov-weighted filter on `particle_steps` (resampling key
+    index 1), resampling whenever the ESS drops below ess_floor * N.
+    `observables` maps names to callables; the identity is always included
+    under "x".
     """
     if not obs.grid.matches(grid):
         raise GridMismatch("observation record does not cover the requested grid")
     floor = check_ess_floor(ess_floor) * n_paths
-    sm = scalar_view(model)
-    fns = {"x": lambda x: x}
-    if observables:
-        fns.update(observables)
+    fns = {"x": lambda x: x, **(observables or {})}
     K = grid.n_steps
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
-
-    u0, z0, rows = _ensemble_noise(seed, STREAM_FILTER, n_paths, K)
-    x = sm.prior.from_draws(u0, z0)
-    lw = np.zeros(n_paths)
-    gen_resample = path_generator(seed, STREAM_RESAMPLE, 1)
 
     values = {name: np.empty(K + 1) for name in fns}
     errs = {name: np.empty(K + 1) for name in fns}
     ess_path = np.empty(K + 1)  # before the resampling decision
     seen_path = np.empty(K + 1)  # the ESS the estimates see
     resample_steps = []
-    for k in range(K + 1):
-        x, lw, w, wsum, ess, resampled = resample_below(gen_resample, x, lw, floor)
+    steps = particle_steps(model, grid, n_paths, seed, floor, 1)
+    for k in range(K + 1):  # step k - 1 is taken on dZ[k - 1], unshifted
+        x, w, wsum, ess, resampled = steps.send(None if k == 0 else (dZ[k - 1], None))
         if resampled:
             resample_steps.append(k)
         ess_path[k] = ess
@@ -191,10 +208,6 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
             resid = gv - ratio
             values[name][k] = ratio
             errs[name][k] = np.sqrt(path_dot(w2, resid * resid)) / wsum
-        if k < K:
-            x, lw = weighted_step(x, lw, np.asarray(sm.drift(x), dtype=float),
-                                  np.asarray(sm.obs(x), dtype=float), dZ[k], next(rows),
-                                  sm.sigma, grid.dt)
 
     estimates = {
         name: ConditionalEstimate(grid, values[name], errs[name], seen_path.copy())

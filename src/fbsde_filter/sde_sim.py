@@ -36,16 +36,18 @@ log-weights live in C-ordered buffers with one row per time step, written and
 read a contiguous row at a time.  The arrays handed out keep their path-major
 (N, ...) shapes as `.T` views of those buffers.
 
-Forward kernels shared by the ensembles, the particle filter and the control
-filter: `weighted_step` (one move and log-weight step), `resample_below` (the
-ESS-triggered multinomial resampling), `path_dot` (every weighted sum over the
-paths), `normalized_weights` and `raw_weights` (every weight read-out: shifted by
-the max with the ESS, or raw with an underflow check), `per_step_path` and
-`cumulative_path`.
+Forward kernels shared by the ensembles and `particle.particle_steps`, the one
+particle loop under the filter and the control filter: `weighted_step` (one move
+and log-weight step), `path_dot` (every weighted sum over the paths),
+`normalized_weights` and `raw_weights` (every weight read-out: shifted by the max
+with the ESS, or raw with an underflow check), `per_step_path` and
+`cumulative_path`.  `truth_step` is the one move of every truth path, open- or
+closed-loop.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import warnings
@@ -251,19 +253,6 @@ def resample_indices(gen: np.random.Generator, w: np.ndarray, wsum) -> np.ndarra
     return np.repeat(np.arange(n), gen.multinomial(n, w / wsum))
 
 
-def resample_below(gen: np.random.Generator, x: np.ndarray, lw: np.ndarray, floor: float):
-    """Multinomial resampling of (x, lw) if the ESS is below floor.  Returns (x, lw,
-    w, wsum, ess, resampled): the ensemble handed back (offspring with log-weights 0
-    if it resampled), its `normalized_weights` and sum, and the ESS before."""
-    w, wsum, ess = normalized_weights(lw)
-    resampled = bool(ess < floor)
-    if resampled:
-        n = x.shape[0]
-        x = x[resample_indices(gen, w, wsum)]
-        lw, w, wsum = np.zeros(n), np.ones(n), float(n)
-    return x, lw, w, wsum, ess, resampled
-
-
 def per_step_path(values, grid: TimeGrid, label: str) -> np.ndarray:
     """A per-step path of n_steps entries; an (n_steps + 1)-th entry is dropped."""
     path = np.asarray(values, dtype=float).reshape(-1)
@@ -420,10 +409,20 @@ class PathEnsemble:
 # ---------------------------------------------------------------------------
 
 def _check_state(x: np.ndarray, step: int, label: str) -> None:
-    """SimulationDiverged naming the step if an entry of the state row x lies
-    beyond +-STATE_OVERFLOW (no temporaries; a NaN passes)."""
-    if np.fmax.reduce(x) > STATE_OVERFLOW or np.fmin.reduce(x) < -STATE_OVERFLOW:
+    """SimulationDiverged naming the step if an entry of the states x, of any
+    shape, lies beyond +-STATE_OVERFLOW (no temporaries; a NaN passes)."""
+    if np.fmax.reduce(x, None) > STATE_OVERFLOW or np.fmin.reduce(x, None) < -STATE_OVERFLOW:
         raise SimulationDiverged(f"{label} exceeded {STATE_OVERFLOW:g} at step {step}")
+
+
+def truth_step(x, b, noise, sigma: float, dt: float, step: int):
+    """The Euler-Maruyama move x + b dt + sigma sqrt(dt) noise of a truth path,
+    for a float, an n-vector or stacked (S, n) states; SimulationDiverged naming
+    the step if a new state lies beyond +-STATE_OVERFLOW."""
+    x = x + b * dt + sigma * math.sqrt(dt) * noise
+    if not isinstance(x, float) or abs(x) > STATE_OVERFLOW:  # a float costs one compare
+        _check_state(x, step, "state")
+    return x
 
 
 def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
@@ -450,8 +449,7 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
         xi = gen_x.standard_normal((K, model.n_state))
         eta = gen_z.standard_normal((K, model.n_obs))
         for k in range(K):
-            X[k + 1] = X[k] + (model.A.T @ X[k]) * dt + model.sigma * sqdt * xi[k]
-            _check_state(X[k + 1], k + 1, "state")
+            X[k + 1] = truth_step(X[k], model.A.T @ X[k], xi[k], model.sigma, dt, k + 1)
         if not np.all(np.isfinite(X)):
             raise SimulationDiverged("state became non-finite")
         signal = (X[:-1] @ model.H) * dt
@@ -463,9 +461,7 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
         eta = gen_z.standard_normal(K)
         for k in range(K):
             b = sm.drift(X[k]) if drift_fn is None else float(drift_fn(k, X[k]))
-            X[k + 1] = X[k] + b * dt + sm.sigma * sqdt * xi[k]
-            if abs(X[k + 1]) > STATE_OVERFLOW:
-                raise SimulationDiverged(f"state exceeded {STATE_OVERFLOW:g} at step {k + 1}")
+            X[k + 1] = truth_step(X[k], b, xi[k], sm.sigma, dt, k + 1)
         signal = np.asarray(sm.obs(X[:-1])) * dt
     dZ = signal + sqdt * eta
     return ObservationRecord(grid=grid, Z=cumulative_path(dZ), dZ=dZ, X_truth=X,

@@ -1,7 +1,8 @@
 """The forward loops built on the shared step kernels (`weighted_step`,
-`resample_below`, `kalman_mean_step`) equal the hand-written loops they
-replace, kept here as references: bit for bit, except the row-stacked Kalman
-batch, whose products are formed on column vectors now.  The references draw
+`kalman_mean_step`) and the one particle loop (`particle.particle_steps`, under
+the filter and the control filter) equal the hand-written loops they replace,
+kept here as references: bit for bit, except the row-stacked Kalman batch,
+whose products are formed on column vectors now.  The references draw
 their noise from the step-keyed schedule with one generator per key (the
 initial draws from key 0, step k's normals from key k + 1), sum over the paths
 with numpy's own loop (`path_sum`), and step the Kalman-Bucy mean on the
@@ -240,17 +241,17 @@ def reference_ce_batch(model, policy, grid, seeds, terminal_hessian):
 # the particle filter and the control filter
 # ---------------------------------------------------------------------------
 
-def test_particle_filter_equals_the_reference_loop_while_it_resamples():
+def check_particle_filter(n_paths, resamples):
     model = make_scalar("double_well", sigma=0.5, h="linear", h_params={"a": 5.0},
                         f="indicator_positive")
     grid = TimeGrid(1.0, 200)
     obs = simulate_truth_and_obs(model, grid, seed=11)
     indicator = {"f": lambda x: (x > 0.0).astype(float)}
-    result = run_particle_filter(model, grid, obs, 2000, seed=12, ess_floor=0.5,
+    result = run_particle_filter(model, grid, obs, n_paths, seed=12, ess_floor=0.5,
                                  observables=indicator)
-    estimates, ess, seen, steps = reference_particle_filter(model, grid, obs, 2000, 12,
+    estimates, ess, seen, steps = reference_particle_filter(model, grid, obs, n_paths, 12,
                                                             0.5, indicator)
-    assert len(steps) >= 3  # resampling fired
+    assert len(steps) >= resamples  # resampling fired
     assert result.resample_steps == steps
     assert same_bits(result.ess, ess)
     for name, (values, errs) in estimates.items():
@@ -259,15 +260,29 @@ def test_particle_filter_equals_the_reference_loop_while_it_resamples():
         assert same_bits(result.estimates[name].ess, seen)
 
 
-@pytest.mark.parametrize("ess_floor", [0.1, 0.9])
-def test_particle_control_run_equals_the_reference_loop(ess_floor):
+def test_particle_filter_equals_the_reference_loop_while_it_resamples():
+    check_particle_filter(2000, 3)
+
+
+# 3 000 paths are at least _AHEAD_PATHS: the worker thread fills the noise rows
+def test_particle_filter_on_worker_filled_noise_equals_the_reference_loop():
+    check_particle_filter(3000, 2)
+
+
+# 3 000 particles are at least _AHEAD_PATHS: the worker thread fills the noise rows
+@pytest.mark.parametrize("ess_floor, n_particles", [
+    pytest.param(0.1, 300, id="0.1"), pytest.param(0.9, 300, id="0.9"),
+    pytest.param(0.1, 3000, id="0.1-3000"), pytest.param(0.9, 3000, id="0.9-3000"),
+])
+def test_particle_control_run_equals_the_reference_loop(ess_floor, n_particles):
     model = make_scalar("double_well", sigma=0.5, h="linear", h_params={"a": 2.0},
                         f="quadratic", f_params={"weight": 2.0}, control_gain=1.0)
     grid = TimeGrid(1.0, 100)
     policy = PolicyField.from_gains(grid, np.full((101, 1, 1), 0.8))
-    report = certainty_equivalence_run(model, policy, grid, seed=5, filter_particles=300,
-                                       ess_floor=ess_floor)
-    cost, trace, n_resamples = reference_ce_particle(model, policy, grid, 5, 300, ess_floor)
+    report = certainty_equivalence_run(model, policy, grid, seed=5,
+                                       filter_particles=n_particles, ess_floor=ess_floor)
+    cost, trace, n_resamples = reference_ce_particle(model, policy, grid, 5, n_particles,
+                                                     ess_floor)
     assert (n_resamples > 0) == (ess_floor > 0.5)
     assert same_bits(report.realized_cost, cost)
     assert same_bits(report.filter_trace, trace)

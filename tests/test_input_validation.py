@@ -1,6 +1,6 @@
 """Seeds and stream keys, ESS floors, singular prior covariances, multi-channel
-zero policies, diverging n-dimensional truth paths, non-finite grid bounds and
-resampling steps."""
+zero policies, diverging truth paths and particle filters, non-finite grid
+bounds, non-integer grid counts and resampling steps."""
 
 import math
 import warnings
@@ -144,6 +144,67 @@ def test_cli_simulate_reports_an_overflowing_n_dimensional_state(tmp_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: state exceeded 1e+08 at step ") and "Traceback" not in err
+
+
+# dX = 60 X dt + dB passes 1e8 within T = 1
+_A60 = make_scalar("linear", {"a": 60.0}, h="linear", h_params={"a": 0.0}, f="quadratic")
+_A60_GRID = TimeGrid(1.0, 200)
+_OVERFLOW_AT_STEP = r"^(particle )?state exceeded 1e\+08 at step \d+$"
+
+
+def test_an_overflowing_particle_filter_is_stopped_at_the_step_it_overflows():
+    obs = simulate_truth_and_obs(make_scalar("linear", {"a": -1.0}), _A60_GRID, seed=1)
+    with pytest.raises(SimulationDiverged, match=_OVERFLOW_AT_STEP):
+        run_particle_filter(_A60, _A60_GRID, obs, 500, seed=2)
+
+
+def test_an_overflowing_particle_control_run_is_stopped_at_the_step_it_overflows():
+    with pytest.raises(SimulationDiverged, match=_OVERFLOW_AT_STEP):
+        certainty_equivalence_run(_A60, PolicyField.zero(_A60_GRID), _A60_GRID, seed=3,
+                                  filter_particles=200)
+
+
+@pytest.mark.parametrize("A", [[[60.0]], [[60.0, 0.3], [0.2, -0.5]]], ids=["n1", "n2"])
+def test_an_overflowing_kalman_control_batch_is_stopped_at_the_step_it_overflows(A):
+    n = len(A)
+    model = LinearGaussianModelSpec(A=A, H=[[1.0], [0.4]][:n], sigma=0.8, m0=np.zeros(n),
+                                    Sigma0=np.eye(n), f_bar=np.eye(n)[0])
+    with pytest.raises(SimulationDiverged, match=_OVERFLOW_AT_STEP):
+        certainty_equivalence_batch(model, PolicyField.zero(_A60_GRID), _A60_GRID, [1, 2],
+                                    np.eye(n))
+
+
+def test_cli_control_reports_an_overflowing_closed_loop(tmp_path, capsys):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text("[model]\ndrift = linear\na = 60\nsigma = 0.5\nh = linear\n"
+                   "h_params = a=0\nf = quadratic\n"
+                   "[grid]\nt_end = 1\nn_steps = 200\nx_min = -5.5\nx_max = 5.5\n"
+                   "n_points = 61\n"
+                   "[control]\nmode = certainty_equivalence\nn_runs = 2\n"
+                   "filter_particles = 200\n")
+    code = main(["control", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "state exceeded 1e+08 at step " in err
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeGrid(1.0, 2.5),
+    lambda: TimeGrid(1.0, True),
+    lambda: TimeGrid(1.0, np.float64(10.0)),
+    lambda: SpaceGrid(0.0, 1.0, 10.5),
+    lambda: SpaceGrid(0.0, 1.0, np.True_),
+    lambda: SpaceGrid(0.0, 1.0, "11"),
+], ids=["time_2.5", "time_bool", "time_float64", "space_10.5", "space_numpy_bool", "space_str"])
+def test_grids_reject_a_count_that_is_not_an_integer(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_grids_take_numpy_integer_counts():
+    assert TimeGrid(1.0, np.int64(4)).dt == 0.25
+    assert SpaceGrid(0.0, 1.0, np.int32(5)).points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 @pytest.mark.parametrize("make", [
