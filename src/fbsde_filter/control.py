@@ -113,7 +113,10 @@ def hjb_policy(model: ScalarModelSpec, space_grid: SpaceGrid, time_grid: TimeGri
                terminal=None):
     """Optimal state control for additive control and quadratic running cost.
 
-    Returns (PolicyField, value GridFunction) with a_t(x) = -g dy/dx.
+    Returns (PolicyField, value GridFunction) with a_t(x) = -g dy/dx, where
+    y = c - lambda log psi and psi is the uncontrolled sweep of exp(-(f_T - c) / lambda)
+    (`solve_hjb_quadratic`): LinearSolveFailure past max|f_T - c| / lambda = 708.4, the
+    sweep of psi - 1 below 1, and the plain sweep of f_T with a zero policy at g = 0.
     """
     value, policy_values = solve_hjb_quadratic(model, space_grid, time_grid,
                                                terminal=terminal)

@@ -41,10 +41,6 @@ class LinearSolveFailure(FbsdeFilterError):
     """A tridiagonal/linear system solve failed or returned non-finite values."""
 
 
-class PolicyIterationDiverged(FbsdeFilterError):
-    """Inner policy iteration of the HJB sweep did not converge."""
-
-
 class RiccatiBlowup(FbsdeFilterError):
     """A Riccati solution entry exceeded the overflow guard."""
 

@@ -377,8 +377,8 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     P[k] @ y_k = pi_k[y_k (h - pi_k[h])], pi_k by quadrature against `pi_source` or
     by the ensemble's innovation weights, max-shifted per step.  With S = (I - dt L)^-1
     factored once, the map's step y_k = S (y_{k+1} + dt u_k h) and u_k = -P[k] @ y_k
-    give u_k = -P[k] @ S y_{k+1} / (1 + dt P[k] @ S h); y_k is then formed exactly
-    as solve_backward_with_source forms it, for the residual.
+    give, with z = S y_{k+1}, u_k = -P[k] @ z / (1 + dt P[k] @ S h) and
+    y_k = z + dt u_k S h: one solve per step, with S h formed once.
     """
     K, dt = grid.n_steps, grid.dt
     if pi_source is not None:
@@ -396,13 +396,15 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     values = np.empty((K + 1, space_grid.n_points))
     values[K] = terminal_slice(model, space_grid)
     solve, upwind = _factored_generator(model, space_grid, dt)
-    denominators = 1.0 + dt * (P[:K] @ solve(h_grid))
+    Sh = solve(h_grid)
+    denominators = 1.0 + dt * (P[:K] @ Sh)
     if not np.all(np.isfinite(denominators) & (denominators != 0.0)):
         raise FixedPointNotConverged("zero or non-finite denominator in the control solve")
     u = np.empty(K + 1)
     for k in range(K - 1, -1, -1):
-        u[k] = -np.dot(P[k], solve(values[k + 1])) / denominators[k]
-        values[k] = solve(values[k + 1] + dt * (u[k] * h_grid))
+        z = solve(values[k + 1])
+        u[k] = -np.dot(P[k], z) / denominators[k]
+        values[k] = z + (dt * u[k]) * Sh
     u[K] = -np.dot(P[K], values[K])
     _warn_upwind(upwind, "sourced backward solve")
     _check_fixed_point(u + np.einsum("kj,kj->k", P, values), tol)

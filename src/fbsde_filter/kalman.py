@@ -144,7 +144,8 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
     Returns the covariance path of shape (n_steps + 1, n, n); symmetry is
     enforced after every step.  Stiff initial transients (large observation
     gains) are handled by automatic substepping based on the local Jacobian
-    scale 2(||A|| + ||H H^T|| ||Sigma||).
+    scale 2(||A|| + ||H H^T Sigma||), spectral norms: the stiffness of
+    -Sigma H H^T Sigma, which a Sigma growing where H does not see leaves alone.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -154,7 +155,6 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
     Q = sigma * sigma * np.eye(n)
     dt = grid.dt
     norm_A = np.linalg.norm(A, 2)
-    norm_HHt = np.linalg.norm(HHt, 2)
 
     def rate(S, _):
         return A.T @ S + S @ A + Q - S @ HHt @ S
@@ -162,7 +162,7 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
     path = np.empty((grid.n_steps + 1, n, n))
     path[0] = S
     for k in range(grid.n_steps):
-        stiffness = 2.0 * (norm_A + norm_HHt * np.linalg.norm(S, 2))
+        stiffness = 2.0 * (norm_A + np.linalg.norm(HHt @ S, 2))
         n_sub = max(1, int(np.ceil(4.0 * dt * stiffness)))
         for _ in range(n_sub):
             S = _symmetrize(rk4_step(rate, S, dt / n_sub))

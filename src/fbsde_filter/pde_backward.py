@@ -14,11 +14,12 @@ killing term is applied through a per-step integrating factor, which is exact
 for observation maps that are constant in space.  The terminal slice y_T holds
 f at the nodes, or cell averages for a terminal with a jump (`terminal_slice`).
 
-The Kolmogorov, Feynman-Kac and sourced solves share one sweep.  One band
+The Kolmogorov, Feynman-Kac, sourced and HJB solves share one sweep.  One band
 kernel writes the LAPACK bands of I - dt L from the drift.  With a drift
 constant in time (no policy), they are factored once (gttrf) and each step is
-one gttrs solve; when the drift moves (a policy, or the HJB inner iteration),
-each step or iteration is one gtsv solve, with bitwise the same arithmetic.
+one gttrs solve; when the drift moves with a policy, each step is one gtsv
+solve, with bitwise the same arithmetic.  The quadratic-cost HJB is the
+uncontrolled sweep of exp(-y / lambda) (Fleming's logarithmic transformation).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.linalg import expm
 from scipy.linalg import solve_banded  # noqa: F401  unused: perfbench/tracer.py rebinds it
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-from .errors import CFLWarning, GridMismatch, LinearSolveFailure, PolicyIterationDiverged
+from .errors import CFLWarning, GridMismatch, LinearSolveFailure
 from .io import write_csv
 from .kalman import backward_rk4_sweep, covariance_path, dual_sweep
 from .model import CELL_AVERAGES, NamedFunction, ScalarModelSpec, SpaceGrid, TimeGrid
@@ -173,8 +174,7 @@ def _implicit_bands(b: np.ndarray, sigma: float, dx: float, dt: float):
 
     # Continuous central-to-upwind blend: pure central up to cell Peclet 2,
     # pure upwind from 4, linear in between.  The blend weight w keeps all
-    # off-diagonal entries nonnegative ((1 - w) pe <= 2 throughout) and, being
-    # continuous in b, avoids switching cycles inside policy iterations.
+    # off-diagonal entries nonnegative ((1 - w) pe <= 2 throughout).
     w = np.clip(0.5 * (np.abs(b) * dx / D - 2.0), 0.0, 1.0)
     central = (1.0 - w) * b / (2.0 * dx)
     wb = w * b / dx
@@ -232,16 +232,6 @@ def _solve_bands(dl, d, du, rhs):
     return out
 
 
-def _gradient(y: np.ndarray, dx: float) -> np.ndarray:
-    """np.gradient(y, dx) of a 1-D y, bitwise: central differences inside,
-    one-sided at the ends."""
-    out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
-    out[0] = (y[1] - y[0]) / dx
-    out[-1] = (y[-1] - y[-2]) / dx
-    return out
-
-
 def _warn_upwind(used: bool, context: str) -> None:
     if used:
         warnings.warn(
@@ -258,7 +248,9 @@ def _warn_upwind(used: bool, context: str) -> None:
 def solve_backward_kolmogorov(model: ScalarModelSpec, space_grid: SpaceGrid,
                               time_grid: TimeGrid) -> GridFunction:
     """Solve -dy/dt = b dy/dx + (sigma^2/2) d2y/dx2 backward from y_T = f."""
-    return _sweep(model, space_grid, time_grid, "backward Kolmogorov solve")
+    values = _sweep(model, space_grid, time_grid, "backward Kolmogorov solve",
+                    terminal_slice(model, space_grid))
+    return GridFunction.from_values(space_grid, time_grid, values)
 
 
 def solve_feynman_kac(model: ScalarModelSpec, space_grid: SpaceGrid,
@@ -276,8 +268,10 @@ def solve_feynman_kac(model: ScalarModelSpec, space_grid: SpaceGrid,
         raise ValueError(f"unknown reaction {reaction!r}")
     sign = -1.0 if reaction == "killing" else 1.0
     h = np.asarray(model.obs(space_grid.points()), dtype=float)
-    return _sweep(model, space_grid, time_grid, "backward Kolmogorov solve",
-                  damp=np.exp(sign * h ** 2 * time_grid.dt))
+    values = _sweep(model, space_grid, time_grid, "backward Kolmogorov solve",
+                    terminal_slice(model, space_grid),
+                    damp=np.exp(sign * h ** 2 * time_grid.dt))
+    return GridFunction.from_values(space_grid, time_grid, values)
 
 
 def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
@@ -295,8 +289,10 @@ def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
         expected = (time_grid.n_steps + 1, space_grid.n_points)
         if policy.shape != expected:
             raise GridMismatch(f"policy must have shape {expected}, got {policy.shape}")
-    return _sweep(model, space_grid, time_grid, "sourced backward solve",
-                  policy=policy, running_cost=running_cost, terminal=terminal)
+    values = _sweep(model, space_grid, time_grid, "sourced backward solve",
+                    terminal_slice(model, space_grid, terminal), policy=policy,
+                    running_cost=running_cost)
+    return GridFunction.from_values(space_grid, time_grid, values)
 
 
 def terminal_slice(model, space_grid: SpaceGrid, terminal=None) -> np.ndarray:
@@ -318,15 +314,16 @@ def terminal_slice(model, space_grid: SpaceGrid, terminal=None) -> np.ndarray:
     return values
 
 
-def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None,
-           terminal=None, damp=None):
-    """Reverse-time sweep of -dy/dt = L^{x,a} y + c_k(x, a_k), y_T = f (see the
-    module docstring); `damp` is the Feynman-Kac factor applied after each step."""
+def _sweep(model, space_grid, time_grid, context, y_end, policy=None, running_cost=None,
+           damp=None) -> np.ndarray:
+    """The (n_steps + 1, n_points) values of the reverse-time sweep of
+    -dy/dt = L^{x,a} y + c_k(x, a_k), y_T = y_end (see the module docstring);
+    `damp` is the Feynman-Kac factor applied after each step."""
     xs = space_grid.points()
     dt = time_grid.dt
     K = time_grid.n_steps
     values = np.empty((K + 1, space_grid.n_points))
-    values[K] = terminal_slice(model, space_grid, terminal)
+    values[K] = y_end
     if policy is None:
         a = np.zeros_like(xs)
         factored, any_upwind = _factored_generator(model, space_grid, dt)
@@ -344,58 +341,59 @@ def _sweep(model, space_grid, time_grid, context, policy=None, running_cost=None
         y = factored(rhs) if policy is None else _solve_bands(*bands, rhs)
         values[k] = y if damp is None else damp * y
     _warn_upwind(any_upwind, context)
-    return GridFunction.from_values(space_grid, time_grid, values)
+    return values
+
+
+# psi_T = exp(-(f_T - c) / lambda) stays a normal float64 while |f_T - c| / lambda <= this
+LOG_TRANSFORM_RANGE = -float(np.log(np.finfo(float).tiny))
 
 
 def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
-                        time_grid: TimeGrid, terminal=None,
-                        max_inner: int = 50, tol: float = 1e-8):
+                        time_grid: TimeGrid, terminal=None):
     """HJB solve for additive control and quadratic running cost 0.5 a^2.
 
-    Drift b(x) + g a; the pointwise minimizer is a = -g dy/dx.  Each reverse
-    time step runs a frozen-gradient policy iteration until the policy update
-    changes by less than `tol`.  Returns the value field and the policy array
-    a[k][j].
-    """
-    if max_inner < 1:
-        raise ValueError(f"max_inner must be >= 1, got {max_inner}")
-    xs = space_grid.points()
-    dx = space_grid.dx
-    dt = time_grid.dt
-    K = time_grid.n_steps
-    b0 = np.asarray(model.drift(xs), dtype=float)
-    g = model.control_gain
+    -dy/dt = b dy/dx + (sigma^2/2) d2y/dx2 - (g dy/dx)^2 / 2, y_T = f: drift
+    b + g a, whose pointwise minimizer is a = -g dy/dx.  With lambda = sigma^2/g^2
+    and a constant c, Fleming's logarithmic transformation y = c - lambda log psi
+    turns it into the uncontrolled backward Kolmogorov equation for psi, from
+    psi_T = exp(-(f_T - c) / lambda): one factored sweep on the model's own drift,
+    one gttrs solve per step.  f_T is `terminal_slice` (cell averages kept) and c
+    the midpoint of its range, so psi_T lies in [exp(-s), exp(s)] with
+    s = max|f_T - c| / lambda.
 
-    values = np.empty((K + 1, space_grid.n_points))
-    policy = np.empty_like(values)
-    values[K] = terminal_slice(model, space_grid, terminal)
-    policy[K] = -g * _gradient(values[K], dx)
-    any_upwind = False
-    for k in range(K - 1, -1, -1):
-        a = policy[k + 1]
-        prev_change = np.inf
-        relax = 1.0
-        for it in range(max_inner):
-            *bands, up = _implicit_bands(b0 + g * a, model.sigma, dx, dt)
-            any_upwind = any_upwind or up
-            y = _solve_bands(*bands, values[k + 1] + dt * 0.5 * a * a)
-            step = -g * _gradient(y, dx) - a
-            change = float(np.abs(step).max())
-            if change >= prev_change:
-                relax = max(0.25 * relax, 0.0625)  # damp oscillating sweeps
-            a = a + relax * step
-            prev_change = change
-            if change < tol:
-                break
-        else:
-            raise PolicyIterationDiverged(
-                f"policy iteration did not converge at step {k} "
-                f"(last change {change:.3e})"
-            )
-        values[k] = y
-        policy[k] = a
-    _warn_upwind(any_upwind, "HJB solve")
-    return GridFunction.from_values(space_grid, time_grid, values), policy
+    - Range: s above LOG_TRANSFORM_RANGE (708.4, where psi_T would leave the
+      normal float64 range) raises LinearSolveFailure before any exp.
+    - Weak gain (s < 1): the sweep carries phi = psi - 1 from expm1 and reads
+      y = c - lambda log1p(phi), the same linear solve (L 1 = 0 under the
+      Neumann rows) without the cancellation of log psi near 1.
+    - A gain with (g/sigma)^2 below the normal range, g = 0 included, is the
+      plain sweep of f_T.
+
+    y_T is f_T exactly.  Returns the value field and the policy
+    a[k][j] = -g dy/dx, on the value field's own gradient.
+    """
+    f_end = terminal_slice(model, space_grid, terminal)
+    g, sigma = float(model.control_gain), float(model.sigma)
+    inv_lambda = (g / sigma) * (g / sigma)  # Python floats: no numpy warning
+    if inv_lambda < np.finfo(float).tiny:
+        values = _sweep(model, space_grid, time_grid, "HJB solve", f_end)
+    else:
+        lo, hi = float(f_end.min()), float(f_end.max())
+        c, s = 0.5 * lo + 0.5 * hi, (0.5 * hi - 0.5 * lo) * inv_lambda
+        if not s <= LOG_TRANSFORM_RANGE:
+            raise LinearSolveFailure(
+                f"HJB log transform out of range: max|f_T - c| / lambda = {s:.4g} exceeds "
+                f"{LOG_TRANSFORM_RANGE:.4g} (lambda = sigma^2 / g^2 = {1.0 / inv_lambda:.4g})")
+        weak = s < 1.0
+        u = (f_end - c) * -inv_lambda
+        values = _sweep(model, space_grid, time_grid, "HJB solve",
+                        np.expm1(u) if weak else np.exp(u))
+        if not weak and not values.min() > 0.0:
+            raise LinearSolveFailure("HJB log transform: the sweep of psi left the positive range")
+        values = c - (np.log1p(values) if weak else np.log(values)) / inv_lambda
+        values[-1] = f_end
+    value = GridFunction.from_values(space_grid, time_grid, values)
+    return value, -g * value.gradient
 
 
 # ---------------------------------------------------------------------------

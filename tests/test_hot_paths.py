@@ -1,5 +1,5 @@
 """The uniform-grid interpolation, the step-keyed ensemble noise, the cubic
-kernels, the backward sweeps, the HJB policy iteration, the one-sweep fixed
+kernels, the backward sweeps, the HJB log transform, the one-sweep fixed
 point of estimator III, and the blocked ensemble walk under the Ito fold of
 estimators I, II and IV, the cost functional and the variance decay equal or
 match the reference computations they replace."""
@@ -20,7 +20,6 @@ from fbsde_filter.errors import (
     CFLWarning,
     FixedPointNotConverged,
     LinearSolveFailure,
-    PolicyIterationDiverged,
 )
 from fbsde_filter.estimators import (
     _lg_fixed_point,
@@ -33,9 +32,9 @@ from fbsde_filter.estimators import (
 from fbsde_filter.kalman import model_kalman, model_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid, gaussian_quadrature, registry_eval
 from fbsde_filter.pde_backward import (
+    LOG_TRANSFORM_RANGE,
     GridFunction,
     _factored_generator,
-    _warn_upwind,
     interp_matrix,
     interp_uniform,
     solve_backward_kolmogorov,
@@ -217,7 +216,8 @@ def test_cubic_kernels_multiply_out_the_cube_within_one_ulp_of_the_power():
 
 
 # ---------------------------------------------------------------------------
-# the backward sweeps and the HJB against the solve_banded loops they replaced
+# the backward sweeps against the solve_banded loops they replaced, and the HJB
+# against the sweep of its log transform
 # ---------------------------------------------------------------------------
 
 def _generator_bands(b: np.ndarray, sigma: float, dx: float):
@@ -280,54 +280,6 @@ def _implicit_ab(sub, diag, sup, dt):
     ab[1, :] = 1.0 - dt * diag
     ab[2, :-1] = -dt * sub[1:]
     return ab
-
-
-def reference_hjb_quadratic(model, space_grid, time_grid, terminal=None,
-                            max_inner=50, tol=1e-8):
-    """The HJB policy iteration with a solve_banded call per inner iteration;
-    also returns how many iterations were damped."""
-    if max_inner < 1:
-        raise ValueError(f"max_inner must be >= 1, got {max_inner}")
-    xs = space_grid.points()
-    dx = space_grid.dx
-    dt = time_grid.dt
-    K = time_grid.n_steps
-    b0 = np.asarray(model.drift(xs), dtype=float)
-    g = model.control_gain
-
-    values = np.empty((K + 1, space_grid.n_points))
-    policy = np.empty_like(values)
-    values[K] = terminal_slice(model, space_grid, terminal)
-    policy[K] = -g * np.gradient(values[K], dx)
-    any_upwind = False
-    damped = 0
-    for k in range(K - 1, -1, -1):
-        a = policy[k + 1].copy()
-        prev_change = np.inf
-        relax = 1.0
-        for it in range(max_inner):
-            sub, diag, sup, up = _generator_bands(b0 + g * a, model.sigma, dx)
-            any_upwind = any_upwind or up
-            rhs = values[k + 1] + dt * 0.5 * a * a
-            y = solve_banded((1, 1), _implicit_ab(sub, diag, sup, dt), rhs)
-            a_new = -g * np.gradient(y, dx)
-            change = float(np.max(np.abs(a_new - a)))
-            if change >= prev_change:
-                relax = max(0.25 * relax, 0.0625)  # damp oscillating sweeps
-                damped += 1
-            a = a + relax * (a_new - a)
-            prev_change = change
-            if change < tol:
-                break
-        else:
-            raise PolicyIterationDiverged(
-                f"policy iteration did not converge at step {k} "
-                f"(last change {change:.3e})"
-            )
-        values[k] = y
-        policy[k] = a
-    _warn_upwind(any_upwind, "HJB solve")
-    return GridFunction.from_values(space_grid, time_grid, values), policy, damped
 
 
 @dataclass(frozen=True)
@@ -429,43 +381,67 @@ def test_policy_sweep_equals_the_per_step_solve_banded_loop(
     assert same_bits(by_callable.values, reference)
 
 
-def check_hjb_equals_reference(model, sg, tg, **kwargs):
-    """solve_hjb_quadratic returns the reference's values and policy bit for bit,
-    or both raise PolicyIterationDiverged with the same message; returns the
-    reference's count of damped iterations, or None if it raised."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CFLWarning)
-        try:
-            y_ref, policy_ref, damped = reference_hjb_quadratic(model, sg, tg, **kwargs)
-        except PolicyIterationDiverged as exc:
-            with pytest.raises(PolicyIterationDiverged) as raised:
-                solve_hjb_quadratic(model, sg, tg, **kwargs)
-            assert str(raised.value) == str(exc)
-            return None
-        y, policy = solve_hjb_quadratic(model, sg, tg, **kwargs)
-    assert same_bits(y.values, y_ref.values)
-    assert same_bits(policy, policy_ref)
-    return damped
+def reference_psi(model, sg, tg, u, weak):
+    """The uncontrolled solve_banded sweep of psi_T = exp(u), or 1 + the sweep of
+    expm1(u) when weak (the same linear solve, rounded relative to psi - 1); None
+    where it is not finite and positive.  A drift that jumps between neighbouring
+    nodes makes the elimination pivot, and then the sweep of a psi_T spanning up to
+    e^(+-708) can overflow or lose its smallest values."""
+    try:
+        psi = reference_sweep(replace(model, f=np.expm1(u) if weak else np.exp(u)), sg, tg)
+    except ValueError:  # solve_banded refuses the right-hand side after an overflowed step
+        return None
+    psi = psi + 1.0 if weak else psi
+    return psi if np.isfinite(psi).all() and psi.min() > 0.0 else None
 
 
 @given(n_points=st.integers(6, 121), width=st.floats(0.5, 20.0),
        sigma=st.floats(0.1, 3.0), n_steps=st.integers(1, 12), dt=st.floats(1e-3, 0.2),
-       gain=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), scale=st.floats(0.0, 3.0),
-       seed=st.integers(0, 2**32 - 1))
+       gain=st.one_of(st.sampled_from([0.0, 5e-324, -1e-160, 1e-8]), st.floats(-2.0, 2.0)),
+       scale=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_hjb_equals_the_per_iteration_solve_banded_loop(n_points, width, sigma, n_steps,
-                                                         dt, gain, scale, seed):
+def test_hjb_is_the_uncontrolled_sweep_of_its_log_transform(n_points, width, sigma, n_steps,
+                                                            dt, gain, scale, seed):
+    """exp(-(y - c) / lambda), recomputed from the returned values, is the
+    uncontrolled solve_banded sweep of psi_T = exp(-(f_T - c) / lambda) to rounding;
+    the policy is bitwise -g times the value's gradient; the value is even in g and
+    the policy odd, bit for bit.  A gain whose (g / sigma)^2 is below the normal
+    range is the plain sweep of f_T; a span past the range raises."""
     rng = np.random.default_rng(seed)
     sg, tg = SpaceGrid(-0.5 * width, 0.5 * width, n_points), TimeGrid(dt * n_steps, n_steps)
     model = nodal_model(rng, sg, sigma, control_gain=gain)
-    check_hjb_equals_reference(replace(model, f=scale * model.f), sg, tg)
-
-
-def test_hjb_equals_the_reference_through_a_damped_iteration_and_at_max_inner_1():
-    sg, tg = SpaceGrid(-2.0, 2.0, 41), TimeGrid(0.2, 4)
-    model = nodal_model(np.random.default_rng(19), sg, 0.7, control_gain=1.0)
-    assert check_hjb_equals_reference(model, sg, tg) >= 1
-    assert check_hjb_equals_reference(model, sg, tg, max_inner=1) is None
+    model = replace(model, f=scale * model.f)
+    uncontrolled = replace(model, control_gain=0.0)
+    inv_lambda = (gain / sigma) * (gain / sigma)
+    c = 0.5 * model.f.min() + 0.5 * model.f.max()
+    span = (0.5 * model.f.max() - 0.5 * model.f.min()) * inv_lambda
+    transform = inv_lambda >= np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        if span > LOG_TRANSFORM_RANGE:
+            with pytest.raises(LinearSolveFailure, match="out of range"):
+                solve_hjb_quadratic(model, sg, tg)
+            return
+        if transform:
+            u, weak = (model.f - c) * -inv_lambda, span < 1.0
+            psi = reference_psi(uncontrolled, sg, tg, u, weak)
+            if psi is None:
+                with pytest.raises(LinearSolveFailure):
+                    solve_hjb_quadratic(model, sg, tg)
+                return
+        y, policy = solve_hjb_quadratic(model, sg, tg)
+        y_neg, policy_neg = solve_hjb_quadratic(replace(model, control_gain=-gain), sg, tg)
+    if transform:
+        recomputed = np.exp((y.values - c) * -inv_lambda)
+        # the read-out rounds y by eps |y|, and |y - c| / lambda is at most the span
+        bound = 4.0 * EPS * (np.abs(y.values).max() * inv_lambda + span + 1.0)
+        assert np.abs(recomputed / psi - 1.0).max() <= bound
+    else:
+        assert same_bits(y.values, reference_sweep(uncontrolled, sg, tg))
+    assert same_bits(y.values[-1], model.f)
+    assert same_bits(policy, -gain * y.gradient)
+    assert same_bits(y_neg.values, y.values)
+    assert same_bits(policy_neg, -policy)
 
 
 @given(node=st.integers(0, 40), step=st.integers(0, 9),

@@ -1,9 +1,14 @@
 """Seeds and stream keys, ESS floors, singular prior covariances, multi-channel
-zero policies, diverging truth paths and particle filters, non-finite grid
-bounds, non-integer grid counts and resampling steps."""
+zero policies, diverging truth paths and particle filters, a filter covariance
+growing where the observations do not see, an HJB past its log transform's range,
+non-finite grid bounds, non-integer grid counts and resampling steps."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +192,79 @@ def test_cli_control_reports_an_overflowing_closed_loop(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "state exceeded 1e+08 at step " in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """python3 args in a fresh interpreter on this checkout, with a numpy
+    RuntimeWarning as an error; a hang fails at the timeout."""
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join([str(SRC)] + [
+                   p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+# dSigma/dt = A^T Sigma + Sigma A + sigma^2 I - Sigma H H^T Sigma with A = 60 I: the
+# direction orthogonal to H grows as exp(120 t), unseen by the observations
+_UNSEEN_GROWTH = """
+[model]
+a = 60,0;0,60
+h = 1;0.4
+g = 1,0;0,1
+sigma = 0.8
+m0 = 0,0
+sigma0 = 1,0;0,1
+f_bar = 1,0
+
+[grid]
+t_end = 1
+n_steps = 200
+
+[control]
+mode = certainty_equivalence
+n_runs = 2
+"""
+
+
+def test_a_filter_covariance_growing_where_h_does_not_see_raises_a_riccati_blowup():
+    out = run_python(["-c", "import numpy as np\n"
+                      "from fbsde_filter.errors import RiccatiBlowup\n"
+                      "from fbsde_filter.kalman import riccati_filter\n"
+                      "from fbsde_filter.model import TimeGrid\n"
+                      "try:\n"
+                      "    riccati_filter(60.0 * np.eye(2), [[1.0], [0.4]], 0.8, np.eye(2),\n"
+                      "                   TimeGrid(1.0, 200))\n"
+                      "except RiccatiBlowup as exc:\n"
+                      "    print(exc)\n"])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "covariance entry exceeded 1e+08\n"
+
+
+def test_cli_control_reports_a_filter_covariance_growing_where_h_does_not_see(tmp_path):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(_UNSEEN_GROWTH)
+    out = run_python(["-m", "fbsde_filter.cli", "control", "--config", str(cfg),
+                      "--seed", "3", "--out", str(tmp_path)])
+    assert out.returncode == 1
+    assert out.stderr == "error: covariance entry exceeded 1e+08\n"
+
+
+def test_cli_control_hjb_reports_a_span_past_the_log_transform_range(tmp_path, capsys):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text("[model]\ndrift = double_well\nsigma = 0.14\nh = linear\n"
+                   "f = quadratic\nf_params = weight=2\ncontrol_gain = 1\n"
+                   "[grid]\nt_end = 1\nn_steps = 50\nx_min = -5.5\nx_max = 5.5\n"
+                   "n_points = 111\n"
+                   "[control]\nmode = hjb\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["control", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: HJB log transform out of range: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("make", [

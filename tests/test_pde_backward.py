@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fbsde_filter.errors import CFLWarning, GridMismatch, PolicyIterationDiverged
+from fbsde_filter.errors import CFLWarning, GridMismatch, LinearSolveFailure
 from fbsde_filter.estimators import _scalar_fixed_point
 from fbsde_filter.kalman import lq_control_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid
@@ -228,20 +228,49 @@ class TestHjbQuadratic:
                                             TimeGrid(1.0, 200))
         assert np.max(np.abs(policy + policy[:, ::-1])) < 1e-10
 
-    def test_inner_iteration_cap(self):
-        model = make_scalar("linear", {"a": -1.0}, f="quadratic",
-                            f_params={"weight": 1.0}, control_gain=1.0)
-        with pytest.raises(PolicyIterationDiverged):
-            solve_hjb_quadratic(model, SpaceGrid(-8, 8, 101), TimeGrid(1.0, 20),
-                                max_inner=1)
+    # the cli_jobs control model (f = x^2 on [-5.5, 5.5], g = 1) on a coarser grid
+    @staticmethod
+    def _double_well(sigma, gain=1.0):
+        return make_scalar("double_well", sigma=sigma, f="quadratic",
+                           f_params={"weight": 2.0}, control_gain=gain)
 
-    @pytest.mark.parametrize("max_inner", [0, -3])
-    def test_inner_iteration_budget_below_one_is_rejected(self, max_inner):
-        model = make_scalar("linear", {"a": -1.0}, f="quadratic",
-                            f_params={"weight": 1.0}, control_gain=1.0)
-        with pytest.raises(ValueError, match="max_inner"):
-            solve_hjb_quadratic(model, SpaceGrid(-8, 8, 101), TimeGrid(1.0, 20),
-                                max_inner=max_inner)
+    @pytest.mark.parametrize("gain", [1e-4, 1e-6, 1e-8])
+    def test_weak_gains_stay_within_order_g_squared_of_the_zero_gain_solve(self, gain):
+        sg, tg = SpaceGrid(-5.5, 5.5, 111), TimeGrid(1.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            y, _ = solve_hjb_quadratic(self._double_well(0.5, gain), sg, tg)
+            y0 = solve_backward_kolmogorov(self._double_well(0.5, 0.0), sg, tg)
+        # y - y0 solves the linear equation with source -(g dy/dx)^2 / 2 and zero
+        # terminal: within g^2 T max|dy/dx|^2 / 2 by the maximum principle (twice that
+        # here), plus a rounding of eps |f_T| per step
+        bound = (gain**2 * tg.t_end * np.abs(y0.gradient).max() ** 2
+                 + (tg.n_steps + 1) * np.finfo(float).eps * np.abs(y0.values[-1]).max())
+        assert np.abs(y.values - y0.values).max() <= bound
+
+    @pytest.mark.parametrize("gain", [5e-324, 1e-310, -1e-160])
+    def test_a_gain_whose_square_underflows_takes_the_zero_gain_path(self, gain):
+        sg, tg = SpaceGrid(-5.5, 5.5, 111), TimeGrid(1.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            y, policy = solve_hjb_quadratic(self._double_well(0.5, gain), sg, tg)
+            y0 = solve_backward_kolmogorov(self._double_well(0.5, 0.0), sg, tg)
+        np.testing.assert_array_equal(y.values, y0.values)
+        np.testing.assert_array_equal(policy, -gain * y0.gradient)
+
+    @pytest.mark.parametrize("sigma,in_range", [(0.15, True), (0.14, False), (0.05, False)])
+    def test_a_span_past_the_float64_range_is_a_linear_solve_failure(self, sigma, in_range):
+        # max|f_T - c| / lambda = 15.125 / sigma^2: 672 at 0.15, 772 at 0.14
+        sg, tg = SpaceGrid(-5.5, 5.5, 111), TimeGrid(1.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            if in_range:
+                y, policy = solve_hjb_quadratic(self._double_well(sigma), sg, tg)
+                assert np.isfinite(policy).all() and y.values.min() >= 0.0
+            else:
+                with pytest.raises(LinearSolveFailure, match="out of range"):
+                    solve_hjb_quadratic(self._double_well(sigma), sg, tg)
 
 
 class TestLinearBackwardVector:
