@@ -162,11 +162,15 @@ def _load_or_simulate_obs(args, model, grid) -> ObservationRecord:
     return simulate_truth_and_obs(model, grid, args.seed)
 
 
-def _run_estimator(model, parser, args, estimator_id, particles) -> EstimatorReport:
+def _run_estimators(model, parser, args, estimator_id, sizes) -> list[EstimatorReport]:
+    """One report per ensemble size in `sizes`, all on one observation record: the
+    record is simulated or loaded, the model checked on the space grid and the
+    backward solve of estimators I, II and IV made once for every size."""
     tgrid = build_time_grid(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
     if estimator_id == "pi_obs" and isinstance(model, LinearGaussianModelSpec):
-        return estimate_pi_obs(model, obs, mode=args.mode or "lg_closed_form")
+        report = estimate_pi_obs(model, obs, mode=args.mode or "lg_closed_form")
+        return [report for _ in sizes]
     scalar = scalar_view(model)
     sgrid = build_space_grid(parser)
     scalar.validate_on_grid(sgrid)
@@ -177,25 +181,32 @@ def _run_estimator(model, parser, args, estimator_id, particles) -> EstimatorRep
         else:
             y = solve_feynman_kac(scalar, sgrid, tgrid, reaction="growth")
             estimate = estimate_sigma_obs_error
-        ens = simulate_girsanov_ensemble(scalar, tgrid, obs, particles, args.seed,
-                                         ess_floor=ess_floor)
-        return estimate(scalar, obs, y, ens)
-    if estimator_id == "pi_innovation":
+
+        def run(n):
+            ens = simulate_girsanov_ensemble(scalar, tgrid, obs, n, args.seed,
+                                             ess_floor=ess_floor)
+            return estimate(scalar, obs, y, ens)
+    elif estimator_id == "pi_innovation":
         y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
         source = "self"
         if setting(parser, "estimator", "pi_h_source", _pi_h_source, "self") == "kalman":
             if not isinstance(model, LinearGaussianModelSpec):
                 raise ConfigError("pi_h_source=kalman requires a linear-Gaussian model")
             source = (model_kalman(model, obs).mean @ model.H).reshape(-1)
-        ens = simulate_innovation_ensemble(scalar, tgrid, obs, particles, args.seed,
-                                           pi_h_source=source, ess_floor=ess_floor)
-        return estimate_pi_innovation(scalar, obs, y, ens)
-    if estimator_id == "pi_obs":
-        ens = simulate_innovation_ensemble(scalar, tgrid, obs, particles, args.seed,
-                                           pi_h_source="self", ess_floor=ess_floor)
-        return estimate_pi_obs(scalar, obs, ensemble=ens, mode="fixed_point",
-                               space_grid=sgrid)
-    raise ConfigError(f"unknown estimator id {estimator_id!r}")
+
+        def run(n):
+            ens = simulate_innovation_ensemble(scalar, tgrid, obs, n, args.seed,
+                                               pi_h_source=source, ess_floor=ess_floor)
+            return estimate_pi_innovation(scalar, obs, y, ens)
+    elif estimator_id == "pi_obs":
+        def run(n):
+            ens = simulate_innovation_ensemble(scalar, tgrid, obs, n, args.seed,
+                                               pi_h_source="self", ess_floor=ess_floor)
+            return estimate_pi_obs(scalar, obs, ensemble=ens, mode="fixed_point",
+                                   space_grid=sgrid)
+    else:
+        raise ConfigError(f"unknown estimator id {estimator_id!r}")
+    return [run(n) for n in sizes]
 
 
 def _terminal_hessian(parser, n: int) -> np.ndarray:
@@ -233,7 +244,7 @@ def cmd_simulate(args, parser, model, manifest) -> None:
 
 def cmd_estimate(args, parser, model, manifest) -> None:
     estimator_id = args.estimator or setting(parser, "estimator", "id")
-    report = _run_estimator(model, parser, args, estimator_id, _particles(args, parser))
+    report, = _run_estimators(model, parser, args, estimator_id, [_particles(args, parser)])
     write_csv(manifest.add("estimate.csv"), EstimatorReport.csv_header(),
               [report.csv_row()])
     print(f"{estimator_id}: estimate={fmt(report.point_estimate)} "
@@ -309,8 +320,8 @@ def cmd_control(args, parser, model, manifest) -> None:
 
 def cmd_sweep(args, parser, model, manifest) -> None:
     estimator_id = args.estimator or setting(parser, "estimator", "id")
-    rows = [_run_estimator(model, parser, args, estimator_id, n).csv_row()
-            for n in args.particles_list]
+    reports = _run_estimators(model, parser, args, estimator_id, args.particles_list)
+    rows = [report.csv_row() for report in reports]
     write_csv(manifest.add("sweep.csv"), EstimatorReport.csv_header(), rows)
 
 

@@ -77,6 +77,7 @@ class VarianceDecayReport:
     var_std_err: np.ndarray      # sampling error of the variance estimate
     dirichlet_rhs: np.ndarray    # carre-du-champ estimate per time
     cumulative_rhs: np.ndarray   # left-point integral of the rhs
+    grid_exit_fraction: float    # share of the states read outside the space grid
 
     def to_csv(self, path) -> None:
         times = self.grid.times()
@@ -102,7 +103,7 @@ class EstimatorReport:
     dt: float | None = None
     weight_collapse: bool = False
     n_iterations: int | None = None
-    grid_exit_fraction: float | None = None  # states outside the space grid (I, II, IV)
+    grid_exit_fraction: float | None = None  # states outside the space grid; None without one
 
     def csv_row(self):
         return (self.estimator_id, self.point_estimate, self.mc_std_err,
@@ -378,7 +379,9 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     by the ensemble's innovation weights, max-shifted per step.  With S = (I - dt L)^-1
     factored once, the map's step y_k = S (y_{k+1} + dt u_k h) and u_k = -P[k] @ y_k
     give, with z = S y_{k+1}, u_k = -P[k] @ z / (1 + dt P[k] @ S h) and
-    y_k = z + dt u_k S h: one solve per step, with S h formed once.
+    y_k = z + dt u_k S h: one solve per step, with S h formed once.  Also returns
+    the share of the states read for pi_k (the quadrature nodes or the ensemble's
+    states) that lie outside the space grid, where interp_matrix clamps them.
     """
     K, dt = grid.n_steps, grid.dt
     if pi_source is not None:
@@ -389,6 +392,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
         x = ensemble.states.T
         w, wsum, _ = normalized_weights(ensemble.log_weights("innovation"))
         w = (w / wsum).T
+    exits = np.count_nonzero(x < space_grid.x_min) + np.count_nonzero(x > space_grid.x_max)
     hx = np.asarray(model.obs_fn(x), dtype=float)
     P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))
     xs = space_grid.points()
@@ -408,7 +412,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     u[K] = -np.dot(P[K], values[K])
     _warn_upwind(upwind, "sourced backward solve")
     _check_fixed_point(u + np.einsum("kj,kj->k", P, values), tol)
-    return u, GridFunction.from_values(space_grid, grid, values)
+    return u, GridFunction.from_values(space_grid, grid, values), exits / x.size
 
 
 def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None = None,
@@ -436,7 +440,7 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
     if mode == "lg_closed_form" and not lg:
         raise ModeModelMismatch("lg_closed_form requires a linear-Gaussian model")
 
-    n_paths = 0
+    n_paths, grid_exit_fraction = 0, None
     if lg:
         Sigma = covariance_path(
             Sigma_path if Sigma_path is not None else model_riccati(model, grid), grid)
@@ -458,7 +462,8 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
             _require_raw(ensemble)
             _check_grids(obs, ensemble)
             n_paths = ensemble.n_paths
-        u, y = _scalar_fixed_point(model, grid, space_grid, ensemble, pi_source, tol)
+        u, y, grid_exit_fraction = _scalar_fixed_point(model, grid, space_grid, ensemble,
+                                                       pi_source, tol)
         mu_term = prior_expectation_of_initial_slice(model, y)
         integral = -float(np.dot(u[:-1], np.asarray(obs.dZ, dtype=float).reshape(-1)))
     return EstimatorReport(
@@ -472,6 +477,7 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
         seed=obs.seed,
         dt=grid.dt,
         n_iterations=1 if mode == "fixed_point" else None,
+        grid_exit_fraction=grid_exit_fraction,
     )
 
 
@@ -525,8 +531,10 @@ def variance_decay(model, y: GridFunction, ensemble: PathEnsemble,
     sigma2 = model.sigma**2
     pi_steps = np.minimum(np.arange(K + 1), K - 1)  # step K reuses pi_{K-1}[h]
     var_y, var_se, rhs = np.empty((3, K + 1))
+    exits = 0
     blocks = _blocks(ensemble, "innovation" if centered else "girsanov", y, K + 1)
-    for rows, x, w, _ in blocks:
+    for rows, x, w, outside in blocks:
+        exits += outside
         ytil = w * y.eval(rows, x)
         dev = ytil - ytil.mean(axis=-1, keepdims=True)
         # numpy's own loop per row, as sde_sim.path_dot(dev_k, dev_k)
@@ -542,4 +550,5 @@ def variance_decay(model, y: GridFunction, ensemble: PathEnsemble,
         rhs[rows] = sigma2 * np.mean(q * q, axis=-1) + np.mean(v_dev * v_dev, axis=-1)
     cumulative = cumulative_path(rhs[:-1]) * grid.dt
     return VarianceDecayReport(grid=grid, var_y=var_y, var_std_err=var_se,
-                               dirichlet_rhs=rhs, cumulative_rhs=cumulative)
+                               dirichlet_rhs=rhs, cumulative_rhs=cumulative,
+                               grid_exit_fraction=exits / (n * (K + 1)))

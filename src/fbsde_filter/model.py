@@ -15,10 +15,9 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
     ConfigError,
@@ -28,16 +27,24 @@ from .errors import (
     UnknownFunctionName,
 )
 
-# One Gauss-Hermite rule (weight exp(-x^2)) serves every Gaussian expectation.
-_GH_NODES, _GH_WEIGHTS = hermgauss(64)
-_GH_NODES.setflags(write=False)
-_GH_WEIGHTS.setflags(write=False)
+
+@cache
+def _gauss_hermite():
+    """The one 64-node Gauss-Hermite rule (weight exp(-x^2)) behind every Gaussian
+    expectation, read-only, built on first use: numpy.polynomial is not imported
+    until then."""
+    from numpy.polynomial.hermite import hermgauss
+    nodes, weights = hermgauss(64)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def gaussian_quadrature(mean, var: float):
     """Gauss-Hermite nodes (one row per entry of `mean`) and weights for N(mean, var)."""
-    nodes = np.asarray(mean, dtype=float)[..., None] + math.sqrt(2.0 * max(var, 0.0)) * _GH_NODES
-    return nodes, _GH_WEIGHTS / math.sqrt(math.pi)
+    gh_nodes, gh_weights = _gauss_hermite()
+    nodes = np.asarray(mean, dtype=float)[..., None] + math.sqrt(2.0 * max(var, 0.0)) * gh_nodes
+    return nodes, gh_weights / math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +258,12 @@ class GaussianMixturePrior:
 
     def expectation(self, fn) -> float:
         """E[fn(X)] by Gauss-Hermite quadrature, exact enough to serve as an oracle."""
+        gh_nodes, gh_weights = _gauss_hermite()
         total = 0.0
         for w, m, v in zip(self.weights, self.means, self.variances):
-            x = m + math.sqrt(2.0 * v) * _GH_NODES
+            x = m + math.sqrt(2.0 * v) * gh_nodes
             fx = np.asarray(fn(x), dtype=float)
-            total += w * float(np.dot(_GH_WEIGHTS, fx)) / math.sqrt(math.pi)
+            total += w * float(np.dot(gh_weights, fx)) / math.sqrt(math.pi)
         return total
 
     def mass_outside(self, lo: float, hi: float) -> float:

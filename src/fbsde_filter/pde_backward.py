@@ -20,22 +20,41 @@ constant in time (no policy), they are factored once (gttrf) and each step is
 one gttrs solve; when the drift moves with a policy, each step is one gtsv
 solve, with bitwise the same arithmetic.  The quadratic-cost HJB is the
 uncontrolled sweep of exp(-y / lambda) (Fleming's logarithmic transformation).
+
+scipy.linalg, for the three tridiagonal LAPACK routines and `expm`, is imported
+on the first call that needs it (`_linalg`) and reused from then on, not at
+import: it costs more than the rest of the package (216 of 353 ms of
+`import fbsde_filter` under `python -X importtime` on a 2-vCPU host), and the
+linear-Gaussian closed forms, the simulators and the particle filters never
+solve on a grid.  `solve_banded` is served by the module `__getattr__` for
+`perfbench/tracer.py`, which looks it up by name; nothing here calls it.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg import solve_banded  # noqa: F401  unused: perfbench/tracer.py rebinds it
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure
 from .io import write_csv
 from .kalman import backward_rk4_sweep, covariance_path, dual_sweep
 from .model import CELL_AVERAGES, NamedFunction, ScalarModelSpec, SpaceGrid, TimeGrid
+
+
+@functools.cache
+def _linalg():
+    """scipy.linalg, imported on the first call (see the module docstring)."""
+    import scipy.linalg
+    return scipy.linalg
+
+
+def __getattr__(name: str):
+    if name == "solve_banded":
+        return _linalg().solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cells(space_grid: SpaceGrid, x: np.ndarray):
@@ -206,13 +225,15 @@ def _factored_generator(model, space_grid: SpaceGrid, dt: float):
     *bands, upwind = _implicit_bands(b0, model.sigma, space_grid.dx, dt)
     if not all(np.isfinite(band).all() for band in bands):
         raise LinearSolveFailure("non-finite values in tridiagonal operator")
-    dl, d, du, du2, ipiv, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1,
-                                        overwrite_du=1)
+    lapack = _linalg().lapack
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(*bands, overwrite_dl=1, overwrite_d=1,
+                                               overwrite_du=1)
     if info != 0:
         raise LinearSolveFailure(f"singular tridiagonal operator (gttrf info {info})")
+    gttrs = lapack.dgttrs
 
     def solve(rhs):
-        out, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        out, info = gttrs(dl, d, du, du2, ipiv, rhs)
         if info != 0 or not np.isfinite(out).all():
             raise LinearSolveFailure("non-finite values in tridiagonal solve")
         return out
@@ -223,8 +244,8 @@ def _factored_generator(model, space_grid: SpaceGrid, dt: float):
 def _solve_bands(dl, d, du, rhs):
     """One gtsv solve of the tridiagonal system (`_implicit_bands`) x = rhs; the
     bands are overwritten, rhs is not."""
-    _, _, _, out, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
-                               overwrite_du=1)
+    _, _, _, out, info = _linalg().lapack.dgtsv(dl, d, du, rhs, overwrite_dl=1,
+                                                overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise LinearSolveFailure(f"singular tridiagonal operator (gtsv info {info})")
     if not np.isfinite(out).all():
@@ -407,7 +428,7 @@ def linear_backward_vector(A, f_bar, time_grid: TimeGrid) -> BackwardVector:
     (as Phi_k = expm(dt A)^T), so each step is exact to machine precision.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    E = expm(time_grid.dt * A)
+    E = _linalg().expm(time_grid.dt * A)
     Phi = np.broadcast_to(E.T, (time_grid.n_steps,) + E.shape)
     return BackwardVector(time_grid, dual_sweep(Phi, np.asarray(f_bar, dtype=float).reshape(-1)))
 

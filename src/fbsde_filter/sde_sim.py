@@ -342,7 +342,8 @@ class PathEnsemble:
     layout, and any other layout gives the same numbers.  Weight processes are
     stored in the log domain (log-weight 0 at t = 0).  Innovation-weighted
     ensembles also record the realized mean-field path pi_h and the innovation
-    increments they were driven by.
+    increments they were driven by.  Construction checks the shapes (O(1)):
+    a mismatch raises GridMismatch.
     """
 
     grid: TimeGrid
@@ -355,6 +356,21 @@ class PathEnsemble:
     stream: int | None = None
     resample_steps: tuple = ()
     collapse_step: int | None = None
+
+    def __post_init__(self):
+        K = self.grid.n_steps
+        shape = np.shape(self.states)
+        if len(shape) != 2 or shape[1] != K + 1:
+            raise GridMismatch(f"states must have shape (N, {K + 1}), got {shape}")
+        for name in ("log_weights_innovation", "log_weights_girsanov"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != shape:
+                raise GridMismatch(f"{name} must have the states' shape {shape}, "
+                                   f"got {np.shape(value)}")
+        for name in ("pi_h_path", "innovation_increments"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != (K,):
+                raise GridMismatch(f"{name} must have {K} entries, got shape {np.shape(value)}")
 
     @property
     def n_paths(self) -> int:
@@ -388,10 +404,12 @@ class PathEnsemble:
 
     @staticmethod
     def from_npz(path) -> "PathEnsemble":
+        """Load an ensemble; its shapes must agree (GridMismatch) and its states and
+        log-weights must be finite (ValueError)."""
         with np.load(path) as data:
             grid = TimeGrid(float(data["t_end"]), int(data["n_steps"]))
             get = lambda k: data[k] if k in data else None
-            return PathEnsemble(
+            ensemble = PathEnsemble(
                 grid=grid,
                 states=data["states"],
                 log_weights_innovation=get("log_weights_innovation"),
@@ -402,6 +420,11 @@ class PathEnsemble:
                 stream=int(data["stream"]) if "stream" in data else None,
                 resample_steps=tuple(int(s) for s in data["resample_steps"]),
             )
+        for name in ("states", "log_weights_innovation", "log_weights_girsanov"):
+            value = getattr(ensemble, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"ensemble holds non-finite values in {name}")
+        return ensemble
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fbsde_filter import cli
 from fbsde_filter.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_TRUTH,
@@ -142,6 +143,29 @@ class TestSweep:
         ses = [float(r.split(",")[2]) for r in rows]
         assert len(ses) == 3
         assert ses[0] > ses[1] > ses[2]
+
+    @pytest.mark.parametrize("template, estimator", [
+        (LG_CONFIG, "sigma_obs"), (LG_CONFIG, "pi_innovation"), (LG_CONFIG, "sigma_obs_error"),
+        (LG_CONFIG, "pi_obs"), (DW_CONFIG, "pi_obs")])
+    def test_rows_equal_the_per_size_estimate_rows_on_one_record(self, tmp_path, monkeypatch,
+                                                                 template, estimator):
+        cfg, out = write_config(tmp_path, template=template)
+        sizes = ["40", "90"]
+        rows = []
+        for n in sizes:
+            assert main(["estimate", "--config", str(cfg), "--seed", "2", "--estimator",
+                         estimator, "--particles", n]) == EXIT_OK
+            rows.append((out / "estimate.csv").read_text().splitlines()[1])
+        simulated = []
+
+        def counting(*args, **kwargs):
+            simulated.append(args)
+            return simulate_truth_and_obs(*args, **kwargs)
+        monkeypatch.setattr(cli, "simulate_truth_and_obs", counting)
+        assert main(["sweep", "--config", str(cfg), "--seed", "2", "--estimator", estimator,
+                     "--particles-list", ",".join(sizes)]) == EXIT_OK
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == rows
+        assert len(simulated) == 1
 
 
 class TestVariance:

@@ -24,7 +24,7 @@ from fbsde_filter.estimators import (
     variance_decay,
 )
 from fbsde_filter.kalman import model_kalman, model_riccati
-from fbsde_filter.model import SpaceGrid, TimeGrid
+from fbsde_filter.model import SpaceGrid, TimeGrid, gaussian_quadrature
 from fbsde_filter.particle import pi_estimate, resample_multinomial, sigma_estimate
 from fbsde_filter.pde_backward import solve_backward_kolmogorov, solve_feynman_kac
 from fbsde_filter.sde_sim import (
@@ -234,6 +234,49 @@ class TestFoldHealth:
                                         grid, 1000)
         for report, _ in reports:
             assert report.grid_exit_fraction == 0.0, report.estimator_id
+
+    def test_variance_decay_gives_its_share_of_states(self, lg_scalar, lg_setup):
+        grid, sg, obs, _, _, y = lg_setup
+        ens = simulate_girsanov_ensemble(lg_scalar, grid, obs, 300, seed=5)
+        narrow = SpaceGrid(-0.5, 0.5, 101)
+        report = variance_decay(lg_scalar, solve_backward_kolmogorov(lg_scalar, narrow, grid),
+                                ens, flavor="sigma")
+        states = ens.states  # the report reads steps 0 .. K
+        outside = np.count_nonzero((states < -0.5) | (states > 0.5)) / states.size
+        assert 0.0 < report.grid_exit_fraction == outside
+        assert variance_decay(lg_scalar, y, ens, flavor="sigma").grid_exit_fraction == 0.0
+
+    def test_estimator_iii_gives_its_share_of_the_states_it_reads(self, lg_benchmark, lg_scalar,
+                                                                   lg_setup):
+        grid, _, obs, _, state, _ = lg_setup
+        narrow = SpaceGrid(-1.0, 1.0, 101)
+        # a Gaussian pi source: the quadrature nodes of every step
+        report = estimate_pi_obs(lg_scalar, obs, mode="fixed_point", pi_source=state,
+                                 space_grid=narrow)
+        nodes = np.array([gaussian_quadrature(m, v)[0] for m, v in
+                          zip(state.mean[:, 0], state.covariance[:, 0, 0])])
+        outside = np.count_nonzero((nodes < -1.0) | (nodes > 1.0)) / nodes.size
+        assert 0.0 < report.grid_exit_fraction == outside
+        # the weighted ensemble: its states at every step
+        ens = simulate_innovation_ensemble(lg_scalar, grid, obs, 300, seed=6)
+        report = estimate_pi_obs(lg_scalar, obs, ensemble=ens, mode="fixed_point",
+                                 space_grid=narrow)
+        outside = np.count_nonzero((ens.states < -1.0) | (ens.states > 1.0)) / ens.states.size
+        assert 0.0 < report.grid_exit_fraction == outside
+        # the linear-Gaussian modes read no space grid
+        for mode in ("lg_closed_form", "fixed_point"):
+            assert estimate_pi_obs(lg_benchmark, obs, mode=mode).grid_exit_fraction is None
+
+    @pytest.mark.parametrize("seed", [1, 101])
+    def test_estimator_iii_does_not_leave_the_cli_jobs_grid(self, double_well, seed):
+        grid, sg = TimeGrid(1.0, 500), SpaceGrid(-5.5, 5.5, 601)
+        obs = simulate_truth_and_obs(double_well, grid, seed=seed)
+        ens = simulate_innovation_ensemble(double_well, grid, obs, 300, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            report = estimate_pi_obs(double_well, obs, ensemble=ens, mode="fixed_point",
+                                     space_grid=sg)
+        assert report.grid_exit_fraction == 0.0
 
     @pytest.mark.parametrize("from_step", [0, 100])
     def test_girsanov_weights_that_all_underflow_raise(self, lg_scalar, lg_setup, from_step):

@@ -550,7 +550,7 @@ def check_scalar_fixed_point(model, obs, sg, report, u_ref, estimate_ref, **sour
     its y, it is within tol of the reference iteration, and a tol at the
     achieved residual raises."""
     grid = obs.grid
-    u, y = _scalar_fixed_point(model, grid, sg, tol=1e-6, **source)
+    u, y, _ = _scalar_fixed_point(model, grid, sg, tol=1e-6, **source)
     h = np.asarray(model.obs_fn(sg.points()), dtype=float)
     y_again = solve_backward_with_source(model, sg, grid, running_cost=lambda k, xs, a: u[k] * h)
     assert report.n_iterations == 1
@@ -608,7 +608,7 @@ def test_fixed_point_on_the_cli_jobs_grid_matches_the_reference_iteration(double
     ens = simulate_innovation_ensemble(double_well, grid, obs, n_paths, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CFLWarning)
-        u, y = _scalar_fixed_point(double_well, grid, sg, ens, None, 1e-6)
+        u, y, _ = _scalar_fixed_point(double_well, grid, sg, ens, None, 1e-6)
         u_ref, _ = reference_fixed_point(double_well, obs, sg, ensemble=ens)
         h = np.asarray(double_well.obs_fn(sg.points()), dtype=float)
         y_again = solve_backward_with_source(double_well, sg, grid,

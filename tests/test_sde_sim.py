@@ -139,6 +139,38 @@ class TestGirsanovEnsemble:
         assert np.array_equal(obs.Z, oback.Z)
         assert np.array_equal(obs.X_truth, oback.X_truth)
 
+    def test_malformed_arrays_are_rejected(self, lg_scalar, grid_500):
+        obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
+        ens = simulate_innovation_ensemble(lg_scalar, grid_500, obs, 16, seed=8)
+        K = grid_500.n_steps
+        bad = {"states": ens.states[:, :30],
+               "log_weights_innovation": ens.log_weights_innovation[:, 1:],
+               "log_weights_girsanov": ens.log_weights_innovation[:8],
+               "pi_h_path": ens.pi_h_path[:-1],
+               "innovation_increments": np.zeros(K + 1)}
+        for name, value in bad.items():
+            with pytest.raises(GridMismatch, match=name):
+                dataclasses.replace(ens, **{name: value})
+        with pytest.raises(GridMismatch, match="states"):
+            dataclasses.replace(ens, states=ens.states[:, 0])
+
+    def test_npz_with_truncated_or_non_finite_arrays_is_rejected(self, lg_scalar, grid_500,
+                                                                 tmp_path):
+        obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
+        ens = simulate_girsanov_ensemble(lg_scalar, grid_500, obs, 20, seed=8)
+        path = tmp_path / "ens.npz"
+        ens.to_npz(path)
+        with np.load(path) as data:
+            saved = dict(data)
+        for name, edit, error in (
+                ("states", lambda a: a[:, :30], GridMismatch),
+                ("states", lambda a: np.full_like(a, np.nan), ValueError),
+                ("log_weights_girsanov", lambda a: np.where(a == a[3, 7], np.inf, a),
+                 ValueError)):
+            np.savez_compressed(tmp_path / "bad.npz", **{**saved, name: edit(saved[name])})
+            with pytest.raises(error, match=name):
+                PathEnsemble.from_npz(tmp_path / "bad.npz")
+
 
 class TestInnovationEnsemble:
     def test_zero_h_unit_weights(self, grid_500):
