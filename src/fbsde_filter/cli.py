@@ -61,6 +61,7 @@ from .pde_backward import GridFunction, solve_backward_kolmogorov, solve_feynman
 from .sde_sim import (
     ObservationRecord,
     check_ess_floor,
+    check_n_paths,
     check_seed,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
@@ -118,7 +119,8 @@ def _int_at_least(minimum: int, what: str):
     return convert
 
 
-_ensemble_size = _int_at_least(2, "an ensemble size")  # one path has no spread
+def _ensemble_size(text: str) -> int:
+    return check_n_paths(int(text))
 
 
 def _pi_h_source(text: str) -> str:
@@ -166,6 +168,9 @@ def _run_estimators(model, parser, args, estimator_id, sizes) -> list[EstimatorR
     """One report per ensemble size in `sizes`, all on one observation record: the
     record is simulated or loaded, the model checked on the space grid and the
     backward solve of estimators I, II and IV made once for every size."""
+    if args.mode is not None and estimator_id in ("sigma_obs", "sigma_obs_error",
+                                                  "pi_innovation"):
+        raise ConfigError(f"--mode does not apply to {estimator_id}, which has no modes")
     tgrid = build_time_grid(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
     if estimator_id == "pi_obs" and isinstance(model, LinearGaussianModelSpec):
@@ -202,7 +207,7 @@ def _run_estimators(model, parser, args, estimator_id, sizes) -> list[EstimatorR
         def run(n):
             ens = simulate_innovation_ensemble(scalar, tgrid, obs, n, args.seed,
                                                pi_h_source="self", ess_floor=ess_floor)
-            return estimate_pi_obs(scalar, obs, ensemble=ens, mode="fixed_point",
+            return estimate_pi_obs(scalar, obs, ensemble=ens, mode=args.mode or "fixed_point",
                                    space_grid=sgrid)
     else:
         raise ConfigError(f"unknown estimator id {estimator_id!r}")

@@ -217,13 +217,13 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
     K, dt, sqdt = grid.n_steps, grid.dt, math.sqrt(grid.dt)
     g = model.control_gain
     f_cost = terminal_cost if terminal_cost is not None else model.terminal
+    steps = particle_steps(model, grid, n_particles, seed, ess_floor, 0)
 
     gen_x = path_generator(seed, STREAM_CONTROL_STATE, 0)
     gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
     x_truth = float(model.prior.sample(gen_x, 1)[0])
     xi = gen_x.standard_normal(K)
     eta = gen_z.standard_normal(K)
-    steps = particle_steps(model, grid, n_particles, seed, ess_floor * n_particles, 0)
 
     cost = 0.0
     trace = np.empty(K + 1)

@@ -103,7 +103,8 @@ class EstimatorReport:
     dt: float | None = None
     weight_collapse: bool = False
     n_iterations: int | None = None
-    grid_exit_fraction: float | None = None  # states outside the space grid; None without one
+    # share of the states outside the space grid (estimator III: their pi-mass); None without one
+    grid_exit_fraction: float | None = None
 
     def csv_row(self):
         return (self.estimator_id, self.point_estimate, self.mc_std_err,
@@ -380,8 +381,9 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     factored once, the map's step y_k = S (y_{k+1} + dt u_k h) and u_k = -P[k] @ y_k
     give, with z = S y_{k+1}, u_k = -P[k] @ z / (1 + dt P[k] @ S h) and
     y_k = z + dt u_k S h: one solve per step, with S h formed once.  Also returns
-    the share of the states read for pi_k (the quadrature nodes or the ensemble's
-    states) that lie outside the space grid, where interp_matrix clamps them.
+    the pi-mass that interp_matrix clamps, sum_k sum_i w_ki 1{x_ki off the grid} /
+    (K + 1), with w_k the normalised weights of step k's states (the quadrature
+    nodes' weights or the ensemble's innovation weights).
     """
     K, dt = grid.n_steps, grid.dt
     if pi_source is not None:
@@ -392,7 +394,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
         x = ensemble.states.T
         w, wsum, _ = normalized_weights(ensemble.log_weights("innovation"))
         w = (w / wsum).T
-    exits = np.count_nonzero(x < space_grid.x_min) + np.count_nonzero(x > space_grid.x_max)
+    exits = w[(x < space_grid.x_min) | (x > space_grid.x_max)].sum() / (K + 1)
     hx = np.asarray(model.obs_fn(x), dtype=float)
     P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))
     xs = space_grid.points()
@@ -412,7 +414,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     u[K] = -np.dot(P[K], values[K])
     _warn_upwind(upwind, "sourced backward solve")
     _check_fixed_point(u + np.einsum("kj,kj->k", P, values), tol)
-    return u, GridFunction.from_values(space_grid, grid, values), exits / x.size
+    return u, GridFunction.from_values(space_grid, grid, values), float(exits)
 
 
 def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None = None,

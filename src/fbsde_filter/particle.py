@@ -26,6 +26,7 @@ from .sde_sim import (
     _check_state,
     _ensemble_noise,
     check_ess_floor,
+    check_n_paths,
     normalized_weights,
     path_dot,
     path_generator,
@@ -148,13 +149,19 @@ class FilterResult:
     resample_steps: tuple
 
 
-def particle_steps(model, grid: TimeGrid, n_paths: int, seed: int, floor: float,
+def particle_steps(model, grid: TimeGrid, n_paths: int, seed: int, ess_floor: float,
                    resample_index: int):
     """Generator of the particle loop: yields (x, w, wsum, ess, resampled) at
     k = 0 .. K after resampling (key index `resample_index`) if the ESS, read
-    before, is below floor; w, wsum weigh the x handed out.  Sending back
-    (dZ_k, drift shift or None) takes step k, its new row checked for overflow.
+    before, is below ess_floor * n_paths; w, wsum weigh the x handed out.  Sending
+    back (dZ_k, drift shift or None) takes step k, its new row checked for
+    overflow.  n_paths is checked (`check_n_paths`) here, before any draw.
     """
+    n_paths = check_n_paths(n_paths)
+    return _particle_loop(model, grid, n_paths, seed, ess_floor * n_paths, resample_index)
+
+
+def _particle_loop(model, grid, n_paths, seed, floor, resample_index):
     sm = scalar_view(model)
     u0, z0, rows = _ensemble_noise(seed, STREAM_FILTER, n_paths, grid.n_steps)
     x = sm.prior.from_draws(u0, z0)
@@ -184,7 +191,7 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     """
     if not obs.grid.matches(grid):
         raise GridMismatch("observation record does not cover the requested grid")
-    floor = check_ess_floor(ess_floor) * n_paths
+    ess_floor = check_ess_floor(ess_floor)
     fns = {"x": lambda x: x, **(observables or {})}
     K = grid.n_steps
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
@@ -194,7 +201,7 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     ess_path = np.empty(K + 1)  # before the resampling decision
     seen_path = np.empty(K + 1)  # the ESS the estimates see
     resample_steps = []
-    steps = particle_steps(model, grid, n_paths, seed, floor, 1)
+    steps = particle_steps(model, grid, n_paths, seed, ess_floor, 1)
     for k in range(K + 1):  # step k - 1 is taken on dZ[k - 1], unshifted
         x, w, wsum, ess, resampled = steps.send(None if k == 0 else (dZ[k - 1], None))
         if resampled:

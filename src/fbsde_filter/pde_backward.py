@@ -21,18 +21,32 @@ one gttrs solve; when the drift moves with a policy, each step is one gtsv
 solve, with bitwise the same arithmetic.  The quadratic-cost HJB is the
 uncontrolled sweep of exp(-y / lambda) (Fleming's logarithmic transformation).
 
-scipy.linalg, for the three tridiagonal LAPACK routines and `expm`, is imported
-on the first call that needs it (`_linalg`) and reused from then on, not at
-import: it costs more than the rest of the package (216 of 353 ms of
-`import fbsde_filter` under `python -X importtime` on a 2-vCPU host), and the
-linear-Gaussian closed forms, the simulators and the particle filters never
-solve on a grid.  `solve_banded` is served by the module `__getattr__` for
-`perfbench/tracer.py`, which looks it up by name; nothing here calls it.
+The three tridiagonal LAPACK routines (dgttrf, dgttrs, dgtsv) come from scipy's
+compiled LAPACK module, `scipy.linalg._flapack`, which `_lapack` loads on the
+first grid solve and reuses from then on.  It loads that extension file on its
+own, under its own name in `sys.modules`, after the top-level `scipy` package
+(which loads its submodules lazily and, on Windows, registers scipy's DLL
+directory), and never runs `scipy.linalg/__init__`.  That package import cost
+190-318 ms under `python -X importtime` on a 2-vCPU host, mostly scipy's
+array-API layer, which imports `numpy.f2py`, `numpy.testing` and `numpy.ma`;
+the module alone loads in about 5 ms.  A later `import scipy.linalg` reuses the
+registered module, so `scipy.linalg.lapack.dgttrf` and its two siblings are the
+very objects the solves call.  Nothing is loaded at import: the linear-Gaussian
+closed forms, the simulators and the particle filters never solve on a grid.
+
+scipy.linalg itself (`_linalg`) is imported only for `expm`, which only
+`linear_backward_vector` uses, and for `solve_banded`, served by the module
+`__getattr__` for `perfbench/tracer.py`, which looks it up by name; nothing here
+calls it.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -49,6 +63,32 @@ def _linalg():
     """scipy.linalg, imported on the first call (see the module docstring)."""
     import scipy.linalg
     return scipy.linalg
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module, `scipy.linalg._flapack`, loaded on the first
+    call without `scipy.linalg/__init__` and registered under its own name, or the
+    one already in sys.modules (see the module docstring)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)), None)
+    if path is None:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        raise ImportError(f"scipy's LAPACK module {stem}{suffix} is missing", name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:  # as the import system does: leave no half-made module behind
+        del sys.modules[name]
+        raise
+    return module
 
 
 def __getattr__(name: str):
@@ -225,7 +265,7 @@ def _factored_generator(model, space_grid: SpaceGrid, dt: float):
     *bands, upwind = _implicit_bands(b0, model.sigma, space_grid.dx, dt)
     if not all(np.isfinite(band).all() for band in bands):
         raise LinearSolveFailure("non-finite values in tridiagonal operator")
-    lapack = _linalg().lapack
+    lapack = _lapack()
     dl, d, du, du2, ipiv, info = lapack.dgttrf(*bands, overwrite_dl=1, overwrite_d=1,
                                                overwrite_du=1)
     if info != 0:
@@ -244,8 +284,8 @@ def _factored_generator(model, space_grid: SpaceGrid, dt: float):
 def _solve_bands(dl, d, du, rhs):
     """One gtsv solve of the tridiagonal system (`_implicit_bands`) x = rhs; the
     bands are overwritten, rhs is not."""
-    _, _, _, out, info = _linalg().lapack.dgtsv(dl, d, du, rhs, overwrite_dl=1,
-                                                overwrite_d=1, overwrite_du=1)
+    _, _, _, out, info = _lapack().dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                                         overwrite_du=1)
     if info != 0:
         raise LinearSolveFailure(f"singular tridiagonal operator (gtsv info {info})")
     if not np.isfinite(out).all():

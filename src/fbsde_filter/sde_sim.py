@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import (GridMismatch, MissingTruthPath, SimulationDiverged, WeightCollapse,
                      WeightUnderflow)
-from .model import LinearGaussianModelSpec, TimeGrid, scalar_view
+from .model import LinearGaussianModelSpec, TimeGrid, _check_count, scalar_view
 
 STATE_OVERFLOW = 1.0e8
 
@@ -245,6 +245,13 @@ def check_ess_floor(ess_floor) -> float:
     if not 0.0 <= floor <= 1.0:  # also rejects NaN
         raise ValueError(f"ess_floor must be in [0, 1], got {ess_floor!r}")
     return floor
+
+
+def check_n_paths(n_paths) -> int:
+    """n_paths as an int: an ensemble size must be an integer (a numpy one too, not
+    a bool) of at least 2, since one path has no spread."""
+    _check_count("n_paths", n_paths, 2)
+    return int(n_paths)
 
 
 def resample_indices(gen: np.random.Generator, w: np.ndarray, wsum) -> np.ndarray:
@@ -509,6 +516,7 @@ def _simulate_weighted_ensemble(
     an independent Brownian motion (used by the martingale and
     unconditional-variance checks).
     """
+    n_paths = check_n_paths(n_paths)
     sm = scalar_view(model)
     dt = grid.dt
     K = grid.n_steps

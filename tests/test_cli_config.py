@@ -1,4 +1,5 @@
-"""The CLI config schema, typed settings, --obs checks, ensemble sizes and 2-state runs."""
+"""The CLI config schema, typed settings, --obs checks, ensemble sizes, --mode and 2-state
+runs."""
 
 import csv
 
@@ -108,6 +109,37 @@ def test_ensemble_size_flags_below_two_exit_2(tmp_path, capsys, flags):
         run(tmp_path, OU, "estimate", "--estimator", "sigma_obs", *flags)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_ensemble_sizes_are_the_library_path_count_check(tmp_path, capsys):
+    assert run(tmp_path, OU + "\n[estimator]\nparticles = 1\n", "estimate",
+               "--estimator", "sigma_obs") == EXIT_CONFIG
+    assert "n_paths must be an integer >= 2, got 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run(tmp_path, OU, "estimate", "--estimator", "sigma_obs", "--particles", "1")
+    assert "n_paths must be an integer >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, code, message", [
+    ("lg_closed_form", EXIT_ERROR, "error: lg_closed_form requires a linear-Gaussian model"),
+    ("bogus", EXIT_ERROR, "error: unknown mode 'bogus'"),
+    ("fixed_point", EXIT_OK, ""),
+])
+def test_scalar_pi_obs_runs_the_mode_it_is_given(tmp_path, capsys, mode, code, message):
+    assert run(tmp_path, DW, "estimate", "--estimator", "pi_obs", "--particles", "50",
+               "--mode", mode) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("estimator", ["sigma_obs", "sigma_obs_error", "pi_innovation"])
+def test_mode_for_an_estimator_without_modes_exits_2(tmp_path, capsys, estimator):
+    for sub, sizes in (("estimate", "--particles"), ("sweep", "--particles-list")):
+        assert run(tmp_path, OU, sub, "--estimator", estimator, sizes, "50",
+                   "--mode", "fixed_point") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: --mode does not apply to {estimator}" in err
+    assert run(tmp_path, OU, "estimate", "--estimator", estimator, "--particles", "50") == EXIT_OK
 
 
 def test_particles_list_entry_below_two_exits_2(tmp_path):

@@ -246,23 +246,37 @@ class TestFoldHealth:
         assert 0.0 < report.grid_exit_fraction == outside
         assert variance_decay(lg_scalar, y, ens, flavor="sigma").grid_exit_fraction == 0.0
 
-    def test_estimator_iii_gives_its_share_of_the_states_it_reads(self, lg_benchmark, lg_scalar,
-                                                                   lg_setup):
-        grid, _, obs, _, state, _ = lg_setup
-        narrow = SpaceGrid(-1.0, 1.0, 101)
-        # a Gaussian pi source: the quadrature nodes of every step
-        report = estimate_pi_obs(lg_scalar, obs, mode="fixed_point", pi_source=state,
-                                 space_grid=narrow)
+    def test_estimator_iii_gives_the_pi_mass_it_clamps(self, lg_benchmark, lg_scalar, lg_setup):
+        grid, sg, obs, _, state, _ = lg_setup
+        K, narrow = grid.n_steps, SpaceGrid(-1.0, 1.0, 101)
+
+        def clamped_mass(x, w):  # sum_k sum_i w_ki 1{x_ki off the grid} / (K + 1), step by step
+            return sum(float(np.dot(w[k], (x[k] < -1.0) | (x[k] > 1.0)))
+                       for k in range(K + 1)) / (K + 1)
+
+        # a Gaussian pi source: the quadrature nodes of every step and their weights
         nodes = np.array([gaussian_quadrature(m, v)[0] for m, v in
                           zip(state.mean[:, 0], state.covariance[:, 0, 0])])
-        outside = np.count_nonzero((nodes < -1.0) | (nodes > 1.0)) / nodes.size
-        assert 0.0 < report.grid_exit_fraction == outside
-        # the weighted ensemble: its states at every step
+        weights = np.tile(gaussian_quadrature(0.0, 1.0)[1], (K + 1, 1))
+        report = estimate_pi_obs(lg_scalar, obs, mode="fixed_point", pi_source=state,
+                                 space_grid=narrow)
+        assert 0.0 < report.grid_exit_fraction
+        assert report.grid_exit_fraction == pytest.approx(clamped_mass(nodes, weights),
+                                                          rel=1e-12)
+        # on the criterion grid the outermost nodes lie outside, but carry almost no mass
+        report = estimate_pi_obs(lg_scalar, obs, mode="fixed_point", pi_source=state,
+                                 space_grid=sg)
+        assert np.count_nonzero((nodes < -8.0) | (nodes > 8.0)) > 0
+        assert 0.0 < report.grid_exit_fraction <= 1e-14
+        # the weighted ensemble: its states at every step and their innovation weights
         ens = simulate_innovation_ensemble(lg_scalar, grid, obs, 300, seed=6)
+        lw = ens.log_weights("innovation").T
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
         report = estimate_pi_obs(lg_scalar, obs, ensemble=ens, mode="fixed_point",
                                  space_grid=narrow)
-        outside = np.count_nonzero((ens.states < -1.0) | (ens.states > 1.0)) / ens.states.size
-        assert 0.0 < report.grid_exit_fraction == outside
+        assert 0.0 < report.grid_exit_fraction
+        assert report.grid_exit_fraction == pytest.approx(
+            clamped_mass(ens.states.T, w / w.sum(axis=1, keepdims=True)), rel=1e-12)
         # the linear-Gaussian modes read no space grid
         for mode in ("lg_closed_form", "fixed_point"):
             assert estimate_pi_obs(lg_benchmark, obs, mode=mode).grid_exit_fraction is None

@@ -1,4 +1,4 @@
-"""Seeds and stream keys, ESS floors, singular prior covariances, multi-channel
+"""Seeds and stream keys, ESS floors, path counts, singular prior covariances, multi-channel
 zero policies, diverging truth paths and particle filters, a filter covariance
 growing where the observations do not see, an HJB past its log transform's range,
 non-finite grid bounds, non-integer grid counts and resampling steps."""
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fbsde_filter import control, particle, sde_sim
 from fbsde_filter.cli import main
 from fbsde_filter.control import (
     PolicyField,
@@ -21,7 +22,12 @@ from fbsde_filter.control import (
 )
 from fbsde_filter.errors import SimulationDiverged
 from fbsde_filter.model import LinearGaussianModelSpec, SpaceGrid, TimeGrid
-from fbsde_filter.particle import pi_estimate, resample_multinomial, run_particle_filter
+from fbsde_filter.particle import (
+    particle_steps,
+    pi_estimate,
+    resample_multinomial,
+    run_particle_filter,
+)
 from fbsde_filter.sde_sim import (
     STREAM_GIRSANOV,
     path_generator,
@@ -79,6 +85,43 @@ def test_an_ess_floor_outside_zero_to_one_is_rejected(ess_floor):
             call()
     for floor in (0.0, 1.0):  # the ends of the range stay allowed
         run_particle_filter(model, grid, obs, 50, 1, ess_floor=floor)
+
+
+@pytest.mark.parametrize("n_paths", [1, 0, -3, 2.0, True, np.float64(50.0), np.True_, "50"])
+def test_a_path_count_that_is_not_an_integer_of_at_least_two_is_rejected(monkeypatch, n_paths):
+    model = make_scalar("linear", {"a": -1.0}, f="quadratic", control_gain=1.0)
+    grid = TimeGrid(1.0, 10)
+    obs = simulate_truth_and_obs(model, grid, seed=1)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn before the path count was checked")
+
+    for module in (sde_sim, particle, control):  # every route to the noise streams
+        for name in ("path_generator", "_ensemble_noise"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_draws)
+    calls = [
+        lambda: simulate_girsanov_ensemble(model, grid, obs, n_paths, 1),
+        lambda: simulate_innovation_ensemble(model, grid, obs, n_paths, 1),
+        lambda: particle_steps(model, grid, n_paths, 1, 0.5, 1),
+        lambda: run_particle_filter(model, grid, obs, n_paths, 1),
+        lambda: certainty_equivalence_run(model, PolicyField.zero(grid), grid, 1,
+                                          filter_particles=n_paths),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^n_paths must be an integer >= 2"):
+            call()
+
+
+def test_path_counts_take_numpy_integers():
+    model = make_scalar("linear", {"a": -1.0}, f="quadratic", control_gain=1.0)
+    grid = TimeGrid(1.0, 10)
+    obs = simulate_truth_and_obs(model, grid, seed=1)
+    for n in (2, np.int64(2), np.int32(50)):
+        assert simulate_girsanov_ensemble(model, grid, obs, n, 1).n_paths == n
+        assert simulate_innovation_ensemble(model, grid, obs, n, 1).n_paths == n
+        assert run_particle_filter(model, grid, obs, n, 1).ess.shape == (11,)
+        certainty_equivalence_run(model, PolicyField.zero(grid), grid, 1, filter_particles=n)
 
 
 def _lg2(Sigma0, G=None):
