@@ -27,7 +27,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, FbsdeFilterError, MissingTruthPath
 from .estimators import (
+    ESTIMATOR_IDS,
     EstimatorReport,
+    check_pi_obs_mode,
     estimate_pi_innovation,
     estimate_pi_obs,
     estimate_sigma_obs,
@@ -164,13 +166,26 @@ def _load_or_simulate_obs(args, model, grid) -> ObservationRecord:
     return simulate_truth_and_obs(model, grid, args.seed)
 
 
+def _estimator_id(args, parser, model, ids=ESTIMATOR_IDS) -> str:
+    """The run's estimator id (--estimator, else [estimator] id), checked with --mode
+    before any work: an id outside `ids`, or --mode with any estimator but pi_obs,
+    is a ConfigError; a pi_obs mode that estimate_pi_obs does not run on `model`
+    raises its ModeModelMismatch."""
+    estimator_id = args.estimator or setting(parser, "estimator", "id")
+    if estimator_id not in ids:
+        raise ConfigError(f"unknown estimator id {estimator_id!r} for {args.subcommand} "
+                          f"(expected one of {', '.join(ids)})")
+    if args.mode is not None:
+        if estimator_id != "pi_obs":
+            raise ConfigError(f"--mode does not apply to {estimator_id}, which has no modes")
+        check_pi_obs_mode(model, args.mode)
+    return estimator_id
+
+
 def _run_estimators(model, parser, args, estimator_id, sizes) -> list[EstimatorReport]:
     """One report per ensemble size in `sizes`, all on one observation record: the
     record is simulated or loaded, the model checked on the space grid and the
     backward solve of estimators I, II and IV made once for every size."""
-    if args.mode is not None and estimator_id in ("sigma_obs", "sigma_obs_error",
-                                                  "pi_innovation"):
-        raise ConfigError(f"--mode does not apply to {estimator_id}, which has no modes")
     tgrid = build_time_grid(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
     if estimator_id == "pi_obs" and isinstance(model, LinearGaussianModelSpec):
@@ -203,14 +218,12 @@ def _run_estimators(model, parser, args, estimator_id, sizes) -> list[EstimatorR
             ens = simulate_innovation_ensemble(scalar, tgrid, obs, n, args.seed,
                                                pi_h_source=source, ess_floor=ess_floor)
             return estimate_pi_innovation(scalar, obs, y, ens)
-    elif estimator_id == "pi_obs":
+    else:  # pi_obs
         def run(n):
             ens = simulate_innovation_ensemble(scalar, tgrid, obs, n, args.seed,
                                                pi_h_source="self", ess_floor=ess_floor)
             return estimate_pi_obs(scalar, obs, ensemble=ens, mode=args.mode or "fixed_point",
                                    space_grid=sgrid)
-    else:
-        raise ConfigError(f"unknown estimator id {estimator_id!r}")
     return [run(n) for n in sizes]
 
 
@@ -248,7 +261,7 @@ def cmd_simulate(args, parser, model, manifest) -> None:
 
 
 def cmd_estimate(args, parser, model, manifest) -> None:
-    estimator_id = args.estimator or setting(parser, "estimator", "id")
+    estimator_id = _estimator_id(args, parser, model)
     report, = _run_estimators(model, parser, args, estimator_id, [_particles(args, parser)])
     write_csv(manifest.add("estimate.csv"), EstimatorReport.csv_header(),
               [report.csv_row()])
@@ -257,13 +270,13 @@ def cmd_estimate(args, parser, model, manifest) -> None:
 
 
 def cmd_variance(args, parser, model, manifest) -> None:
+    estimator_id = _estimator_id(args, parser, model, ("sigma_obs", "pi_innovation"))
     scalar = scalar_view(model)
     tgrid = build_time_grid(parser)
     sgrid = build_space_grid(parser)
     scalar.validate_on_grid(sgrid)
     particles, ess_floor = _particles(args, parser), _ess_floor(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
-    estimator_id = args.estimator or setting(parser, "estimator", "id")
     flavor, simulate = (("pi", simulate_innovation_ensemble)
                         if estimator_id == "pi_innovation"
                         else ("sigma", simulate_girsanov_ensemble))
@@ -303,8 +316,9 @@ def cmd_control(args, parser, model, manifest) -> None:
             terminal = _terminal(parser)
             filter_particles = setting(parser, "control", "filter_particles",
                                        _ensemble_size, 1000)
-            policy, _ = hjb_policy(model, build_space_grid(parser), tgrid,
-                                   terminal=terminal)
+            sgrid = build_space_grid(parser)
+            model.validate_on_grid(sgrid)
+            policy, _ = hjb_policy(model, sgrid, tgrid, terminal=terminal)
             reports = [certainty_equivalence_run(model, policy, tgrid, s,
                                                  terminal_cost=terminal,
                                                  filter_particles=filter_particles)
@@ -324,7 +338,7 @@ def cmd_control(args, parser, model, manifest) -> None:
 
 
 def cmd_sweep(args, parser, model, manifest) -> None:
-    estimator_id = args.estimator or setting(parser, "estimator", "id")
+    estimator_id = _estimator_id(args, parser, model)
     reports = _run_estimators(model, parser, args, estimator_id, args.particles_list)
     rows = [report.csv_row() for report in reports]
     write_csv(manifest.add("sweep.csv"), EstimatorReport.csv_header(), rows)

@@ -49,13 +49,7 @@ from .model import (
     gaussian_quadrature,
     scalar_view,
 )
-from .pde_backward import (
-    GridFunction,
-    _factored_generator,
-    _warn_upwind,
-    interp_matrix,
-    terminal_slice,
-)
+from .pde_backward import GridFunction, _factored, _sweep, interp_matrix, terminal_slice
 from .sde_sim import (
     ObservationRecord,
     PathEnsemble,
@@ -380,10 +374,11 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     by the ensemble's innovation weights, max-shifted per step.  With S = (I - dt L)^-1
     factored once, the map's step y_k = S (y_{k+1} + dt u_k h) and u_k = -P[k] @ y_k
     give, with z = S y_{k+1}, u_k = -P[k] @ z / (1 + dt P[k] @ S h) and
-    y_k = z + dt u_k S h: one solve per step, with S h formed once.  Also returns
-    the pi-mass that interp_matrix clamps, sum_k sum_i w_ki 1{x_ki off the grid} /
-    (K + 1), with w_k the normalised weights of step k's states (the quadrature
-    nodes' weights or the ensemble's innovation weights).
+    y_k = z + dt u_k S h: the step of one uncontrolled `_sweep`, with S h formed
+    once.  Also returns the pi-mass that interp_matrix clamps,
+    sum_k sum_i w_ki 1{x_ki off the grid} / (K + 1), with w_k the normalised
+    weights of step k's states (the quadrature nodes' weights or the ensemble's
+    innovation weights).
     """
     K, dt = grid.n_steps, grid.dt
     if pi_source is not None:
@@ -398,23 +393,32 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     hx = np.asarray(model.obs_fn(x), dtype=float)
     P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))
     xs = space_grid.points()
-    h_grid = np.asarray(model.obs_fn(xs), dtype=float)
-    values = np.empty((K + 1, space_grid.n_points))
-    values[K] = terminal_slice(model, space_grid)
-    solve, upwind = _factored_generator(model, space_grid, dt)
-    Sh = solve(h_grid)
+    y_end = terminal_slice(model, space_grid)
+    solve, _ = _factored(np.asarray(model.drift(xs), dtype=float), model.sigma,
+                         space_grid.dx, dt)
+    Sh = solve(np.asarray(model.obs_fn(xs), dtype=float))
     denominators = 1.0 + dt * (P[:K] @ Sh)
     if not np.all(np.isfinite(denominators) & (denominators != 0.0)):
         raise FixedPointNotConverged("zero or non-finite denominator in the control solve")
     u = np.empty(K + 1)
-    for k in range(K - 1, -1, -1):
-        z = solve(values[k + 1])
+
+    def control_step(k, z):
         u[k] = -np.dot(P[k], z) / denominators[k]
-        values[k] = z + (dt * u[k]) * Sh
+        return z + (dt * u[k]) * Sh
+
+    values = _sweep(model, space_grid, grid, "sourced backward solve", y_end,
+                    step=control_step)
     u[K] = -np.dot(P[K], values[K])
-    _warn_upwind(upwind, "sourced backward solve")
     _check_fixed_point(u + np.einsum("kj,kj->k", P, values), tol)
     return u, GridFunction.from_values(space_grid, grid, values), float(exits)
+
+
+def check_pi_obs_mode(model, mode: str) -> None:
+    """Raise ModeModelMismatch unless estimate_pi_obs runs `mode` on `model`."""
+    if mode not in ("lg_closed_form", "fixed_point"):
+        raise ModeModelMismatch(f"unknown mode {mode!r}")
+    if mode == "lg_closed_form" and not isinstance(model, LinearGaussianModelSpec):
+        raise ModeModelMismatch("lg_closed_form requires a linear-Gaussian model")
 
 
 def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None = None,
@@ -436,11 +440,8 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
     """
     grid = obs.grid
     K = grid.n_steps
-    if mode not in ("lg_closed_form", "fixed_point"):
-        raise ModeModelMismatch(f"unknown mode {mode!r}")
+    check_pi_obs_mode(model, mode)
     lg = isinstance(model, LinearGaussianModelSpec)
-    if mode == "lg_closed_form" and not lg:
-        raise ModeModelMismatch("lg_closed_form requires a linear-Gaussian model")
 
     n_paths, grid_exit_fraction = 0, None
     if lg:

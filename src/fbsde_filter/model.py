@@ -311,10 +311,6 @@ class ScalarModelSpec:
         if not self.sigma > 0:
             raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
 
-    @property
-    def kind(self) -> str:
-        return "scalar"
-
     def drift(self, x):
         return self.drift_fn(x)
 
@@ -396,10 +392,6 @@ class LinearGaussianModelSpec:
         object.__setattr__(self, "Sigma0", S0)
         object.__setattr__(self, "f_bar", fb)
         object.__setattr__(self, "G", G)
-
-    @property
-    def kind(self) -> str:
-        return "linear_gaussian"
 
     @property
     def n_state(self) -> int:

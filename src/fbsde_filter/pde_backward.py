@@ -14,24 +14,25 @@ killing term is applied through a per-step integrating factor, which is exact
 for observation maps that are constant in space.  The terminal slice y_T holds
 f at the nodes, or cell averages for a terminal with a jump (`terminal_slice`).
 
-The Kolmogorov, Feynman-Kac, sourced and HJB solves share one sweep.  One band
-kernel writes the LAPACK bands of I - dt L from the drift.  With a drift
-constant in time (no policy), they are factored once (gttrf) and each step is
-one gttrs solve; when the drift moves with a policy, each step is one gtsv
-solve, with bitwise the same arithmetic.  The quadratic-cost HJB is the
-uncontrolled sweep of exp(-y / lambda) (Fleming's logarithmic transformation).
+The Kolmogorov, Feynman-Kac, sourced and HJB solves and estimator III's control
+share one reverse-time sweep, `_sweep`, with a per-step map of each solve (the
+Feynman-Kac factor, the control step).  `_factored` writes the LAPACK bands of
+I - dt L from the drift and factors them (gttrf) into one gttrs call per step:
+once for a drift constant in time, once per step under a policy.  The
+quadratic-cost HJB is the uncontrolled sweep of exp(-y / lambda) (Fleming's
+logarithmic transformation).
 
-The three tridiagonal LAPACK routines (dgttrf, dgttrs, dgtsv) come from scipy's
-compiled LAPACK module, `scipy.linalg._flapack`, which `_lapack` loads on the
-first grid solve and reuses from then on.  It loads that extension file on its
+The two tridiagonal LAPACK routines (dgttrf, dgttrs) come from scipy's compiled
+LAPACK module, `scipy.linalg._flapack`, which `_lapack` loads on the first grid
+solve and reuses from then on.  It loads that extension file on its
 own, under its own name in `sys.modules`, after the top-level `scipy` package
 (which loads its submodules lazily and, on Windows, registers scipy's DLL
 directory), and never runs `scipy.linalg/__init__`.  That package import cost
 190-318 ms under `python -X importtime` on a 2-vCPU host, mostly scipy's
 array-API layer, which imports `numpy.f2py`, `numpy.testing` and `numpy.ma`;
 the module alone loads in about 5 ms.  A later `import scipy.linalg` reuses the
-registered module, so `scipy.linalg.lapack.dgttrf` and its two siblings are the
-very objects the solves call.  Nothing is loaded at import: the linear-Gaussian
+registered module, so `scipy.linalg.lapack.dgttrf` and `dgttrs` are the very
+objects the solves call.  Nothing is loaded at import: the linear-Gaussian
 closed forms, the simulators and the particle filters never solve on a grid.
 
 scipy.linalg itself (`_linalg`) is imported only for `expm`, which only
@@ -256,13 +257,12 @@ def _implicit_bands(b: np.ndarray, sigma: float, dx: float, dt: float):
     return -dt * sub[1:], 1.0 - dt * diag, -dt * sup[:-1], bool(np.count_nonzero(w[1:-1]))
 
 
-def _factored_generator(model, space_grid: SpaceGrid, dt: float):
-    """I - dt L for the uncontrolled drift, factored once with gttrf: returns a
-    solver making one gttrs call per right-hand side, and whether L upwinds.
-    The gtsv of `_solve_bands` runs the same elimination and pivoting, so the
-    two give bitwise the same solutions."""
-    b0 = np.asarray(model.drift(space_grid.points()), dtype=float)
-    *bands, upwind = _implicit_bands(b0, model.sigma, space_grid.dx, dt)
+def _factored(b: np.ndarray, sigma: float, dx: float, dt: float):
+    """I - dt L for the drift values b (`_implicit_bands`), factored once with gttrf:
+    returns a solver making one gttrs call per right-hand side, and whether L
+    upwinds.  gttrs runs gtsv's elimination and pivoting, so a solve has the bits
+    of scipy's solve_banded of the same bands."""
+    *bands, upwind = _implicit_bands(b, sigma, dx, dt)
     if not all(np.isfinite(band).all() for band in bands):
         raise LinearSolveFailure("non-finite values in tridiagonal operator")
     lapack = _lapack()
@@ -279,27 +279,6 @@ def _factored_generator(model, space_grid: SpaceGrid, dt: float):
         return out
 
     return solve, upwind
-
-
-def _solve_bands(dl, d, du, rhs):
-    """One gtsv solve of the tridiagonal system (`_implicit_bands`) x = rhs; the
-    bands are overwritten, rhs is not."""
-    _, _, _, out, info = _lapack().dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
-                                         overwrite_du=1)
-    if info != 0:
-        raise LinearSolveFailure(f"singular tridiagonal operator (gtsv info {info})")
-    if not np.isfinite(out).all():
-        raise LinearSolveFailure("non-finite values in tridiagonal solve")
-    return out
-
-
-def _warn_upwind(used: bool, context: str) -> None:
-    if used:
-        warnings.warn(
-            f"cell Peclet number exceeded 2 in {context}; "
-            "first-order upwinding applied at the affected nodes",
-            CFLWarning,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +308,10 @@ def solve_feynman_kac(model: ScalarModelSpec, space_grid: SpaceGrid,
         raise ValueError(f"unknown reaction {reaction!r}")
     sign = -1.0 if reaction == "killing" else 1.0
     h = np.asarray(model.obs(space_grid.points()), dtype=float)
+    damp = np.exp(sign * h ** 2 * time_grid.dt)
     values = _sweep(model, space_grid, time_grid, "backward Kolmogorov solve",
                     terminal_slice(model, space_grid),
-                    damp=np.exp(sign * h ** 2 * time_grid.dt))
+                    step=lambda k, y: damp * y)
     return GridFunction.from_values(space_grid, time_grid, values)
 
 
@@ -376,32 +356,32 @@ def terminal_slice(model, space_grid: SpaceGrid, terminal=None) -> np.ndarray:
 
 
 def _sweep(model, space_grid, time_grid, context, y_end, policy=None, running_cost=None,
-           damp=None) -> np.ndarray:
+           step=None) -> np.ndarray:
     """The (n_steps + 1, n_points) values of the reverse-time sweep of
-    -dy/dt = L^{x,a} y + c_k(x, a_k), y_T = y_end (see the module docstring);
-    `damp` is the Feynman-Kac factor applied after each step."""
+    -dy/dt = L^{x,a} y + c_k(x, a_k), y_T = y_end (see the module docstring):
+    values[k] is step(k, y), or y, for the solve y of (I - dt L) y = values[k + 1]
+    + dt c_k; I - dt L is factored once, or once per step under a policy."""
     xs = space_grid.points()
-    dt = time_grid.dt
+    dt, dx, sigma = time_grid.dt, space_grid.dx, model.sigma
     K = time_grid.n_steps
     values = np.empty((K + 1, space_grid.n_points))
     values[K] = y_end
-    if policy is None:
-        a = np.zeros_like(xs)
-        factored, any_upwind = _factored_generator(model, space_grid, dt)
-    else:
-        b0, any_upwind = np.asarray(model.drift(xs), dtype=float), False
+    b0 = np.asarray(model.drift(xs), dtype=float)
+    a = np.zeros_like(xs)
+    solve, any_upwind = _factored(b0, sigma, dx, dt) if policy is None else (None, False)
     for k in range(K - 1, -1, -1):
         if policy is not None:
             a = np.asarray(policy(k, xs) if callable(policy) else policy[k], dtype=float)
-            *bands, up = _implicit_bands(b0 + model.control_gain * a, model.sigma,
-                                         space_grid.dx, dt)
+            solve, up = _factored(b0 + model.control_gain * a, sigma, dx, dt)
             any_upwind = any_upwind or up
         rhs = values[k + 1]
         if running_cost is not None:
             rhs = rhs + dt * np.asarray(running_cost(k, xs, a), dtype=float)
-        y = factored(rhs) if policy is None else _solve_bands(*bands, rhs)
-        values[k] = y if damp is None else damp * y
-    _warn_upwind(any_upwind, context)
+        y = solve(rhs)
+        values[k] = y if step is None else step(k, y)
+    if any_upwind:
+        warnings.warn(f"cell Peclet number exceeded 2 in {context}; first-order upwinding "
+                      "applied at the affected nodes", CFLWarning)
     return values
 
 

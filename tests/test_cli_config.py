@@ -1,11 +1,12 @@
-"""The CLI config schema, typed settings, --obs checks, ensemble sizes, --mode and 2-state
-runs."""
+"""The CLI config schema, typed settings, --obs checks, ensemble sizes, the estimator id and
+--mode checks made before any work, the grid check of control, and 2-state runs."""
 
 import csv
 
 import numpy as np
 import pytest
 
+from fbsde_filter import cli
 from fbsde_filter.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, main
 from fbsde_filter.model import TimeGrid, build_model
 from fbsde_filter.sde_sim import ObservationRecord, simulate_truth_and_obs
@@ -64,6 +65,11 @@ n_points = 61
 mode = certainty_equivalence
 n_runs = 1
 """
+
+
+# the double well on a grid that leaves 13 % of the N(0, 4) prior outside
+NARROW = DW.replace("control_gain = 1", "control_gain = 1\nprior_var = 4") \
+    .replace("x_min = -5.5", "x_min = -3").replace("x_max = 5.5", "x_max = 3")
 
 
 def run(tmp_path, config, *argv):
@@ -140,6 +146,59 @@ def test_mode_for_an_estimator_without_modes_exits_2(tmp_path, capsys, estimator
         err = capsys.readouterr().err
         assert f"config error: --mode does not apply to {estimator}" in err
     assert run(tmp_path, OU, "estimate", "--estimator", estimator, "--particles", "50") == EXIT_OK
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """The CLI's simulators and control runs, patched to fail the test when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run did work before its checks")
+    for name in ("simulate_truth_and_obs", "simulate_girsanov_ensemble",
+                 "simulate_innovation_ensemble", "hjb_policy", "certainty_equivalence_run"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--estimator", "bogus"),
+    ("--estimator", "pi_obs"),
+    ("--estimator", "sigma_obs_error"),
+    ("--estimator", "sigma_obs", "--mode", "bogus"),
+    ("--estimator", "pi_innovation", "--mode", "fixed_point"),
+])
+def test_variance_takes_only_its_two_estimators_and_no_mode(tmp_path, capsys, no_work, flags):
+    assert run(tmp_path, OU, "variance", "--particles", "20", *flags) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out" / "variance.csv").exists()
+
+
+@pytest.mark.parametrize("sub, sizes", [("estimate", "--particles"),
+                                        ("sweep", "--particles-list")])
+def test_an_unknown_estimator_id_exits_2_before_the_grid_check(tmp_path, capsys, no_work,
+                                                               sub, sizes):
+    assert run(tmp_path, NARROW, sub, "--estimator", "bogus", sizes, "20") == EXIT_CONFIG
+    assert "config error: unknown estimator id 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("lg_closed_form", "error: lg_closed_form requires a linear-Gaussian model"),
+    ("bogus", "error: unknown mode 'bogus'"),
+])
+@pytest.mark.parametrize("sub, sizes", [("estimate", "--particles"),
+                                        ("sweep", "--particles-list")])
+def test_a_bad_pi_obs_mode_exits_1_before_any_simulation(tmp_path, capsys, no_work,
+                                                         sub, sizes, mode, message):
+    assert run(tmp_path, NARROW, sub, "--estimator", "pi_obs", sizes, "20",
+               "--mode", mode) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_scalar_certainty_equivalence_checks_the_model_on_the_grid(tmp_path, capsys, no_work):
+    # as --mode hjb does
+    assert run(tmp_path, NARROW, "control", "--mode", "certainty_equivalence") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "error: prior mass outside [-3.0, 3.0]" in err and "Traceback" not in err
 
 
 def test_particles_list_entry_below_two_exits_2(tmp_path):

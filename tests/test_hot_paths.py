@@ -34,7 +34,7 @@ from fbsde_filter.model import SpaceGrid, TimeGrid, gaussian_quadrature, registr
 from fbsde_filter.pde_backward import (
     LOG_TRANSFORM_RANGE,
     GridFunction,
-    _factored_generator,
+    _factored,
     interp_matrix,
     interp_uniform,
     solve_backward_kolmogorov,
@@ -567,8 +567,9 @@ def check_scalar_fixed_point(model, obs, sg, report, u_ref, estimate_ref, **sour
 def zero_denominator_interp_matrix(model, sg, grid, k):
     """A wrapper of interp_matrix whose row k makes 1 + dt P[k] @ (S h)
     exactly zero, S = (I - dt L)^{-1}."""
-    solve, _ = _factored_generator(model, sg, grid.dt)
-    sh = solve(np.asarray(model.obs_fn(sg.points()), dtype=float))
+    xs = sg.points()
+    solve, _ = _factored(np.asarray(model.drift(xs), dtype=float), model.sigma, sg.dx, grid.dt)
+    sh = solve(np.asarray(model.obs_fn(xs), dtype=float))
     for j in np.argsort(-np.abs(sh))[:5]:
         v = -1.0 / (grid.dt * sh[j])
         for v in [v, *np.nextafter(v, [np.inf, -np.inf]),
@@ -583,6 +584,58 @@ def zero_denominator_interp_matrix(model, sg, grid, k):
                     return P
                 return wrapper
     raise AssertionError("no exactly zero denominator near -1 / (dt S h)")
+
+
+def per_step_fixed_point(model, grid, space_grid, ensemble, pi_source):
+    """Estimator III's one-sweep fixed point as its own reverse-time loop, with
+    scipy's solve_banded of I - dt L in place of the factored solve: the control
+    path and the values that `_scalar_fixed_point` must give bit for bit."""
+    K, dt = grid.n_steps, grid.dt
+    if pi_source is not None:
+        x = np.array([gaussian_quadrature(m, v)[0] for m, v in
+                      zip(pi_source.mean[: K + 1, 0], pi_source.covariance[: K + 1, 0, 0])])
+        w = np.broadcast_to(gaussian_quadrature(0.0, 1.0)[1], x.shape)
+    else:
+        x = ensemble.states.T
+        lw = ensemble.log_weights("innovation")
+        w = np.exp(lw - lw.max(axis=0))
+        w = (w / w.sum(axis=0)).T
+    hx = np.asarray(model.obs_fn(x), dtype=float)
+    P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))
+    xs = space_grid.points()
+    sub, diag, sup, _ = _generator_bands(np.asarray(model.drift(xs), dtype=float),
+                                         model.sigma, space_grid.dx)
+    ab = _implicit_ab(sub, diag, sup, dt)
+    Sh = solve_banded((1, 1), ab, np.asarray(model.obs_fn(xs), dtype=float))
+    denominators = 1.0 + dt * (P[:K] @ Sh)
+    values = np.empty((K + 1, space_grid.n_points))
+    values[K] = terminal_slice(model, space_grid)
+    u = np.empty(K + 1)
+    for k in range(K - 1, -1, -1):
+        z = solve_banded((1, 1), ab, values[k + 1])
+        u[k] = -np.dot(P[k], z) / denominators[k]
+        values[k] = z + (dt * u[k]) * Sh
+    u[K] = -np.dot(P[K], values[K])
+    return u, values
+
+
+@pytest.mark.parametrize("source", ["ensemble", "gaussian"])
+def test_fixed_point_on_the_cli_jobs_grid_equals_the_per_step_loop(double_well, lg_benchmark,
+                                                                   lg_scalar, source):
+    grid, sg = TimeGrid(1.0, 500), SpaceGrid(-5.5, 5.5, 601)
+    if source == "ensemble":
+        model, pi_source = double_well, None
+        obs = simulate_truth_and_obs(model, grid, seed=1)
+        ensemble = simulate_innovation_ensemble(model, grid, obs, 300, seed=1)
+    else:
+        model, ensemble = lg_scalar, None
+        pi_source = model_kalman(lg_benchmark, simulate_truth_and_obs(lg_benchmark, grid, seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        u, y, _ = _scalar_fixed_point(model, grid, sg, ensemble, pi_source, 1e-6)
+    u_ref, values_ref = per_step_fixed_point(model, grid, sg, ensemble, pi_source)
+    assert same_bits(u, u_ref)
+    assert same_bits(y.values, values_ref)
 
 
 @pytest.mark.parametrize("seed", [3, 17])
