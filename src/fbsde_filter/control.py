@@ -38,16 +38,18 @@ from .model import (
     gaussian_quadrature,
 )
 from .pde_backward import GridFunction, interp_uniform, solve_hjb_quadratic
-from .particle import particle_steps
 from .sde_sim import (
     STREAM_CONTROL_OBS,
     STREAM_CONTROL_STATE,
+    STREAM_FILTER,
     ObservationRecord,
     PathEnsemble,
     check_ess_floor,
+    check_n_paths,
     path_dot,
     path_generator,
     truth_step,
+    weighted_paths,
 )
 
 
@@ -208,16 +210,12 @@ def certainty_equivalence_run(model, policy: PolicyField, grid: TimeGrid,
                                                    terminal_hessian)
         return ControlRunReport(realized_cost=float(costs[0]), filter_trace=trace,
                                 seed=seed)
-    return _ce_run_particle(model, policy, grid, seed, terminal_cost,
-                            filter_particles, ess_floor)
-
-
-def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
-                     n_particles, ess_floor):
     K, dt, sqdt = grid.n_steps, grid.dt, math.sqrt(grid.dt)
     g = model.control_gain
     f_cost = terminal_cost if terminal_cost is not None else model.terminal
-    steps = particle_steps(model, grid, n_particles, seed, ess_floor, 0)
+    n_particles = check_n_paths(filter_particles)
+    steps = weighted_paths(model, grid, n_particles, seed, STREAM_FILTER,
+                           ess_floor * n_particles, 0)
 
     gen_x = path_generator(seed, STREAM_CONTROL_STATE, 0)
     gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
@@ -227,8 +225,8 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
 
     cost = 0.0
     trace = np.empty(K + 1)
-    for k in range(K + 1):  # step k - 1 is taken on the last dZ, shifted by g alpha
-        particles, w, wsum, ess, _ = steps.send(None if k == 0 else (dZ, g * alpha))
+    for k in range(K + 1):  # step k - 1 is taken on the last dZ, its drift shifted by g alpha
+        particles, w, wsum, ess, _, _ = steps.send(None if k == 0 else (b, c, dZ))
         if ess < 1.0 + 1e-9:
             raise FilterDivergence("particle filter collapsed to a single path")
         trace[k] = float(path_dot(w, particles) / wsum)
@@ -237,6 +235,8 @@ def _ce_run_particle(model: ScalarModelSpec, policy, grid, seed, terminal_cost,
         alpha = float(path_dot(w, policy.policy_at(k, particles)) / wsum)
         cost += 0.5 * alpha * alpha * dt
         dZ = model.obs(x_truth) * dt + sqdt * eta[k]
+        b = np.asarray(model.drift(particles), dtype=float) + g * alpha
+        c = np.asarray(model.obs(particles), dtype=float)
         x_truth = truth_step(x_truth, model.drift(x_truth) + g * alpha, xi[k],
                              model.sigma, dt, k + 1)
     cost += float(f_cost(x_truth))

@@ -14,7 +14,7 @@ class DimensionMismatch(FbsdeFilterError):
 
 
 class NonPositiveSigma(FbsdeFilterError):
-    """Diffusion amplitude must satisfy sigma > 0."""
+    """Diffusion amplitude must be finite and satisfy sigma > 0."""
 
 
 class ConfigError(FbsdeFilterError):

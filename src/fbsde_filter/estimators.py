@@ -374,8 +374,8 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     by the ensemble's innovation weights, max-shifted per step.  With S = (I - dt L)^-1
     factored once, the map's step y_k = S (y_{k+1} + dt u_k h) and u_k = -P[k] @ y_k
     give, with z = S y_{k+1}, u_k = -P[k] @ z / (1 + dt P[k] @ S h) and
-    y_k = z + dt u_k S h: the step of one uncontrolled `_sweep`, with S h formed
-    once.  Also returns the pi-mass that interp_matrix clamps,
+    y_k = z + dt u_k S h: the step of one uncontrolled `_sweep` on the factors
+    that formed S h.  Also returns the pi-mass that interp_matrix clamps,
     sum_k sum_i w_ki 1{x_ki off the grid} / (K + 1), with w_k the normalised
     weights of step k's states (the quadrature nodes' weights or the ensemble's
     innovation weights).
@@ -394,9 +394,9 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
     P = interp_matrix(space_grid, x, w * (hx - np.einsum("ki,ki->k", w, hx)[:, None]))
     xs = space_grid.points()
     y_end = terminal_slice(model, space_grid)
-    solve, _ = _factored(np.asarray(model.drift(xs), dtype=float), model.sigma,
+    factored = _factored(np.asarray(model.drift(xs), dtype=float), model.sigma,
                          space_grid.dx, dt)
-    Sh = solve(np.asarray(model.obs_fn(xs), dtype=float))
+    Sh = factored[0](np.asarray(model.obs_fn(xs), dtype=float))
     denominators = 1.0 + dt * (P[:K] @ Sh)
     if not np.all(np.isfinite(denominators) & (denominators != 0.0)):
         raise FixedPointNotConverged("zero or non-finite denominator in the control solve")
@@ -407,7 +407,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
         return z + (dt * u[k]) * Sh
 
     values = _sweep(model, space_grid, grid, "sourced backward solve", y_end,
-                    step=control_step)
+                    step=control_step, factored=factored)
     u[K] = -np.dot(P[K], values[K])
     _check_fixed_point(u + np.einsum("kj,kj->k", P, values), tol)
     return u, GridFunction.from_values(space_grid, grid, values), float(exits)

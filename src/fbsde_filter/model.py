@@ -232,8 +232,10 @@ class GaussianMixturePrior:
     def __post_init__(self):
         if not (len(self.means) == len(self.variances) == len(self.weights)):
             raise DimensionMismatch("prior component lists must share length")
-        if any(v <= 0 for v in self.variances):
-            raise ValueError("prior variances must be positive")
+        if not all(math.isfinite(m) for m in self.means):
+            raise ValueError("prior means must be finite")
+        if not all(0 < v < math.inf for v in self.variances):  # also rejects NaN
+            raise ValueError("prior variances must be positive and finite")
         if any(w < 0 for w in self.weights):
             raise ValueError("prior weights must be nonnegative")
         total = sum(self.weights)
@@ -308,8 +310,10 @@ class ScalarModelSpec:
     control_gain: float = 0.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise NonPositiveSigma(f"sigma must be finite and > 0, got {self.sigma}")
+        if not math.isfinite(self.control_gain):
+            raise ValueError(f"control_gain must be finite, got {self.control_gain}")
 
     def drift(self, x):
         return self.drift_fn(x)
@@ -361,8 +365,8 @@ class LinearGaussianModelSpec:
     G: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise NonPositiveSigma(f"sigma must be finite and > 0, got {self.sigma}")
         A = _as_matrix(self.A, label="A")
         n = A.shape[0]
         if A.shape[1] != n:
@@ -583,9 +587,6 @@ def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
         for key in ("a", "h", "sigma", "m0", "sigma0", "f_bar"):
             if key not in sec:
                 raise ConfigError(f"[model] missing key {key!r}")
-        sigma = float(sec["sigma"])
-        if sigma <= 0:
-            raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
         A = _parse_matrix(sec["a"], "A")
         H = _parse_matrix(sec["h"], "H")
         G = _parse_matrix(sec["g"], "G") if "g" in sec else None
@@ -593,7 +594,7 @@ def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
             A=A,
             H=H,
             G=G,
-            sigma=sigma,
+            sigma=float(sec["sigma"]),
             m0=_parse_vector(sec["m0"], "m0"),
             Sigma0=_parse_matrix(sec["sigma0"], "Sigma0"),
             f_bar=_parse_vector(sec["f_bar"], "f_bar"),
@@ -604,9 +605,6 @@ def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
         for key in ("drift", "sigma", "h", "f"):
             if key not in sec:
                 raise ConfigError(f"[model] missing key {key!r}")
-        sigma = float(sec["sigma"])
-        if sigma <= 0:
-            raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
         if "prior_means" in sec:
             means = tuple(_parse_vector(sec["prior_means"], "prior_means"))
             varis = tuple(_parse_vector(sec.get("prior_vars", "1"), "prior_vars"))
@@ -621,7 +619,7 @@ def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
             drift_params["a"] = float(sec["a"])
         spec = ScalarModelSpec(
             drift_fn=NamedFunction(sec["drift"].strip(), drift_params),
-            sigma=sigma,
+            sigma=float(sec["sigma"]),
             obs_fn=NamedFunction(sec["h"].strip(),
                                  _parse_params(sec.get("h_params", ""), "h_params")),
             terminal_fn=NamedFunction(sec["f"].strip(),
@@ -644,7 +642,7 @@ def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
                 A=[[spec.drift_fn.params.get("a", 1.0)]],
                 H=[[spec.obs_fn.params.get("a", 1.0)]],
                 G=[[spec.control_gain]] if spec.control_gain else None,
-                sigma=sigma,
+                sigma=spec.sigma,
                 m0=[spec.prior.means[0]],
                 Sigma0=[[spec.prior.variances[0]]],
                 f_bar=[spec.terminal_fn.params.get("a", 1.0)],

@@ -4,8 +4,9 @@ sigma-type functionals are plain ensemble averages of weight * g(X) under the
 Girsanov weights (Zakai normalization); pi-type functionals are
 self-normalized ratio estimators.  Multinomial resampling is available for
 long-horizon filtering, but resampled ensembles are rejected by the
-minimum-variance estimators, which require raw weighted paths.  `particle_steps`
-is the one resampling particle loop, under the filter and the control filter.
+minimum-variance estimators, which require raw weighted paths.  The filter runs
+on `sde_sim.weighted_paths`, the one forward loop over a weighted population,
+resampling on STREAM_RESAMPLE key index 1 (the control filter uses index 0).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .sde_sim import (
     STREAM_RESAMPLE,
     ObservationRecord,
     PathEnsemble,
-    _check_state,
-    _ensemble_noise,
     check_ess_floor,
     check_n_paths,
     normalized_weights,
@@ -32,7 +31,7 @@ from .sde_sim import (
     path_generator,
     raw_weights,
     resample_indices,
-    weighted_step,
+    weighted_paths,
 )
 
 
@@ -149,42 +148,10 @@ class FilterResult:
     resample_steps: tuple
 
 
-def particle_steps(model, grid: TimeGrid, n_paths: int, seed: int, ess_floor: float,
-                   resample_index: int):
-    """Generator of the particle loop: yields (x, w, wsum, ess, resampled) at
-    k = 0 .. K after resampling (key index `resample_index`) if the ESS, read
-    before, is below ess_floor * n_paths; w, wsum weigh the x handed out.  Sending
-    back (dZ_k, drift shift or None) takes step k, its new row checked for
-    overflow.  n_paths is checked (`check_n_paths`) here, before any draw.
-    """
-    n_paths = check_n_paths(n_paths)
-    return _particle_loop(model, grid, n_paths, seed, ess_floor * n_paths, resample_index)
-
-
-def _particle_loop(model, grid, n_paths, seed, floor, resample_index):
-    sm = scalar_view(model)
-    u0, z0, rows = _ensemble_noise(seed, STREAM_FILTER, n_paths, grid.n_steps)
-    x = sm.prior.from_draws(u0, z0)
-    lw = np.zeros(n_paths)
-    gen = path_generator(seed, STREAM_RESAMPLE, resample_index)
-    for k in range(grid.n_steps + 1):
-        w, wsum, ess = normalized_weights(lw)
-        resampled = bool(ess < floor)
-        if resampled:
-            x = x[resample_indices(gen, w, wsum)]
-            lw, w, wsum = np.zeros(n_paths), np.ones(n_paths), float(n_paths)
-        dz, shift = yield x, w, wsum, ess, resampled  # not resumed after step K
-        b = np.asarray(sm.drift(x), dtype=float)
-        x, lw = weighted_step(x, lw, b if shift is None else b + shift,
-                              np.asarray(sm.obs(x), dtype=float), dz, next(rows),
-                              sm.sigma, grid.dt)
-        _check_state(x, k + 1, "particle state")
-
-
 def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
                         n_paths: int, seed: int, ess_floor: float = 0.5,
                         observables: dict | None = None) -> FilterResult:
-    """Sequential Girsanov-weighted filter on `particle_steps` (resampling key
+    """Sequential Girsanov-weighted filter on `weighted_paths` (resampling key
     index 1), resampling whenever the ESS drops below ess_floor * N.
     `observables` maps names to callables; the identity is always included
     under "x".
@@ -192,6 +159,8 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     if not obs.grid.matches(grid):
         raise GridMismatch("observation record does not cover the requested grid")
     ess_floor = check_ess_floor(ess_floor)
+    n_paths = check_n_paths(n_paths)
+    sm = scalar_view(model)
     fns = {"x": lambda x: x, **(observables or {})}
     K = grid.n_steps
     dZ = np.asarray(obs.dZ, dtype=float).reshape(K)
@@ -201,9 +170,9 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
     ess_path = np.empty(K + 1)  # before the resampling decision
     seen_path = np.empty(K + 1)  # the ESS the estimates see
     resample_steps = []
-    steps = particle_steps(model, grid, n_paths, seed, ess_floor, 1)
-    for k in range(K + 1):  # step k - 1 is taken on dZ[k - 1], unshifted
-        x, w, wsum, ess, resampled = steps.send(None if k == 0 else (dZ[k - 1], None))
+    steps = weighted_paths(sm, grid, n_paths, seed, STREAM_FILTER, ess_floor * n_paths, 1)
+    for k in range(K + 1):  # step k - 1 is taken on dZ[k - 1]
+        x, w, wsum, ess, resampled, _ = steps.send(None if k == 0 else (b, c, dZ[k - 1]))
         if resampled:
             resample_steps.append(k)
         ess_path[k] = ess
@@ -215,6 +184,8 @@ def run_particle_filter(model, grid: TimeGrid, obs: ObservationRecord,
             resid = gv - ratio
             values[name][k] = ratio
             errs[name][k] = np.sqrt(path_dot(w2, resid * resid)) / wsum
+        if k < K:
+            b, c = np.asarray(sm.drift(x), dtype=float), np.asarray(sm.obs(x), dtype=float)
 
     estimates = {
         name: ConditionalEstimate(grid, values[name], errs[name], seen_path.copy())

@@ -356,19 +356,21 @@ def terminal_slice(model, space_grid: SpaceGrid, terminal=None) -> np.ndarray:
 
 
 def _sweep(model, space_grid, time_grid, context, y_end, policy=None, running_cost=None,
-           step=None) -> np.ndarray:
+           step=None, factored=None) -> np.ndarray:
     """The (n_steps + 1, n_points) values of the reverse-time sweep of
     -dy/dt = L^{x,a} y + c_k(x, a_k), y_T = y_end (see the module docstring):
     values[k] is step(k, y), or y, for the solve y of (I - dt L) y = values[k + 1]
-    + dt c_k; I - dt L is factored once, or once per step under a policy."""
+    + dt c_k; I - dt L is factored once (or given: `factored`, the caller's
+    `_factored` pair of the model's drift), or once per step under a policy."""
     xs = space_grid.points()
     dt, dx, sigma = time_grid.dt, space_grid.dx, model.sigma
     K = time_grid.n_steps
     values = np.empty((K + 1, space_grid.n_points))
     values[K] = y_end
-    b0 = np.asarray(model.drift(xs), dtype=float)
+    b0 = None if factored else np.asarray(model.drift(xs), dtype=float)
     a = np.zeros_like(xs)
-    solve, any_upwind = _factored(b0, sigma, dx, dt) if policy is None else (None, False)
+    solve, any_upwind = factored or (_factored(b0, sigma, dx, dt) if policy is None
+                                     else (None, False))
     for k in range(K - 1, -1, -1):
         if policy is not None:
             a = np.asarray(policy(k, xs) if callable(policy) else policy[k], dtype=float)

@@ -10,12 +10,12 @@ maps that are constant along a step.
 Randomness is drawn from counter-based Philox streams, so results are
 bit-reproducible regardless of scheduling.  The 128-bit key is the word pair
 (seed, stream << 48 | index), and `path_generator` builds the generator of one
-key.  Every forward loop over an ensemble (the weighted ensembles, the particle
-filter and the particle control filter) reads one schedule through
-`_ensemble_noise`: the initial draws (N uniforms, then N normals) are those of
-key index 0, and the normals of step k (k = 0 .. K - 1) are the draws of key
-index k + 1, the N state normals first and then, for an ensemble with fresh
-observation noise, N observation normals.
+key.  `weighted_paths`, the one forward loop over a weighted population (under
+the weighted ensembles, the particle filter and the particle control filter),
+reads one schedule through `_ensemble_noise`: the initial draws (N uniforms,
+then N normals) are those of key index 0, and the normals of step k
+(k = 0 .. K - 1) are the draws of key index k + 1, the N state normals first and
+then, for an ensemble with fresh observation noise, N observation normals.
 
 The step rows come a block of max(1, 2**17 // N) steps at a time, each block
 filled by `_fill_rows`: it builds one generator with `path_generator` and, for
@@ -36,13 +36,12 @@ log-weights live in C-ordered buffers with one row per time step, written and
 read a contiguous row at a time.  The arrays handed out keep their path-major
 (N, ...) shapes as `.T` views of those buffers.
 
-Forward kernels shared by the ensembles and `particle.particle_steps`, the one
-particle loop under the filter and the control filter: `weighted_step` (one move
-and log-weight step), `path_dot` (every weighted sum over the paths),
-`normalized_weights` and `raw_weights` (every weight read-out: shifted by the max
-with the ESS, or raw with an underflow check), `per_step_path` and
-`cumulative_path`.  `truth_step` is the one move of every truth path, open- or
-closed-loop.
+`weighted_paths` steps with `weighted_step` (one move and log-weight step) on the
+drift, observation slope and increment its consumer sends back.  The consumers
+share `path_dot` (every weighted sum over the paths), `normalized_weights` and
+`raw_weights` (every weight read-out: shifted by the max with the ESS, or raw
+with an underflow check), `per_step_path` and `cumulative_path`.  `truth_step`
+is the one move of every truth path, open- or closed-loop.
 """
 
 from __future__ import annotations
@@ -498,6 +497,47 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
                              noise_cum=cumulative_path(dZ - signal), seed=seed)
 
 
+def weighted_paths(model, grid: TimeGrid, n_paths: int, seed: int, stream: int,
+                   floor: float | None = None, resample_index: int | None = None,
+                   obs_noise: bool = False, out=None):
+    """The one forward loop over a weighted population of n_paths (checked by the
+    caller): a generator yielding (x, w, wsum, ess, acted, row) at k = 0 .. K and
+    taking back (b, c, d) for `weighted_step` to make step k, into out=(X, lw)'s
+    time-major rows k + 1 when given, and `_check_state` to check.  The prior draw
+    and the rows (step k's normals; (2, N) state then observation normals with
+    obs_noise) come from `_ensemble_noise` on `stream`.  Only given a floor does it
+    form w, wsum, ess = `normalized_weights` once per step and act on an ESS below
+    it: resample on key `resample_index` of STREAM_RESAMPLE (w, wsum then weigh the
+    x handed out), or else warn WeightCollapse at the first such step.
+    """
+    K = grid.n_steps
+    u0, z0, rows = _ensemble_noise(seed, stream, n_paths, K, with_obs_noise=obs_noise)
+    sm = scalar_view(model)
+    x, lw = sm.prior.from_draws(u0, z0), np.zeros(n_paths)
+    if out is not None:
+        out[0][0], out[1][0] = x, lw
+    gen = None if resample_index is None else path_generator(seed, STREAM_RESAMPLE,
+                                                             resample_index)
+    w = wsum = ess = None
+    acted = False
+    for k in range(K + 1):
+        if floor is not None:
+            w, wsum, ess = normalized_weights(lw)
+            acted = bool(ess < floor)
+            if acted and gen is not None:
+                x = x[resample_indices(gen, w, wsum)]
+                lw, w, wsum = np.zeros(n_paths), np.ones(n_paths), float(n_paths)
+            elif acted:
+                warnings.warn(f"effective sample size fell below {floor:g} at step {k}",
+                              WeightCollapse)
+                floor = -math.inf  # no ESS is below it: warn at the first collapse only
+        row = next(rows) if k < K else None
+        b, c, d = yield x, w, wsum, ess, acted, row  # not resumed after step K
+        x, lw = weighted_step(x, lw, b, c, d, row[0] if obs_noise else row, sm.sigma,
+                              grid.dt, None if out is None else (out[0][k + 1], out[1][k + 1]))
+        _check_state(x, k + 1, "ensemble state" if gen is None else "particle state")
+
+
 def _simulate_weighted_ensemble(
     model,
     grid: TimeGrid,
@@ -520,7 +560,7 @@ def _simulate_weighted_ensemble(
     sm = scalar_view(model)
     dt = grid.dt
     K = grid.n_steps
-    floor = (check_ess_floor(ess_floor) if ess_floor is not None else 0.0) * n_paths
+    floor = None if ess_floor is None else check_ess_floor(ess_floor) * n_paths
 
     stream = STREAM_GIRSANOV if kind == "girsanov" else STREAM_INNOVATION
     fresh = obs is None
@@ -531,47 +571,34 @@ def _simulate_weighted_ensemble(
     external_pi_h = None
     if kind == "innovation" and not (isinstance(pi_h_source, str) and pi_h_source == "self"):
         external_pi_h = per_step_path(pi_h_source, grid, "pi_h source")
+    elif kind == "innovation" and floor is None:
+        floor = 0.0  # the self pi[h] reads every step's weights; no ESS is below 0
 
-    u0, z0, rows = _ensemble_noise(seed, stream, n_paths, K, with_obs_noise=fresh)
     # time-major buffers: each step reads and writes contiguous rows
     X = np.empty((K + 1, n_paths))
     lw = np.empty((K + 1, n_paths))
-    X[0] = xk = sm.prior.from_draws(u0, z0)
-    lw[0] = lwk = np.zeros(n_paths)
-
     pi_h_path = np.empty(K) if kind == "innovation" else None
     dI = np.empty(K) if kind == "innovation" and not fresh else None
     collapse_step = None
 
     sqdt = np.sqrt(dt)
-    for k, noise in enumerate(rows):
+    steps = weighted_paths(sm, grid, n_paths, seed, stream, floor, obs_noise=fresh,
+                           out=(X, lw))
+    for k in range(K + 1):
+        xk, w, wsum, _, collapsed, row = steps.send(None if k == 0 else (b, c, d))
+        collapse_step = k if collapsed else collapse_step
+        if k == K:
+            break
         c = np.asarray(sm.obs(xk), dtype=float)
-        if fresh:  # independent per path
-            noise, d = noise[0], sqdt * noise[1]
-        else:
-            d = dZ[k]
+        d = sqdt * row[1] if fresh else dZ[k]  # fresh: independent per path
         if kind == "innovation":
-            if external_pi_h is not None:
-                pih = external_pi_h[k]
-            else:
-                w = np.exp(lwk - lwk.max())  # normalized_weights' w, without its ESS
-                pih = float(path_dot(w, c) / w.sum())
+            pih = external_pi_h[k] if external_pi_h is not None else \
+                float(path_dot(w, c) / wsum)
             pi_h_path[k] = pih
             c, d = c - pih, d - pih * dt
             if not fresh:
                 dI[k] = d
-        b = np.asarray(sm.drift(xk), dtype=float) if drift_fn is None else \
-            np.asarray(drift_fn(k, xk), dtype=float)
-        xk, lwk = weighted_step(xk, lwk, b, c, d, noise, sm.sigma, dt,
-                                out=(X[k + 1], lw[k + 1]))
-        _check_state(xk, k + 1, "ensemble state")
-        if floor > 0 and collapse_step is None:
-            if normalized_weights(lwk)[2] < floor:
-                collapse_step = k + 1
-                warnings.warn(
-                    f"effective sample size fell below {floor:g} at step {k + 1}",
-                    WeightCollapse,
-                )
+        b = np.asarray(sm.drift(xk) if drift_fn is None else drift_fn(k, xk), dtype=float)
     if not np.all(np.isfinite(lw)):
         raise SimulationDiverged("log-weights became non-finite")
 

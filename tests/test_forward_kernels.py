@@ -1,7 +1,8 @@
-"""The forward loops built on the shared step kernels (`weighted_step`,
-`kalman_mean_step`) and the one particle loop (`particle.particle_steps`, under
-the filter and the control filter) equal the hand-written loops they replace,
-kept here as references: bit for bit, except the row-stacked Kalman batch,
+"""The forward loops built on the shared step kernels (`kalman_mean_step`, and
+`sde_sim.weighted_paths`, the one forward loop over a weighted population under
+the weighted ensembles, the particle filter and the control filter) equal the
+hand-written loops they replace, kept here as references: bit for bit, except
+the row-stacked Kalman batch,
 whose products are formed on column vectors now.  The references draw
 their noise from the step-keyed schedule with one generator per key (the
 initial draws from key 0, step k's normals from key k + 1), sum over the paths
@@ -14,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fbsde_filter import sde_sim
 from fbsde_filter.control import (
     PolicyField,
     _policy_filter_mean_lg,
@@ -310,16 +312,22 @@ def check_ensemble(ens, reference):
     assert ens.collapse_step == collapse_step
 
 
+# 3 000 paths are at least _AHEAD_PATHS: the worker thread fills the noise rows,
+# (2, N) ones without a record
+@pytest.mark.parametrize("n_paths", [300, 3000])
 @pytest.mark.parametrize("with_obs", [True, False])
-def test_girsanov_ensemble_equals_the_reference_loop(double_well, with_obs):
+def test_girsanov_ensemble_equals_the_reference_loop(double_well, with_obs, n_paths):
     grid = TimeGrid(1.0, 100)
     obs = simulate_truth_and_obs(double_well, grid, seed=21) if with_obs else None
-    ens = simulate_girsanov_ensemble(double_well, grid, obs, 300, seed=22)
-    check_ensemble(ens, reference_ensemble(double_well, grid, obs, 300, 22, "girsanov"))
+    ens = simulate_girsanov_ensemble(double_well, grid, obs, n_paths, seed=22)
+    check_ensemble(ens, reference_ensemble(double_well, grid, obs, n_paths, 22, "girsanov"))
 
 
-@pytest.mark.parametrize("source", ["self", "external", "fresh", "drift_fn"])
-def test_innovation_ensemble_equals_the_reference_loop(double_well, source):
+@pytest.mark.parametrize("source, n_paths", [
+    ("self", 300), ("external", 300), ("fresh", 300), ("drift_fn", 300),
+    ("self", 3000), ("fresh", 3000),
+])
+def test_innovation_ensemble_equals_the_reference_loop(double_well, source, n_paths):
     grid = TimeGrid(1.0, 100)
     obs = None if source == "fresh" else simulate_truth_and_obs(double_well, grid, seed=23)
     kwargs = {}
@@ -327,8 +335,8 @@ def test_innovation_ensemble_equals_the_reference_loop(double_well, source):
         kwargs["pi_h_source"] = 0.3 * np.sin(np.arange(101) * 0.05)
     if source == "drift_fn":
         kwargs["drift_fn"] = lambda k, x: double_well.drift(x) - 0.01 * k * x
-    ens = simulate_innovation_ensemble(double_well, grid, obs, 300, seed=24, **kwargs)
-    check_ensemble(ens, reference_ensemble(double_well, grid, obs, 300, 24, "innovation",
+    ens = simulate_innovation_ensemble(double_well, grid, obs, n_paths, seed=24, **kwargs)
+    check_ensemble(ens, reference_ensemble(double_well, grid, obs, n_paths, 24, "innovation",
                                            **kwargs))
 
 
@@ -343,6 +351,27 @@ def test_ensemble_collapse_step_equals_the_reference_loop(kind):
     reference = reference_ensemble(model, grid, obs, 200, 26, kind, ess_floor=0.5)
     assert reference[4] is not None
     check_ensemble(ens, reference)
+
+
+def test_a_girsanov_ensemble_forms_per_step_weights_only_under_a_floor(monkeypatch):
+    model = make_scalar("linear", {"a": -1.0}, h="linear", h_params={"a": 4.0})
+    grid = TimeGrid(1.0, 100)
+    obs = simulate_truth_and_obs(model, grid, seed=25)
+    calls = []
+
+    def counted(lw):
+        calls.append(lw.shape)
+        return normalized_weights(lw)
+
+    monkeypatch.setattr(sde_sim, "normalized_weights", counted)
+    simulate_girsanov_ensemble(model, grid, obs, 200, seed=26)
+    simulate_girsanov_ensemble(model, grid, None, 200, seed=26)
+    assert calls == []
+    with pytest.warns(WeightCollapse):
+        ens = simulate_girsanov_ensemble(model, grid, obs, 200, seed=26, ess_floor=0.5)
+    assert 0 < len(calls) <= grid.n_steps + 1
+    reference = reference_ensemble(model, grid, obs, 200, 26, "girsanov", ess_floor=0.5)
+    assert ens.collapse_step == reference[4] is not None
 
 
 # ---------------------------------------------------------------------------

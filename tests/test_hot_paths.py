@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from fbsde_filter import estimators
+from fbsde_filter import estimators, pde_backward
 from fbsde_filter.control import PolicyField
 from fbsde_filter.errors import (
     CFLWarning,
@@ -636,6 +636,35 @@ def test_fixed_point_on_the_cli_jobs_grid_equals_the_per_step_loop(double_well, 
     u_ref, values_ref = per_step_fixed_point(model, grid, sg, ensemble, pi_source)
     assert same_bits(u, u_ref)
     assert same_bits(y.values, values_ref)
+
+
+@pytest.mark.parametrize("source", ["ensemble", "gaussian"])
+def test_a_fixed_point_factors_once_and_warns_of_upwinding_once(monkeypatch, double_well,
+                                                                lg_benchmark, lg_scalar,
+                                                                source):
+    grid, sg = TimeGrid(1.0, 60), SpaceGrid(-5.5, 5.5, 121)
+    if source == "ensemble":
+        model, pi_source = double_well, None
+        obs = simulate_truth_and_obs(model, grid, seed=2)
+        ensemble = simulate_innovation_ensemble(model, grid, obs, 100, seed=2)
+    else:
+        model, ensemble = lg_scalar, None
+        pi_source = model_kalman(lg_benchmark, simulate_truth_and_obs(lg_benchmark, grid, seed=2))
+    upwinds = []
+
+    def counted(*args):
+        solve, upwind = _factored(*args)
+        upwinds.append(upwind)
+        return solve, upwind
+
+    for module in (estimators, pde_backward):
+        monkeypatch.setattr(module, "_factored", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _scalar_fixed_point(model, grid, sg, ensemble, pi_source, 1e-6)
+    assert len(upwinds) == 1
+    assert sum(issubclass(w.category, CFLWarning) for w in caught) == int(upwinds[0])
+    assert upwinds[0] == (source == "ensemble")  # the double well's drift upwinds here
 
 
 @pytest.mark.parametrize("seed", [3, 17])

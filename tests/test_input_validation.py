@@ -1,7 +1,8 @@
-"""Seeds and stream keys, ESS floors, path counts, singular prior covariances, multi-channel
-zero policies, diverging truth paths and particle filters, a filter covariance
-growing where the observations do not see, an HJB past its log transform's range,
-non-finite grid bounds, non-integer grid counts and resampling steps."""
+"""Seeds and stream keys, ESS floors, path counts, non-finite priors, noise amplitudes and
+control gains, singular prior covariances, multi-channel zero policies, diverging truth
+paths and particle filters, a filter covariance growing where the observations do not
+see, an HJB past its log transform's range, non-finite grid bounds, non-integer grid
+counts and resampling steps."""
 
 import math
 import os
@@ -20,10 +21,9 @@ from fbsde_filter.control import (
     certainty_equivalence_batch,
     certainty_equivalence_run,
 )
-from fbsde_filter.errors import SimulationDiverged
-from fbsde_filter.model import LinearGaussianModelSpec, SpaceGrid, TimeGrid
+from fbsde_filter.errors import NonPositiveSigma, SimulationDiverged
+from fbsde_filter.model import GaussianMixturePrior, LinearGaussianModelSpec, SpaceGrid, TimeGrid
 from fbsde_filter.particle import (
-    particle_steps,
     pi_estimate,
     resample_multinomial,
     run_particle_filter,
@@ -103,7 +103,6 @@ def test_a_path_count_that_is_not_an_integer_of_at_least_two_is_rejected(monkeyp
     calls = [
         lambda: simulate_girsanov_ensemble(model, grid, obs, n_paths, 1),
         lambda: simulate_innovation_ensemble(model, grid, obs, n_paths, 1),
-        lambda: particle_steps(model, grid, n_paths, 1, 0.5, 1),
         lambda: run_particle_filter(model, grid, obs, n_paths, 1),
         lambda: certainty_equivalence_run(model, PolicyField.zero(grid), grid, 1,
                                           filter_particles=n_paths),
@@ -356,6 +355,48 @@ def test_cli_rejects_non_finite_grid_bounds(tmp_path, capsys, key, value, subcom
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "finite" in err
+
+
+@pytest.mark.parametrize("means, variances", [
+    ((math.nan,), (1.0,)), ((math.inf,), (1.0,)), ((0.0, -math.inf), (1.0, 1.0)),
+    ((0.0,), (math.nan,)), ((0.0,), (math.inf,)), ((0.0, 1.0), (1.0, math.nan)),
+])
+def test_a_prior_with_a_non_finite_mean_or_variance_is_rejected(means, variances):
+    weights = (1.0 / len(means),) * len(means)
+    with pytest.raises(ValueError, match="^prior (means|variances) must be .*finite"):
+        GaussianMixturePrior(means, variances, weights)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"sigma": math.inf}, NonPositiveSigma), ({"sigma": math.nan}, NonPositiveSigma),
+    ({"control_gain": math.nan}, ValueError), ({"control_gain": math.inf}, ValueError),
+    ({"control_gain": -math.inf}, ValueError),
+])
+def test_a_scalar_model_with_a_non_finite_sigma_or_control_gain_is_rejected(kwargs, error):
+    with pytest.raises(error, match="finite"):
+        make_scalar("double_well", **kwargs)
+
+
+@pytest.mark.parametrize("line", [
+    "prior_var = nan", "prior_var = inf", "prior_mean = nan", "prior_mean = inf",
+    "sigma = inf", "control_gain = nan",
+])
+def test_cli_simulate_rejects_a_non_finite_model_value_and_writes_nothing(tmp_path, capsys,
+                                                                         line):
+    model = {"drift": "double_well", "sigma": "0.5", "h": "linear", "f": "linear"}
+    key, value = line.split(" = ")
+    model[key] = value
+    cfg = tmp_path / "model.ini"
+    cfg.write_text("[model]\n" + "".join(f"{k} = {v}\n" for k, v in model.items())
+                   + "[grid]\nt_end = 1\nn_steps = 20\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("at_step", [11, 2.5, -1, True, np.float64(3.0)])
