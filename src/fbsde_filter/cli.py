@@ -3,13 +3,16 @@
 Subcommands: simulate | estimate | variance | control | sweep.  They share
 one run path, `main`: read the config file, parse it, build the model, create
 the output directory, open the run manifest, run the subcommand's own work
-`cmd_*(args, parser, model, manifest)` and write the manifest.  Config values
-are read through `model.setting`.  All randomness flows from --seed; re-runs
-produce byte-identical data files.
+`cmd_*(args, parser, model, manifest)` and write the manifest.  Config values,
+[model] included, are read through `model.setting`.  estimate, sweep and
+variance share one set-up, `_run_estimators`.  All randomness flows from
+--seed; re-runs produce byte-identical data files.
 
-Exit codes: 0 success; 1 a library error, an unreadable file or a rejected
-value (an `error:` line on stderr); 2 a config error or an invalid flag;
-3 an estimator needs the truth path that an --obs record lacks.
+Exit codes: 0 success; 1 a library error, an unreadable file or a value the
+library rejects (an `error:` line on stderr); 2 a config error (a missing,
+unknown or malformed config value in any section, or a combination the run
+cannot take) or an invalid flag; 3 an estimator needs the truth path that an
+--obs record lacks.
 """
 
 from __future__ import annotations
@@ -166,11 +169,13 @@ def _load_or_simulate_obs(args, model, grid) -> ObservationRecord:
     return simulate_truth_and_obs(model, grid, args.seed)
 
 
-def _estimator_id(args, parser, model, ids=ESTIMATOR_IDS) -> str:
-    """The run's estimator id (--estimator, else [estimator] id), checked with --mode
-    before any work: an id outside `ids`, or --mode with any estimator but pi_obs,
-    is a ConfigError; a pi_obs mode that estimate_pi_obs does not run on `model`
-    raises its ModeModelMismatch."""
+def _estimator_id(args, parser, model, ids=ESTIMATOR_IDS) -> tuple[str, bool]:
+    """The run's estimator id (--estimator, else [estimator] id) and whether it takes
+    its pi[h] path from a Kalman-Bucy run, checked with --mode before any work: an
+    id outside `ids`, --mode with any estimator but pi_obs, or pi_innovation with
+    [estimator] pi_h_source = kalman on a model that is not linear-Gaussian is a
+    ConfigError; a pi_obs mode that estimate_pi_obs does not run on `model` raises
+    its ModeModelMismatch."""
     estimator_id = args.estimator or setting(parser, "estimator", "id")
     if estimator_id not in ids:
         raise ConfigError(f"unknown estimator id {estimator_id!r} for {args.subcommand} "
@@ -179,57 +184,63 @@ def _estimator_id(args, parser, model, ids=ESTIMATOR_IDS) -> str:
         if estimator_id != "pi_obs":
             raise ConfigError(f"--mode does not apply to {estimator_id}, which has no modes")
         check_pi_obs_mode(model, args.mode)
-    return estimator_id
+    kalman = estimator_id == "pi_innovation" and setting(
+        parser, "estimator", "pi_h_source", _pi_h_source, "self") == "kalman"
+    if kalman and not isinstance(model, LinearGaussianModelSpec):
+        raise ConfigError("pi_h_source=kalman requires a linear-Gaussian model")
+    return estimator_id, kalman
 
 
-def _run_estimators(model, parser, args, estimator_id, sizes) -> list[EstimatorReport]:
-    """One report per ensemble size in `sizes`, all on one observation record: the
-    record is simulated or loaded, the model checked on the space grid and the
-    backward solve of estimators I, II and IV made once for every size."""
+def _scalar_on_grid(model, parser):
+    """The scalar view of `model` and the [grid] space grid, checked against each
+    other by `validate_on_grid`."""
+    scalar, sgrid = scalar_view(model), build_space_grid(parser)
+    scalar.validate_on_grid(sgrid)
+    return scalar, sgrid
+
+
+def _run_estimators(args, parser, model, sizes, ids=ESTIMATOR_IDS, variance=False):
+    """The estimator id, checked by `_estimator_id`, and one report per ensemble
+    size in `sizes`, all on one observation record: the record is simulated or
+    loaded, the model checked on the space grid and the backward solve of
+    estimators I, II and IV made once for every size.  With variance=True a
+    report is the `variance_decay` of the ensemble in place of the estimate."""
+    estimator_id, kalman = _estimator_id(args, parser, model, ids)
     tgrid = build_time_grid(parser)
     obs = _load_or_simulate_obs(args, model, tgrid)
     if estimator_id == "pi_obs" and isinstance(model, LinearGaussianModelSpec):
-        report = estimate_pi_obs(model, obs, mode=args.mode or "lg_closed_form")
-        return [report for _ in sizes]
-    scalar = scalar_view(model)
-    sgrid = build_space_grid(parser)
-    scalar.validate_on_grid(sgrid)
+        closed_form = estimate_pi_obs(model, obs, mode=args.mode or "lg_closed_form")
+        return estimator_id, [closed_form for _ in sizes]
+    scalar, sgrid = _scalar_on_grid(model, parser)
     ess_floor = _ess_floor(parser)
-    if estimator_id in ("sigma_obs", "sigma_obs_error"):
-        if estimator_id == "sigma_obs":
-            y, estimate = solve_backward_kolmogorov(scalar, sgrid, tgrid), estimate_sigma_obs
-        else:
-            y = solve_feynman_kac(scalar, sgrid, tgrid, reaction="growth")
-            estimate = estimate_sigma_obs_error
+    if estimator_id == "sigma_obs_error":
+        y = solve_feynman_kac(scalar, sgrid, tgrid, reaction="growth")
+    elif estimator_id != "pi_obs":
+        y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
+    source = (model_kalman(model, obs).mean @ model.H).reshape(-1) if kalman else "self"
 
-        def run(n):
+    def report(n):
+        if estimator_id.startswith("sigma_obs"):
             ens = simulate_girsanov_ensemble(scalar, tgrid, obs, n, args.seed,
                                              ess_floor=ess_floor)
-            return estimate(scalar, obs, y, ens)
-    elif estimator_id == "pi_innovation":
-        y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
-        source = "self"
-        if setting(parser, "estimator", "pi_h_source", _pi_h_source, "self") == "kalman":
-            if not isinstance(model, LinearGaussianModelSpec):
-                raise ConfigError("pi_h_source=kalman requires a linear-Gaussian model")
-            source = (model_kalman(model, obs).mean @ model.H).reshape(-1)
-
-        def run(n):
+        else:
             ens = simulate_innovation_ensemble(scalar, tgrid, obs, n, args.seed,
                                                pi_h_source=source, ess_floor=ess_floor)
-            return estimate_pi_innovation(scalar, obs, y, ens)
-    else:  # pi_obs
-        def run(n):
-            ens = simulate_innovation_ensemble(scalar, tgrid, obs, n, args.seed,
-                                               pi_h_source="self", ess_floor=ess_floor)
+        if variance:
+            return variance_decay(scalar, y, ens,
+                                  flavor="pi" if estimator_id == "pi_innovation" else "sigma")
+        if estimator_id == "pi_obs":
             return estimate_pi_obs(scalar, obs, ensemble=ens, mode=args.mode or "fixed_point",
                                    space_grid=sgrid)
-    return [run(n) for n in sizes]
+        estimate = {"sigma_obs": estimate_sigma_obs, "pi_innovation": estimate_pi_innovation,
+                    "sigma_obs_error": estimate_sigma_obs_error}[estimator_id]
+        return estimate(scalar, obs, y, ens)
+    return estimator_id, [report(n) for n in sizes]
 
 
 def _terminal_hessian(parser, n: int) -> np.ndarray:
     def convert(text):
-        hessian = _parse_matrix(text, "terminal_hessian")
+        hessian = _parse_matrix(text)
         if hessian.shape != (n, n):
             raise ConfigError(f"terminal_hessian must be {n} x {n}, got "
                               f"{hessian.shape[0]} x {hessian.shape[1]}")
@@ -238,8 +249,7 @@ def _terminal_hessian(parser, n: int) -> np.ndarray:
 
 
 def _terminal(parser) -> NamedFunction | None:
-    params = setting(parser, "control", "terminal_params",
-                     lambda text: _parse_params(text, "terminal_params"), {})
+    params = setting(parser, "control", "terminal_params", _parse_params, {})
     return setting(parser, "control", "terminal", lambda name: NamedFunction(name, params),
                    None)
 
@@ -261,8 +271,7 @@ def cmd_simulate(args, parser, model, manifest) -> None:
 
 
 def cmd_estimate(args, parser, model, manifest) -> None:
-    estimator_id = _estimator_id(args, parser, model)
-    report, = _run_estimators(model, parser, args, estimator_id, [_particles(args, parser)])
+    estimator_id, (report,) = _run_estimators(args, parser, model, [_particles(args, parser)])
     write_csv(manifest.add("estimate.csv"), EstimatorReport.csv_header(),
               [report.csv_row()])
     print(f"{estimator_id}: estimate={fmt(report.point_estimate)} "
@@ -270,19 +279,9 @@ def cmd_estimate(args, parser, model, manifest) -> None:
 
 
 def cmd_variance(args, parser, model, manifest) -> None:
-    estimator_id = _estimator_id(args, parser, model, ("sigma_obs", "pi_innovation"))
-    scalar = scalar_view(model)
-    tgrid = build_time_grid(parser)
-    sgrid = build_space_grid(parser)
-    scalar.validate_on_grid(sgrid)
-    particles, ess_floor = _particles(args, parser), _ess_floor(parser)
-    obs = _load_or_simulate_obs(args, model, tgrid)
-    flavor, simulate = (("pi", simulate_innovation_ensemble)
-                        if estimator_id == "pi_innovation"
-                        else ("sigma", simulate_girsanov_ensemble))
-    y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
-    ens = simulate(scalar, tgrid, obs, particles, args.seed, ess_floor=ess_floor)
-    variance_decay(scalar, y, ens, flavor=flavor).to_csv(manifest.add("variance.csv"))
+    _, (report,) = _run_estimators(args, parser, model, [_particles(args, parser)],
+                                   ("sigma_obs", "pi_innovation"), variance=True)
+    report.to_csv(manifest.add("variance.csv"))
 
 
 def cmd_control(args, parser, model, manifest) -> None:
@@ -316,8 +315,7 @@ def cmd_control(args, parser, model, manifest) -> None:
             terminal = _terminal(parser)
             filter_particles = setting(parser, "control", "filter_particles",
                                        _ensemble_size, 1000)
-            sgrid = build_space_grid(parser)
-            model.validate_on_grid(sgrid)
+            _, sgrid = _scalar_on_grid(model, parser)
             policy, _ = hjb_policy(model, sgrid, tgrid, terminal=terminal)
             reports = [certainty_equivalence_run(model, policy, tgrid, s,
                                                  terminal_cost=terminal,
@@ -327,9 +325,7 @@ def cmd_control(args, parser, model, manifest) -> None:
         mean_cost = float(np.mean([r.realized_cost for r in reports]))
         print(f"certainty_equivalence: runs={n_runs} mean_cost={fmt(mean_cost)}")
     elif mode == "hjb":
-        scalar = scalar_view(model)
-        sgrid = build_space_grid(parser)
-        scalar.validate_on_grid(sgrid)
+        scalar, sgrid = _scalar_on_grid(model, parser)
         policy, value = hjb_policy(scalar, sgrid, tgrid, terminal=_terminal(parser))
         GridFunction.from_values(sgrid, tgrid, policy.values).to_csv(manifest.add("policy.csv"))
         value.to_csv(manifest.add("value.csv"))
@@ -338,8 +334,7 @@ def cmd_control(args, parser, model, manifest) -> None:
 
 
 def cmd_sweep(args, parser, model, manifest) -> None:
-    estimator_id = _estimator_id(args, parser, model)
-    reports = _run_estimators(model, parser, args, estimator_id, args.particles_list)
+    _, reports = _run_estimators(args, parser, model, args.particles_list)
     rows = [report.csv_row() for report in reports]
     write_csv(manifest.add("sweep.csv"), EstimatorReport.csv_header(), rows)
 

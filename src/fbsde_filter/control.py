@@ -44,6 +44,7 @@ from .sde_sim import (
     STREAM_FILTER,
     ObservationRecord,
     PathEnsemble,
+    _check_state,
     check_ess_floor,
     check_n_paths,
     path_dot,
@@ -173,6 +174,7 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
         X[s] = model.draw_initial_state(gx)
         xi[s] = gx.standard_normal((K, n))
         eta[s] = gz.standard_normal((K, m_obs))
+    _check_state(X, 0, "state")
 
     m = np.tile(model.m0, (S, 1))
     cost = np.zeros(S)
@@ -220,6 +222,7 @@ def certainty_equivalence_run(model, policy: PolicyField, grid: TimeGrid,
     gen_x = path_generator(seed, STREAM_CONTROL_STATE, 0)
     gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
     x_truth = float(model.prior.sample(gen_x, 1)[0])
+    _check_state(x_truth, 0, "state")
     xi = gen_x.standard_normal(K)
     eta = gen_z.standard_normal(K)
 

@@ -3,7 +3,8 @@
 Configuration documents are INI-style text with sections [model], [grid],
 [estimator], [control], [output].  `parse_config` checks the keys of every
 section but [model], whose keys depend on its kind and are checked by
-`build_model`; `setting` reads one typed value.  Models come in two kinds:
+`build_model`; `setting` reads one typed value, in [model] too, and
+`serialize_model` writes a [model] section back.  Models come in two kinds:
 nonlinear scalar diffusions with a one-dimensional observation channel, and
 general linear-Gaussian systems given by matrices.  All specification
 objects are immutable after construction and safe to share across workers.
@@ -12,7 +13,6 @@ objects are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -338,12 +338,18 @@ class ScalarModelSpec:
             )
 
 
+def _check_finite(a: np.ndarray, label: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{label} must be finite")
+
+
 def _as_matrix(a, rows: int | None = None, cols: int | None = None, label: str = "matrix"):
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if rows is not None and m.shape[0] != rows:
         raise DimensionMismatch(f"{label} must have {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise DimensionMismatch(f"{label} must have {cols} columns, got {m.shape[1]}")
+    _check_finite(m, label)
     m.setflags(write=False)
     return m
 
@@ -384,6 +390,8 @@ class LinearGaussianModelSpec:
         fb = np.asarray(self.f_bar, dtype=float).reshape(-1)
         if fb.shape[0] != n:
             raise DimensionMismatch(f"f_bar must have length {n}, got {fb.shape[0]}")
+        _check_finite(m0, "m0")
+        _check_finite(fb, "f_bar")
         G = self.G
         if G is None:
             G = np.zeros((n, 1))
@@ -514,40 +522,28 @@ def setting(config, section: str, key: str, convert=str, default=_REQUIRED):
         raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from None
 
 
-def _parse_matrix(text: str, label: str) -> np.ndarray:
-    # rows separated by ';', entries by ','
-    try:
-        rows = [
-            [float(v) for v in row.split(",") if v.strip() != ""]
-            for row in text.split(";")
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {label}={text!r} as a matrix") from exc
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ConfigError(f"ragged rows in {label}={text!r}")
+def _parse_matrix(text: str) -> np.ndarray:
+    """Rows separated by ';', entries by ','; ValueError unless every row holds
+    as many numbers."""
+    rows = [[float(v) for v in row.split(",") if v.strip()] for row in text.split(";")]
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("rows of unequal length")
     return np.array(rows, dtype=float)
 
 
-def _parse_vector(text: str, label: str) -> np.ndarray:
-    m = _parse_matrix(text, label)
-    return m.reshape(-1)
+def _parse_vector(text: str) -> np.ndarray:
+    return _parse_matrix(text).reshape(-1)
 
 
-def _parse_params(text: str, label: str) -> dict:
-    # "a=-1,b=0.5" -> {"a": -1.0, "b": 0.5}
+def _parse_params(text: str) -> dict:
+    """Parameters "a=-1,b=0.5" as {"a": -1.0, "b": 0.5}; ValueError on an item
+    that is not name=number."""
     params = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigError(f"cannot parse parameter {item!r} in {label}")
-        key, val = item.split("=", 1)
-        try:
-            params[key.strip()] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric parameter {item!r} in {label}") from exc
+    for item in filter(None, (item.strip() for item in text.split(","))):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"cannot parse parameter {item!r}")
+        params[key.strip()] = float(value)
     return params
 
 
@@ -570,62 +566,54 @@ def _is_pure_linear(fn: NamedFunction) -> bool:
 def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
     """Build and validate a model from a config document (text or parser).
 
-    Scalar configs in which drift, h and f are all pure linear functions (and
-    the prior is a single Gaussian) are promoted to the 1-D linear-Gaussian
-    representation so that closed-form oracles apply.
+    Every [model] value is read through `setting`, so a missing or malformed
+    value is a ConfigError naming its key.  Scalar configs in which drift, h and
+    f are all pure linear functions (and the prior is a single Gaussian) are
+    promoted to the 1-D linear-Gaussian representation so that closed-form
+    oracles apply.
     """
     config = _parsed(config)
     if not config.has_section("model"):
         raise ConfigError("missing [model] section")
     sec = config["model"]
+
+    def get(key, convert=float, default=_REQUIRED):
+        return setting(config, "model", key, convert, default)
+
     # a config with a "drift" key is in scalar form; matrix form has A/H/...
-    default_kind = "scalar" if "drift" in sec else "linear_gaussian"
-    kind = sec.get("kind", default_kind).strip()
+    kind = get("kind", str, "scalar" if "drift" in sec else "linear_gaussian")
 
     if kind == "linear_gaussian" and "drift" not in sec:
         _check_keys("model", sec.keys(), _MODEL_KEYS_LG)
-        for key in ("a", "h", "sigma", "m0", "sigma0", "f_bar"):
-            if key not in sec:
-                raise ConfigError(f"[model] missing key {key!r}")
-        A = _parse_matrix(sec["a"], "A")
-        H = _parse_matrix(sec["h"], "H")
-        G = _parse_matrix(sec["g"], "G") if "g" in sec else None
         return LinearGaussianModelSpec(
-            A=A,
-            H=H,
-            G=G,
-            sigma=float(sec["sigma"]),
-            m0=_parse_vector(sec["m0"], "m0"),
-            Sigma0=_parse_matrix(sec["sigma0"], "Sigma0"),
-            f_bar=_parse_vector(sec["f_bar"], "f_bar"),
+            A=get("a", _parse_matrix),
+            H=get("h", _parse_matrix),
+            G=get("g", _parse_matrix, None),
+            sigma=get("sigma"),
+            m0=get("m0", _parse_vector),
+            Sigma0=get("sigma0", _parse_matrix),
+            f_bar=get("f_bar", _parse_vector),
         )
 
     if kind in ("scalar", "linear_gaussian"):
         _check_keys("model", sec.keys(), _MODEL_KEYS_SCALAR)
-        for key in ("drift", "sigma", "h", "f"):
-            if key not in sec:
-                raise ConfigError(f"[model] missing key {key!r}")
         if "prior_means" in sec:
-            means = tuple(_parse_vector(sec["prior_means"], "prior_means"))
-            varis = tuple(_parse_vector(sec.get("prior_vars", "1"), "prior_vars"))
-            weights = tuple(_parse_vector(sec.get("prior_weights", "1"), "prior_weights"))
-            prior = GaussianMixturePrior(means, varis, weights)
+            means, variances, weights = (tuple(get(key, _parse_vector, np.ones(1)))
+                                         for key in ("prior_means", "prior_vars", "prior_weights"))
+            prior = GaussianMixturePrior(means, variances, weights)
         else:
-            prior = GaussianMixturePrior.gaussian(
-                float(sec.get("prior_mean", 0.0)), float(sec.get("prior_var", 1.0))
-            )
-        drift_params = _parse_params(sec.get("drift_params", ""), "drift_params")
+            prior = GaussianMixturePrior.gaussian(get("prior_mean", float, 0.0),
+                                                  get("prior_var", float, 1.0))
+        drift_params = get("drift_params", _parse_params, {})
         if "a" in sec:  # shorthand for the linear drift slope
-            drift_params["a"] = float(sec["a"])
+            drift_params["a"] = get("a")
         spec = ScalarModelSpec(
-            drift_fn=NamedFunction(sec["drift"].strip(), drift_params),
-            sigma=float(sec["sigma"]),
-            obs_fn=NamedFunction(sec["h"].strip(),
-                                 _parse_params(sec.get("h_params", ""), "h_params")),
-            terminal_fn=NamedFunction(sec["f"].strip(),
-                                      _parse_params(sec.get("f_params", ""), "f_params")),
+            drift_fn=NamedFunction(get("drift", str), drift_params),
+            sigma=get("sigma"),
+            obs_fn=NamedFunction(get("h", str), get("h_params", _parse_params, {})),
+            terminal_fn=NamedFunction(get("f", str), get("f_params", _parse_params, {})),
             prior=prior,
-            control_gain=float(sec.get("control_gain", 0.0)),
+            control_gain=get("control_gain", float, 0.0),
         )
         promotable = (
             _is_pure_linear(spec.drift_fn)
@@ -686,41 +674,30 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _numbers(a) -> str:
+    """Config text of a matrix (rows joined by ';', entries by ',') or a vector."""
+    return ";".join(",".join(_fmt(v) for v in row) for row in np.atleast_2d(a))
+
+
+def _params(fn: NamedFunction) -> str:
+    return ",".join(f"{k}={_fmt(v)}" for k, v in sorted(fn.params.items()))
+
+
 def serialize_model(model: ScalarModelSpec | LinearGaussianModelSpec) -> str:
-    """Emit a canonical [model] config section that re-parses to the same spec."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.add_section("model")
-    sec = parser["model"]
+    """Emit a canonical [model] config section that re-parses to the same spec;
+    empty parameter lists and a zero G or control gain are left out."""
     if isinstance(model, LinearGaussianModelSpec):
-        sec["kind"] = "linear_gaussian"
-        sec["a"] = ";".join(",".join(_fmt(v) for v in row) for row in model.A)
-        sec["h"] = ";".join(",".join(_fmt(v) for v in row) for row in model.H)
-        if np.any(model.G != 0.0):
-            sec["g"] = ";".join(",".join(_fmt(v) for v in row) for row in model.G)
-        sec["sigma"] = _fmt(model.sigma)
-        sec["m0"] = ",".join(_fmt(v) for v in model.m0)
-        sec["sigma0"] = ";".join(",".join(_fmt(v) for v in row) for row in model.Sigma0)
-        sec["f_bar"] = ",".join(_fmt(v) for v in model.f_bar)
+        entries = {"kind": "linear_gaussian", "a": _numbers(model.A), "h": _numbers(model.H),
+                   "g": _numbers(model.G) if np.any(model.G != 0.0) else "",
+                   "sigma": _fmt(model.sigma), "m0": _numbers(model.m0),
+                   "sigma0": _numbers(model.Sigma0), "f_bar": _numbers(model.f_bar)}
     else:
-        sec["kind"] = "scalar"
-        sec["drift"] = model.drift_fn.name
-        if model.drift_fn.params:
-            sec["drift_params"] = ",".join(
-                f"{k}={_fmt(v)}" for k, v in sorted(model.drift_fn.params.items()))
-        sec["sigma"] = _fmt(model.sigma)
-        sec["h"] = model.obs_fn.name
-        if model.obs_fn.params:
-            sec["h_params"] = ",".join(
-                f"{k}={_fmt(v)}" for k, v in sorted(model.obs_fn.params.items()))
-        sec["f"] = model.terminal_fn.name
-        if model.terminal_fn.params:
-            sec["f_params"] = ",".join(
-                f"{k}={_fmt(v)}" for k, v in sorted(model.terminal_fn.params.items()))
-        sec["prior_means"] = ",".join(_fmt(v) for v in model.prior.means)
-        sec["prior_vars"] = ",".join(_fmt(v) for v in model.prior.variances)
-        sec["prior_weights"] = ",".join(_fmt(v) for v in model.prior.weights)
-        if model.control_gain:
-            sec["control_gain"] = _fmt(model.control_gain)
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+        entries = {"kind": "scalar", "drift": model.drift_fn.name,
+                   "drift_params": _params(model.drift_fn), "sigma": _fmt(model.sigma),
+                   "h": model.obs_fn.name, "h_params": _params(model.obs_fn),
+                   "f": model.terminal_fn.name, "f_params": _params(model.terminal_fn),
+                   "prior_means": _numbers(model.prior.means),
+                   "prior_vars": _numbers(model.prior.variances),
+                   "prior_weights": _numbers(model.prior.weights),
+                   "control_gain": _fmt(model.control_gain) if model.control_gain else ""}
+    return "[model]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items() if v) + "\n"

@@ -475,6 +475,7 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
             raise ValueError("drift_fn override is supported on the scalar path only")
         X = np.empty((K + 1, model.n_state))
         X[0] = model.draw_initial_state(gen_x)
+        _check_state(X[0], 0, "state")
         xi = gen_x.standard_normal((K, model.n_state))
         eta = gen_z.standard_normal((K, model.n_obs))
         for k in range(K):
@@ -486,6 +487,7 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
         sm = scalar_view(model)
         X = np.empty(K + 1)
         X[0] = sm.prior.sample(gen_x, 1)[0]
+        _check_state(X[0], 0, "state")
         xi = gen_x.standard_normal(K)
         eta = gen_z.standard_normal(K)
         for k in range(K):
@@ -503,9 +505,10 @@ def weighted_paths(model, grid: TimeGrid, n_paths: int, seed: int, stream: int,
     """The one forward loop over a weighted population of n_paths (checked by the
     caller): a generator yielding (x, w, wsum, ess, acted, row) at k = 0 .. K and
     taking back (b, c, d) for `weighted_step` to make step k, into out=(X, lw)'s
-    time-major rows k + 1 when given, and `_check_state` to check.  The prior draw
-    and the rows (step k's normals; (2, N) state then observation normals with
-    obs_noise) come from `_ensemble_noise` on `stream`.  Only given a floor does it
+    time-major rows k + 1 when given, and `_check_state` to check, as it checks the
+    prior draw before the first drift.  The prior draw and the rows (step k's
+    normals; (2, N) state then observation normals with obs_noise) come from
+    `_ensemble_noise` on `stream`.  Only given a floor does it
     form w, wsum, ess = `normalized_weights` once per step and act on an ESS below
     it: resample on key `resample_index` of STREAM_RESAMPLE (w, wsum then weigh the
     x handed out), or else warn WeightCollapse at the first such step.
@@ -513,11 +516,13 @@ def weighted_paths(model, grid: TimeGrid, n_paths: int, seed: int, stream: int,
     K = grid.n_steps
     u0, z0, rows = _ensemble_noise(seed, stream, n_paths, K, with_obs_noise=obs_noise)
     sm = scalar_view(model)
-    x, lw = sm.prior.from_draws(u0, z0), np.zeros(n_paths)
-    if out is not None:
-        out[0][0], out[1][0] = x, lw
     gen = None if resample_index is None else path_generator(seed, STREAM_RESAMPLE,
                                                              resample_index)
+    label = "ensemble state" if gen is None else "particle state"
+    x, lw = sm.prior.from_draws(u0, z0), np.zeros(n_paths)
+    _check_state(x, 0, label)
+    if out is not None:
+        out[0][0], out[1][0] = x, lw
     w = wsum = ess = None
     acted = False
     for k in range(K + 1):
@@ -535,7 +540,7 @@ def weighted_paths(model, grid: TimeGrid, n_paths: int, seed: int, stream: int,
         b, c, d = yield x, w, wsum, ess, acted, row  # not resumed after step K
         x, lw = weighted_step(x, lw, b, c, d, row[0] if obs_noise else row, sm.sigma,
                               grid.dt, None if out is None else (out[0][k + 1], out[1][k + 1]))
-        _check_state(x, k + 1, "ensemble state" if gen is None else "particle state")
+        _check_state(x, k + 1, label)
 
 
 def _simulate_weighted_ensemble(

@@ -1,5 +1,6 @@
-"""The CLI config schema, typed settings, --obs checks, ensemble sizes, the estimator id and
---mode checks made before any work, the grid check of control, and 2-state runs."""
+"""The CLI config schema, typed settings ([model] included), --obs checks, ensemble sizes,
+the estimator id, --mode and pi_h_source checks made before any work, the grid check of
+control, variance on a Kalman pi[h] path, and 2-state runs."""
 
 import csv
 
@@ -8,8 +9,21 @@ import pytest
 
 from fbsde_filter import cli
 from fbsde_filter.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, main
-from fbsde_filter.model import TimeGrid, build_model
-from fbsde_filter.sde_sim import ObservationRecord, simulate_truth_and_obs
+from fbsde_filter.estimators import variance_decay
+from fbsde_filter.kalman import model_kalman
+from fbsde_filter.model import (
+    TimeGrid,
+    build_model,
+    build_space_grid,
+    build_time_grid,
+    parse_config,
+)
+from fbsde_filter.pde_backward import solve_backward_kolmogorov
+from fbsde_filter.sde_sim import (
+    ObservationRecord,
+    simulate_innovation_ensemble,
+    simulate_truth_and_obs,
+)
 
 OU = """
 [model]
@@ -150,11 +164,13 @@ def test_mode_for_an_estimator_without_modes_exits_2(tmp_path, capsys, estimator
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """The CLI's simulators and control runs, patched to fail the test when called."""
+    """The CLI's simulators, grid solves and control runs, patched to fail the test
+    when called."""
     def refuse(*args, **kwargs):
         raise AssertionError("the run did work before its checks")
     for name in ("simulate_truth_and_obs", "simulate_girsanov_ensemble",
-                 "simulate_innovation_ensemble", "hjb_policy", "certainty_equivalence_run"):
+                 "simulate_innovation_ensemble", "solve_backward_kolmogorov",
+                 "solve_feynman_kac", "hjb_policy", "certainty_equivalence_run"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -292,3 +308,53 @@ def test_misspelt_pi_h_source_exits_2(tmp_path, capsys):
     assert run(tmp_path, config, "estimate") == EXIT_CONFIG
     assert "pi_h_source" in capsys.readouterr().err
     assert run(tmp_path, config.replace("kalmn", "self"), "estimate") == EXIT_OK
+
+
+@pytest.mark.parametrize("config, key", [
+    (DW.replace("sigma = 0.5", "sigma = abc"), "sigma"),
+    (DW.replace("control_gain = 1", "control_gain = 1\nprior_mean = 0..1"), "prior_mean"),
+    (DW.replace("control_gain = 1", "control_gain = 1\nprior_var = one"), "prior_var"),
+    (DW.replace("control_gain = 1", "control_gain = x1"), "control_gain"),
+    (OU.replace("a = -1", "a = -1e"), "a"),
+    (LG2.replace("a = -1,0.2;0,-0.5", "a = -1,0.2;0,-O.5"), "a"),
+    (DW.replace("control_gain = 1", "control_gain = 1\nprior_means = -1,x\n"
+                "prior_weights = 0.5,0.5"), "prior_means"),
+], ids=["sigma", "prior_mean", "prior_var", "control_gain", "a",
+        "a_matrix", "prior_means"])
+def test_a_malformed_model_value_exits_2_naming_its_key(tmp_path, capsys, config, key):
+    assert run(tmp_path, config, "simulate") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [model] {key} = ")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_variance_takes_pi_h_from_the_kalman_filter_when_asked(tmp_path):
+    # in process: the variance decay of the Kalman-sourced innovation ensemble
+    config = OU + "\n[estimator]\npi_h_source = kalman\n"
+    assert run(tmp_path, config, "variance", "--estimator", "pi_innovation",
+               "--particles", "50") == EXIT_OK
+    written = (tmp_path / "out" / "variance.csv").read_bytes()
+    model, parser = build_model(config), parse_config(config)
+    tgrid, sgrid = build_time_grid(parser), build_space_grid(parser)
+    obs = simulate_truth_and_obs(model, tgrid, seed=5)
+    scalar = model.as_scalar()
+    y = solve_backward_kolmogorov(scalar, sgrid, tgrid)
+    source = (model_kalman(model, obs).mean @ model.H).reshape(-1)
+    ens = simulate_innovation_ensemble(scalar, tgrid, obs, 50, 5, pi_h_source=source)
+    variance_decay(scalar, y, ens, flavor="pi").to_csv(tmp_path / "expected.csv")
+    assert written == (tmp_path / "expected.csv").read_bytes()
+    assert run(tmp_path, config.replace("kalman", "self"), "variance", "--estimator",
+               "pi_innovation", "--particles", "50") == EXIT_OK
+    assert (tmp_path / "out" / "variance.csv").read_bytes() != written
+
+
+@pytest.mark.parametrize("sub, sizes", [("estimate", "--particles"),
+                                        ("sweep", "--particles-list"),
+                                        ("variance", "--particles")])
+def test_kalman_pi_h_on_a_scalar_model_exits_2_before_any_work(tmp_path, capsys, no_work,
+                                                               sub, sizes):
+    config = DW + "\n[estimator]\npi_h_source = kalman\n"
+    assert run(tmp_path, config, sub, "--estimator", "pi_innovation", sizes, "20") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: pi_h_source=kalman requires a linear-Gaussian model\n"
+    assert list((tmp_path / "out").iterdir()) == []

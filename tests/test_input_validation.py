@@ -1,8 +1,9 @@
-"""Seeds and stream keys, ESS floors, path counts, non-finite priors, noise amplitudes and
-control gains, singular prior covariances, multi-channel zero policies, diverging truth
-paths and particle filters, a filter covariance growing where the observations do not
-see, an HJB past its log transform's range, non-finite grid bounds, non-integer grid
-counts and resampling steps."""
+"""Seeds and stream keys, ESS floors, path counts, non-finite priors, noise amplitudes,
+control gains and linear-Gaussian matrices, singular prior covariances, multi-channel zero
+policies, initial states past the overflow bound, diverging truth paths and particle
+filters, a filter covariance growing where the observations do not see, an HJB past its
+log transform's range, non-finite grid bounds, non-integer grid counts and resampling
+steps."""
 
 import math
 import os
@@ -377,6 +378,16 @@ def test_a_scalar_model_with_a_non_finite_sigma_or_control_gain_is_rejected(kwar
         make_scalar("double_well", **kwargs)
 
 
+def _simulate_in_process(tmp_path, config):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    return code, out
+
+
 @pytest.mark.parametrize("line", [
     "prior_var = nan", "prior_var = inf", "prior_mean = nan", "prior_mean = inf",
     "sigma = inf", "control_gain = nan",
@@ -386,17 +397,79 @@ def test_cli_simulate_rejects_a_non_finite_model_value_and_writes_nothing(tmp_pa
     model = {"drift": "double_well", "sigma": "0.5", "h": "linear", "f": "linear"}
     key, value = line.split(" = ")
     model[key] = value
-    cfg = tmp_path / "model.ini"
-    cfg.write_text("[model]\n" + "".join(f"{k} = {v}\n" for k, v in model.items())
-                   + "[grid]\nt_end = 1\nn_steps = 20\n")
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    code, out = _simulate_in_process(tmp_path, "[model]\n" + "".join(
+        f"{k} = {v}\n" for k, v in model.items()) + "[grid]\nt_end = 1\nn_steps = 20\n")
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("A", [[math.nan, 0.2], [0.0, -0.5]]), ("H", [[1.0], [math.inf]]),
+    ("G", [[1.0], [-math.inf]]), ("m0", [math.inf, -0.2]),
+    ("Sigma0", [[1.0, 0.0], [0.0, math.inf]]), ("f_bar", [1.0, math.nan]),
+])
+def test_a_linear_gaussian_model_with_a_non_finite_entry_is_rejected(field, value):
+    kwargs = dict(A=[[-1.0, 0.2], [0.0, -0.5]], H=[[1.0], [0.5]], G=None, sigma=0.5,
+                  m0=[0.3, -0.2], Sigma0=np.eye(2), f_bar=[1.0, 0.0])
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        LinearGaussianModelSpec(**kwargs)
+
+
+def test_cli_simulate_rejects_a_non_finite_matrix_entry_and_writes_nothing(tmp_path, capsys):
+    code, out = _simulate_in_process(tmp_path, _EXPLODING_2D.replace("a = 60,0;0,60",
+                                                                     "a = nan,0;0,-1"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: A must be finite\n"
+    assert not out.exists()
+
+
+# each initial state lies past +-1e8; the double well's cubic drift would overflow on it
+_FAR = make_scalar("double_well", sigma=0.5, prior=(1e300, 1.0))
+_FAR_LG2 = LinearGaussianModelSpec(A=-np.eye(2), H=[[1.0], [0.5]], sigma=1.0,
+                                   m0=[0.0, -2e8], Sigma0=np.eye(2), f_bar=[1.0, 0.0])
+_FAR_GRID = TimeGrid(1.0, 20)
+
+
+@pytest.mark.parametrize("run, label", [
+    (lambda: simulate_truth_and_obs(_FAR, _FAR_GRID, 1), "state"),
+    (lambda: simulate_truth_and_obs(_FAR_LG2, _FAR_GRID, 1), "state"),
+    (lambda: certainty_equivalence_batch(_FAR_LG2, PolicyField.zero(_FAR_GRID), _FAR_GRID,
+                                         [1, 2], np.eye(2)), "state"),
+    (lambda: simulate_girsanov_ensemble(_FAR, _FAR_GRID, None, 50, 1), "ensemble state"),
+    (lambda: simulate_innovation_ensemble(_FAR, _FAR_GRID, None, 50, 1), "ensemble state"),
+    (lambda: run_particle_filter(_FAR, _FAR_GRID, simulate_truth_and_obs(
+        make_scalar("double_well", sigma=0.5), _FAR_GRID, 1), 50, 1), "particle state"),
+], ids=["truth", "truth_2d", "kalman_control_batch", "girsanov", "innovation",
+        "particle_filter"])
+def test_an_initial_state_past_the_overflow_bound_is_stopped_at_step_0(run, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SimulationDiverged, match=f"^{label} exceeded 1e\\+08 at step 0$"):
+            run()
+
+
+def test_a_particle_control_run_from_a_far_initial_state_is_stopped_at_step_0():
+    # the truth's prior draw and the filter's are each checked before the first drift
+    far = make_scalar("double_well", sigma=0.5, prior=(1e300, 1.0), control_gain=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SimulationDiverged, match=r"state exceeded 1e\+08 at step 0$"):
+            certainty_equivalence_run(far, PolicyField.zero(_FAR_GRID), _FAR_GRID, 1,
+                                      filter_particles=50)
+
+
+def test_cli_simulate_from_a_far_initial_state_exits_1_and_writes_nothing(tmp_path, capsys):
+    code, out = _simulate_in_process(tmp_path, "[model]\ndrift = double_well\nsigma = 0.5\n"
+                                     "h = linear\nf = linear\nprior_mean = 1e300\n"
+                                     "[grid]\nt_end = 1\nn_steps = 20\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: state exceeded 1e+08 at step 0\n"
+    assert not (out / "obs.csv").exists()
 
 
 @pytest.mark.parametrize("at_step", [11, 2.5, -1, True, np.float64(3.0)])

@@ -170,6 +170,30 @@ prior_weights = 0.25,0.75
         again = build_model(serialize_model(model))
         assert specs_equal(model, again)
 
+    def test_serialized_text_is_pinned(self):
+        # the writer's exact text: keys in this order, %.17g numbers, empty
+        # parameter lists and a zero G or control gain left out
+        lg = LinearGaussianModelSpec(A=[[-1, 0.2], [0, -0.5]], H=[[1], [0.5]], G=[[1], [0]],
+                                     sigma=0.5, m0=[0.3, -0.2], Sigma0=[[1, 0.1], [0.1, 2]],
+                                     f_bar=[1, 0])
+        assert serialize_model(lg) == (
+            "[model]\nkind = linear_gaussian\na = -1,0.20000000000000001;0,-0.5\n"
+            "h = 1;0.5\ng = 1;0\nsigma = 0.5\nm0 = 0.29999999999999999,-0.20000000000000001\n"
+            "sigma0 = 1,0.10000000000000001;0.10000000000000001,2\nf_bar = 1,0\n\n")
+        mixture = build_model("[model]\ndrift = sine\ndrift_params = frequency=2,amplitude=0.5\n"
+                              "sigma = 0.3\nh = linear\nh_params = a=0.5,b=0.1\n"
+                              "f = gaussian_bump\nprior_means = -1,1\nprior_vars = 0.5,0.25\n"
+                              "prior_weights = 0.25,0.75\ncontrol_gain = 1.5\n")
+        assert serialize_model(mixture) == (
+            "[model]\nkind = scalar\ndrift = sine\ndrift_params = amplitude=0.5,frequency=2\n"
+            "sigma = 0.29999999999999999\nh = linear\nh_params = a=0.5,b=0.10000000000000001\n"
+            "f = gaussian_bump\nprior_means = -1,1\nprior_vars = 0.5,0.25\n"
+            "prior_weights = 0.25,0.75\ncontrol_gain = 1.5\n\n")
+        no_gain = LinearGaussianModelSpec(A=[[-1]], H=[[1]], sigma=1.0, m0=[0], Sigma0=[[1]],
+                                          f_bar=[1])
+        assert serialize_model(no_gain) == ("[model]\nkind = linear_gaussian\na = -1\nh = 1\n"
+                                            "sigma = 1\nm0 = 0\nsigma0 = 1\nf_bar = 1\n\n")
+
     @given(st.floats(-3, 3), st.floats(0.1, 4), st.floats(-2, 2))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_random_linear(self, a, sigma, m0):
