@@ -8,11 +8,12 @@ the output directory, open the run manifest, run the subcommand's own work
 variance share one set-up, `_run_estimators`.  All randomness flows from
 --seed; re-runs produce byte-identical data files.
 
-Exit codes: 0 success; 1 a library error, an unreadable file or a value the
-library rejects (an `error:` line on stderr); 2 a config error (a missing,
-unknown or malformed config value in any section, or a combination the run
-cannot take) or an invalid flag; 3 an estimator needs the truth path that an
---obs record lacks.
+Exit codes: 0 success; 1 a library error, an unreadable or malformed file or a
+value the library rejects (an `error:` line on stderr), a non-finite result
+included: the CSV and npz writers refuse NaN and +-inf, so it is not written;
+2 a config error (a missing, unknown or malformed config value in any section,
+or a combination the run cannot take) or an invalid flag; 3 an estimator needs
+the truth path that an --obs record lacks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .estimators import (
     estimate_sigma_obs_error,
     variance_decay,
 )
-from .io import fmt, write_csv
+from .io import fmt, write_columns, write_csv
 from .kalman import lq_control_riccati, model_kalman
 from .model import (
     LinearGaussianModelSpec,
@@ -152,15 +153,14 @@ def _ess_floor(parser):
 def _write_obs_csv(path, obs: ObservationRecord) -> None:
     """One row per grid time; a record with several components gets one column
     per component (x_truth_1 .. x_truth_n, and likewise z, dz, noise_cum)."""
-    header, columns = ["t"], [obs.grid.times()]
+    columns = {"t": obs.grid.times()}
     dz = np.concatenate([np.zeros_like(obs.dZ[:1]), obs.dZ])
     for name, values in (("z", obs.Z), ("dz", dz), ("x_truth", obs.X_truth),
                          ("noise_cum", obs.noise_cum)):
-        values = np.asarray(values, dtype=float).reshape(len(columns[0]), -1)
-        width = values.shape[1]
-        header += [name] if width == 1 else [f"{name}_{i + 1}" for i in range(width)]
-        columns += list(values.T)
-    write_csv(path, header, zip(*columns))
+        values = np.asarray(values, dtype=float).reshape(len(columns["t"]), -1).T
+        columns.update((name if len(values) == 1 else f"{name}_{i + 1}", column)
+                       for i, column in enumerate(values))
+    write_columns(path, columns)
 
 
 def _load_or_simulate_obs(args, model, grid) -> ObservationRecord:

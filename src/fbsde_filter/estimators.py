@@ -39,7 +39,7 @@ from .errors import (
     ModeModelMismatch,
     ResamplingForbiddenInEstimatorMode,
 )
-from .io import write_csv
+from .io import write_columns
 from .kalman import covariance_path, dual_sweep, kalman_transitions, model_riccati
 from .model import (
     LinearGaussianModelSpec,
@@ -74,12 +74,8 @@ class VarianceDecayReport:
     grid_exit_fraction: float    # share of the states read outside the space grid
 
     def to_csv(self, path) -> None:
-        times = self.grid.times()
-        rows = (
-            (times[k], self.var_y[k], self.dirichlet_rhs[k], self.cumulative_rhs[k])
-            for k in range(len(times))
-        )
-        write_csv(path, ["t", "var", "rhs", "cum_rhs"], rows)
+        write_columns(path, {"t": self.grid.times(), "var": self.var_y,
+                             "rhs": self.dirichlet_rhs, "cum_rhs": self.cumulative_rhs})
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, RiccatiBlowup
-from .io import write_csv
+from .io import write_columns
 from .model import LinearGaussianModelSpec, TimeGrid
 from .sde_sim import ObservationRecord, cumulative_path
 
@@ -50,14 +50,11 @@ class GaussianState:
 
     def to_csv(self, path) -> None:
         n = self.n_state
-        header = (["t"] + [f"m_{i + 1}" for i in range(n)]
-                  + [f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)])
-        times = self.grid.times()
-        rows = (
-            np.concatenate([[times[k]], self.mean[k], self.covariance[k].reshape(-1)])
-            for k in range(len(times))
-        )
-        write_csv(path, header, rows)
+        columns = {"t": self.grid.times()}
+        columns.update((f"m_{i + 1}", self.mean[:, i]) for i in range(n))
+        columns.update((f"sigma_{i + 1}{j + 1}", self.covariance[:, i, j])
+                       for i in range(n) for j in range(n))
+        write_columns(path, columns)
 
 
 @dataclass(frozen=True)

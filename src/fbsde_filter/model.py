@@ -84,7 +84,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SpaceGrid:
-    """Uniform spatial grid on [x_min, x_max] with n_points nodes."""
+    """Uniform spatial grid on [x_min, x_max] with n_points nodes; dx * dx, which
+    the backward solves divide by, must be a positive finite float."""
 
     x_min: float
     x_max: float
@@ -95,6 +96,9 @@ class SpaceGrid:
             raise ValueError(f"x_min and x_max must be finite with x_min < x_max, "
                              f"got {self.x_min}, {self.x_max}")
         _check_count("n_points", self.n_points, 3)
+        if not 0 < self.dx * self.dx < math.inf:
+            raise ValueError(f"grid spacing dx = {self.dx:g} is too wide or too narrow: "
+                             f"dx * dx = {self.dx * self.dx:g}")
 
     @property
     def dx(self) -> float:
@@ -202,7 +206,7 @@ def registry_eval(name: str, params: dict | None, x):
 
 @dataclass(frozen=True)
 class NamedFunction:
-    """A registry function bound to its parameters."""
+    """A registry function bound to its parameters, which must be finite."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -212,6 +216,9 @@ class NamedFunction:
             raise UnknownFunctionName(
                 f"unknown function {self.name!r}; known: {', '.join(registry_names())}"
             )
+        for key, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{self.name} parameter {key} must be finite, got {value}")
 
     def __call__(self, x):
         return registry_eval(self.name, self.params, x)
@@ -328,7 +335,8 @@ class ScalarModelSpec:
         x = grid.points()
         for fn, label in ((self.drift_fn, "drift"), (self.obs_fn, "h"),
                           (self.terminal_fn, "f")):
-            vals = np.asarray(fn(x), dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                vals = np.asarray(fn(x), dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"{label} evaluates to non-finite values on the grid")
         outside = self.prior.mass_outside(grid.x_min, grid.x_max)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridMismatch, WeightCollapse
-from .io import write_csv
+from .io import write_columns
 from .model import TimeGrid, scalar_view
 from .sde_sim import (
     STREAM_FILTER,
@@ -45,12 +45,8 @@ class ConditionalEstimate:
     ess: np.ndarray
 
     def to_csv(self, path) -> None:
-        times = self.grid.times()
-        rows = (
-            (times[k], self.values[k], self.std_err[k], self.ess[k])
-            for k in range(len(times))
-        )
-        write_csv(path, ["t", "value", "std_err", "ess"], rows)
+        write_columns(path, {"t": self.grid.times(), "value": self.values,
+                             "std_err": self.std_err, "ess": self.ess})
 
 
 def sigma_estimate(ensemble: PathEnsemble, g) -> ConditionalEstimate:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure
-from .io import write_csv
+from .io import fmt, write_columns
 from .kalman import backward_rk4_sweep, covariance_path, dual_sweep
 from .model import CELL_AVERAGES, NamedFunction, ScalarModelSpec, SpaceGrid, TimeGrid
 
@@ -195,12 +195,9 @@ class GridFunction:
         return interp_uniform(self.space_grid, self.gradient[k], x)
 
     def to_csv(self, path) -> None:
-        xs = self.space_grid.points()
-        header = ["t"] + [format(x, ".17g") for x in xs]
-        times = self.time_grid.times()
-        rows = (np.concatenate([[times[k]], self.values[k]])
-                for k in range(len(times)))
-        write_csv(path, header, rows)
+        columns = {"t": self.time_grid.times()}
+        columns.update(zip(map(fmt, self.space_grid.points()), self.values.T))
+        write_columns(path, columns)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,12 @@ share `path_dot` (every weighted sum over the paths), `normalized_weights` and
 `raw_weights` (every weight read-out: shifted by the max with the ESS, or raw
 with an underflow check), `per_step_path` and `cumulative_path`.  `truth_step`
 is the one move of every truth path, open- or closed-loop.
+
+`_save_npz` and `_load_npz` are the one npz writer and reader of both records,
+`ObservationRecord` and `PathEnsemble`: the grid's t_end and n_steps, then every
+field that is set.  The reader rejects a file that lacks t_end, n_steps or a
+field without a default, and both reject a float array holding NaN or +-inf
+(ValueError naming the array); the writer then makes no file.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, replace
+import zipfile
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -279,6 +286,51 @@ def cumulative_path(increments) -> np.ndarray:
 # records
 # ---------------------------------------------------------------------------
 
+def _finite(path, name: str, value: np.ndarray) -> np.ndarray:
+    if value.dtype.kind == "f" and not np.isfinite(value).all():
+        raise ValueError(f"{path}: {name!r} holds non-finite values")
+    return value
+
+
+def _save_npz(record, path) -> None:
+    """Write a record as its first field, the grid, by t_end and n_steps, then every
+    field that is set, a tuple as an integer array; ValueError naming the array,
+    and no file, if a float array holds NaN or +-inf."""
+    data = {"t_end": record.grid.t_end, "n_steps": record.grid.n_steps}
+    for f in fields(record)[1:]:
+        value = getattr(record, f.name)
+        if value is not None:
+            value = np.asarray(value, dtype=int if isinstance(value, tuple) else None)
+            data[f.name] = _finite(path, f.name, value)
+    np.savez_compressed(path, **data)
+
+
+def _load_npz(cls, path):
+    """The `cls` record of a file `_save_npz` wrote.  ValueError if the file is not
+    an npz archive, if it lacks t_end, n_steps or a field without a default, or if
+    a float array holds NaN or +-inf (naming the array); n_steps reaches TimeGrid
+    as stored, so a count that is not an integer is rejected."""
+    try:
+        data = np.load(path)
+    except (EOFError, zipfile.BadZipFile) as exc:  # an empty or a truncated file
+        raise ValueError(f"{path} is not an npz archive: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not an npz archive")
+    with data:
+        for name in ("t_end", "n_steps", *(f.name for f in fields(cls)[1:]
+                                           if f.default is MISSING)):
+            if name not in data:
+                raise ValueError(f"{path} holds no {name!r} array")
+        values = {}
+        for f in fields(cls)[1:]:
+            if f.name in data:
+                value = _finite(path, f.name, data[f.name])
+                values[f.name] = (tuple(value.tolist()) if isinstance(f.default, tuple)
+                                  else value.item() if value.ndim == 0 else value)
+        grid = TimeGrid(float(data["t_end"].item()), data["n_steps"].item())
+    return cls(grid, **values)
+
+
 @dataclass(frozen=True)
 class ObservationRecord:
     """A simulated (or supplied) observation path on a time grid.
@@ -296,41 +348,24 @@ class ObservationRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.Z.shape[0] != self.grid.n_steps + 1:
+        if np.shape(self.Z)[:1] != (self.grid.n_steps + 1,):
             raise GridMismatch("Z must have n_steps + 1 entries")
-        if self.dZ.shape[0] != self.grid.n_steps:
+        if np.shape(self.dZ)[:1] != (self.grid.n_steps,):
             raise GridMismatch("dZ must have n_steps entries")
         if np.any(np.atleast_1d(self.Z[0]) != 0.0):
             raise ValueError("Z must start at 0")
 
-    def to_npz(self, path) -> None:
-        data = {"t_end": self.grid.t_end, "n_steps": self.grid.n_steps,
-                "Z": self.Z, "dZ": self.dZ}
-        for name in ("X_truth", "noise_cum", "seed"):
-            if getattr(self, name) is not None:
-                data[name] = getattr(self, name)
-        np.savez_compressed(path, **data)
+    to_npz = _save_npz
 
     @staticmethod
     def from_npz(path, grid: TimeGrid | None = None,
                  n_obs: int | None = None) -> "ObservationRecord":
-        """Load a record; Z and dZ must be finite, and when `grid` or `n_obs` is
-        given the record must lie on that grid and carry that many channels."""
-        with np.load(path) as data:
-            record = ObservationRecord(
-                grid=TimeGrid(float(data["t_end"]), int(data["n_steps"])),
-                Z=data["Z"],
-                dZ=data["dZ"],
-                X_truth=data["X_truth"] if "X_truth" in data else None,
-                noise_cum=data["noise_cum"] if "noise_cum" in data else None,
-                seed=int(data["seed"]) if "seed" in data else None,
-            )
+        """`_load_npz`, on `grid` and with `n_obs` channels when they are given."""
+        record = _load_npz(ObservationRecord, path)
         if grid is not None and not record.grid.matches(grid):
             raise GridMismatch(f"record grid (T={record.grid.t_end:g}, "
                                f"{record.grid.n_steps} steps) differs from "
                                f"T={grid.t_end:g}, {grid.n_steps} steps")
-        if not (np.isfinite(record.Z).all() and np.isfinite(record.dZ).all()):
-            raise ValueError("observation record holds non-finite Z or dZ values")
         channels = 1 if record.dZ.ndim == 1 else record.dZ.shape[1]
         if n_obs is not None and channels != n_obs:
             raise GridMismatch(f"record has {channels} observation channels, "
@@ -393,44 +428,8 @@ class PathEnsemble:
             raise ValueError(f"ensemble carries no {kind} weights")
         return lw
 
-    def to_npz(self, path) -> None:
-        data = {"t_end": self.grid.t_end, "n_steps": self.grid.n_steps,
-                "states": self.states}
-        for name in ("log_weights_innovation", "log_weights_girsanov",
-                     "pi_h_path", "innovation_increments"):
-            val = getattr(self, name)
-            if val is not None:
-                data[name] = val
-        if self.seed is not None:
-            data["seed"] = self.seed
-        if self.stream is not None:
-            data["stream"] = self.stream
-        data["resample_steps"] = np.array(self.resample_steps, dtype=int)
-        np.savez_compressed(path, **data)
-
-    @staticmethod
-    def from_npz(path) -> "PathEnsemble":
-        """Load an ensemble; its shapes must agree (GridMismatch) and its states and
-        log-weights must be finite (ValueError)."""
-        with np.load(path) as data:
-            grid = TimeGrid(float(data["t_end"]), int(data["n_steps"]))
-            get = lambda k: data[k] if k in data else None
-            ensemble = PathEnsemble(
-                grid=grid,
-                states=data["states"],
-                log_weights_innovation=get("log_weights_innovation"),
-                log_weights_girsanov=get("log_weights_girsanov"),
-                pi_h_path=get("pi_h_path"),
-                innovation_increments=get("innovation_increments"),
-                seed=int(data["seed"]) if "seed" in data else None,
-                stream=int(data["stream"]) if "stream" in data else None,
-                resample_steps=tuple(int(s) for s in data["resample_steps"]),
-            )
-        for name in ("states", "log_weights_innovation", "log_weights_girsanov"):
-            value = getattr(ensemble, name)
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"ensemble holds non-finite values in {name}")
-        return ensemble
+    to_npz = _save_npz
+    from_npz = classmethod(_load_npz)
 
 
 # ---------------------------------------------------------------------------

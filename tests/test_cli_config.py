@@ -3,6 +3,7 @@ the estimator id, --mode and pi_h_source checks made before any work, the grid c
 control, variance on a Kalman pi[h] path, and 2-state runs."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -265,7 +266,15 @@ def test_two_state_control_rejects_a_1x1_terminal_hessian(tmp_path):
 
 
 def _obs_exit(tmp_path, capsys, record, reason):
-    record.to_npz(tmp_path / "rec.npz")
+    """The exit code of CLI estimate --obs on `record`: a record, a dict of the
+    arrays to save (one the record writer would refuse) or the bytes of the file;
+    stderr must hold one error line with `reason` and no traceback."""
+    if isinstance(record, bytes):
+        (tmp_path / "rec.npz").write_bytes(record)
+    elif isinstance(record, dict):
+        np.savez_compressed(tmp_path / "rec.npz", **record)
+    else:
+        record.to_npz(tmp_path / "rec.npz")
     code = run(tmp_path, OU, "estimate", "--estimator", "pi_obs",
                "--obs", str(tmp_path / "rec.npz"))
     err = capsys.readouterr().err
@@ -283,8 +292,38 @@ def test_obs_record_with_a_nan_increment_is_rejected(tmp_path, capsys):
     obs = simulate_truth_and_obs(build_model(OU), grid, seed=1)
     dZ = obs.dZ.copy()
     dZ[3] = np.nan
-    assert _obs_exit(tmp_path, capsys, ObservationRecord(grid, obs.Z, dZ),
-                     "non-finite") == EXIT_ERROR
+    record = {"t_end": 1.0, "n_steps": 20, "Z": obs.Z, "dZ": dZ}
+    assert _obs_exit(tmp_path, capsys, record, "non-finite") == EXIT_ERROR
+
+
+def test_obs_record_without_dz_is_rejected(tmp_path, capsys):
+    obs = simulate_truth_and_obs(build_model(OU), TimeGrid(1.0, 20), seed=1)
+    record = {"t_end": 1.0, "n_steps": 20, "Z": obs.Z}  # was a KeyError traceback
+    assert _obs_exit(tmp_path, capsys, record, "holds no 'dZ' array") == EXIT_ERROR
+
+
+def _npy_bytes():
+    buffer = io.BytesIO()
+    np.save(buffer, np.zeros(21))
+    return buffer.getvalue()
+
+
+def _truncated_npz_bytes():
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, t_end=1.0, n_steps=20, Z=np.zeros(21), dZ=np.zeros(20))
+    return buffer.getvalue()[:200]
+
+
+# each was a traceback (TypeError, EOFError, BadZipFile, TypeError, IndexError)
+@pytest.mark.parametrize("content, reason", [
+    (_npy_bytes(), "is not an npz archive"),
+    (b"", "is not an npz archive"),
+    (_truncated_npz_bytes(), "is not an npz archive"),
+    ({"t_end": np.ones(2), "n_steps": 20, "Z": np.zeros(21), "dZ": np.zeros(20)}, "size 1"),
+    ({"t_end": 1.0, "n_steps": 20, "Z": np.float64(0.0), "dZ": np.zeros(20)}, "Z must have"),
+], ids=["npy", "empty", "truncated", "t_end_vector", "scalar_z"])
+def test_a_malformed_obs_file_exits_1(tmp_path, capsys, content, reason):
+    assert _obs_exit(tmp_path, capsys, content, reason) == EXIT_ERROR
 
 
 def test_obs_record_with_another_channel_count_is_rejected(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Seeds and stream keys, ESS floors, path counts, non-finite priors, noise amplitudes,
-control gains and linear-Gaussian matrices, singular prior covariances, multi-channel zero
-policies, initial states past the overflow bound, diverging truth paths and particle
-filters, a filter covariance growing where the observations do not see, an HJB past its
-log transform's range, non-finite grid bounds, non-integer grid counts and resampling
-steps."""
+control gains, registry parameters and linear-Gaussian matrices, singular prior
+covariances, multi-channel zero policies, initial states past the overflow bound, diverging
+truth paths and particle filters, a filter covariance growing where the observations do
+not see, an HJB past its log transform's range, non-finite grid bounds, grid ends too far
+apart, non-integer grid counts and resampling steps, and a control run whose costs are not
+finite."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,7 +25,13 @@ from fbsde_filter.control import (
     certainty_equivalence_run,
 )
 from fbsde_filter.errors import NonPositiveSigma, SimulationDiverged
-from fbsde_filter.model import GaussianMixturePrior, LinearGaussianModelSpec, SpaceGrid, TimeGrid
+from fbsde_filter.model import (
+    GaussianMixturePrior,
+    LinearGaussianModelSpec,
+    NamedFunction,
+    SpaceGrid,
+    TimeGrid,
+)
 from fbsde_filter.particle import (
     pi_estimate,
     resample_multinomial,
@@ -240,12 +248,16 @@ def test_cli_control_reports_an_overflowing_closed_loop(tmp_path, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(args, timeout: float = 60.0) -> subprocess.CompletedProcess:
+def run_python(args, timeout: float = 60.0,
+               warnings_filter: str | None = "error::RuntimeWarning") -> subprocess.CompletedProcess:
     """python3 args in a fresh interpreter on this checkout, with a numpy
-    RuntimeWarning as an error; a hang fails at the timeout."""
-    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
-               PYTHONPATH=os.pathsep.join([str(SRC)] + [
-                   p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    RuntimeWarning as an error (`warnings_filter`; None sets no filter); a hang
+    fails at the timeout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env.pop("PYTHONWARNINGS", None)
+    if warnings_filter is not None:
+        env["PYTHONWARNINGS"] = warnings_filter
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout)
 
@@ -358,6 +370,41 @@ def test_cli_rejects_non_finite_grid_bounds(tmp_path, capsys, key, value, subcom
     assert err.startswith("error: ") and key in err and "finite" in err
 
 
+@pytest.mark.parametrize("x_min, x_max", [(-1e160, 1e160), (-1e300, 1e300), (0.0, 1e-320)])
+def test_a_space_grid_whose_squared_spacing_is_not_a_positive_float_is_rejected(x_min, x_max):
+    with pytest.raises(ValueError, match=r"^grid spacing dx = .* dx \* dx = (inf|0)$"):
+        SpaceGrid(x_min, x_max, 61)
+
+
+# the sine's grid passes validate_on_grid, and its dx**2 overflowed a Python float in
+# the implicit bands; the double well's cubic drift overflows on its nodes
+@pytest.mark.parametrize("drift, x_max, message", [
+    ("sine", "1e160", "^error: grid spacing dx = "),
+    ("double_well", "1e150", "^error: drift evaluates to non-finite values on the grid$"),
+])
+def test_cli_estimate_on_far_grid_ends_exits_1(tmp_path, capsys, drift, x_max, message):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(f"[model]\ndrift = {drift}\nsigma = 0.5\nh = linear\nf = linear\n"
+                   f"[grid]\nt_end = 1\nn_steps = 20\nx_min = -{x_max}\nx_max = {x_max}\n"
+                   "n_points = 61\n[estimator]\nid = sigma_obs\nparticles = 20\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["estimate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.match(message, err.strip()) and "Traceback" not in err
+    assert not (tmp_path / "estimate.csv").exists()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("linear", {"a": math.nan}), ("cubic", {"c": math.inf}), ("sine", {"phase": -math.inf}),
+])
+def test_a_named_function_with_a_non_finite_parameter_is_rejected(name, params):
+    key = next(iter(params))
+    with pytest.raises(ValueError, match=f"^{name} parameter {key} must be finite, got "):
+        NamedFunction(name, params)
+
+
 @pytest.mark.parametrize("means, variances", [
     ((math.nan,), (1.0,)), ((math.inf,), (1.0,)), ((0.0, -math.inf), (1.0, 1.0)),
     ((0.0,), (math.nan,)), ((0.0,), (math.inf,)), ((0.0, 1.0), (1.0, math.nan)),
@@ -390,11 +437,12 @@ def _simulate_in_process(tmp_path, config):
 
 @pytest.mark.parametrize("line", [
     "prior_var = nan", "prior_var = inf", "prior_mean = nan", "prior_mean = inf",
-    "sigma = inf", "control_gain = nan",
+    "sigma = inf", "control_gain = nan", "h_params = a=nan", "f_params = c=inf",
 ])
 def test_cli_simulate_rejects_a_non_finite_model_value_and_writes_nothing(tmp_path, capsys,
                                                                          line):
-    model = {"drift": "double_well", "sigma": "0.5", "h": "linear", "f": "linear"}
+    model = {"drift": "double_well", "sigma": "0.5", "h": "linear",
+             "f": "cubic" if line.startswith("f_") else "linear"}
     key, value = line.split(" = ")
     model[key] = value
     code, out = _simulate_in_process(tmp_path, "[model]\n" + "".join(
@@ -481,3 +529,43 @@ def test_resampling_takes_only_an_integer_step_on_the_grid(at_step):
         resample_multinomial(ens, seed=1, at_step=at_step)
     for k in (0, np.int64(4), 10):  # the ends and a numpy integer stay allowed
         assert resample_multinomial(ens, seed=1, at_step=k).resample_steps == (k,)
+
+
+# h = 1e200 x makes the particle control filter's weights overflow: every realized
+# cost is NaN.  In a fresh interpreter without a warnings filter the run reaches the
+# CSV writer, which refuses the NaN; with RuntimeWarning as an error the weight
+# step's overflow warning stops it first.
+_NAN_COST = """
+[model]
+drift = double_well
+sigma = 0.5
+h = linear
+h_params = a=1e200
+f = quadratic
+control_gain = 1
+
+[grid]
+t_end = 1
+n_steps = 20
+x_min = -5.5
+x_max = 5.5
+n_points = 61
+
+[control]
+mode = certainty_equivalence
+n_runs = 2
+filter_particles = 50
+"""
+
+
+def test_cli_control_with_non_finite_costs_exits_1_and_writes_no_table(tmp_path):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(_NAN_COST)
+    out = run_python(["-m", "fbsde_filter.cli", "control", "--config", str(cfg),
+                      "--seed", "3", "--out", str(tmp_path / "out")], warnings_filter=None)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.splitlines()[-1] == (f"error: {tmp_path / 'out' / 'control_runs.csv'} "
+                                           "not written: column 'realized_cost' holds nan")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+    assert not (tmp_path / "out" / "control_runs.csv").exists()

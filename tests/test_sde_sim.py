@@ -133,11 +133,19 @@ class TestGirsanovEnsemble:
         assert c_back.states.flags.c_contiguous
         assert ens.states.tobytes() == c_back.states.tobytes()
         assert ens.log_weights_girsanov.tobytes() == c_back.log_weights_girsanov.tobytes()
-        opath = tmp_path / "obs.npz"
-        obs.to_npz(opath)
-        oback = ObservationRecord.from_npz(opath)
-        assert np.array_equal(obs.Z, oback.Z)
-        assert np.array_equal(obs.X_truth, oback.X_truth)
+        # every field of both records survives, the scalars and the tuple included
+        inn = simulate_innovation_ensemble(lg_scalar, grid_500, obs, 16, seed=8)
+        full = dataclasses.replace(inn, log_weights_girsanov=ens.log_weights_girsanov,
+                                   stream=4, resample_steps=(3, 17), collapse_step=17)
+        for record, kind in ((full, PathEnsemble), (obs, ObservationRecord)):
+            record.to_npz(tmp_path / "full.npz")
+            back = kind.from_npz(tmp_path / "full.npz")
+            for field in dataclasses.fields(kind):
+                saved, loaded = getattr(record, field.name), getattr(back, field.name)
+                assert saved is not None, field.name
+                assert type(loaded) is type(saved), field.name
+                assert np.array_equal(loaded, saved) if isinstance(saved, np.ndarray) \
+                    else loaded == saved, field.name
 
     def test_malformed_arrays_are_rejected(self, lg_scalar, grid_500):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
@@ -158,18 +166,47 @@ class TestGirsanovEnsemble:
                                                                  tmp_path):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
         ens = simulate_girsanov_ensemble(lg_scalar, grid_500, obs, 20, seed=8)
-        path = tmp_path / "ens.npz"
-        ens.to_npz(path)
-        with np.load(path) as data:
-            saved = dict(data)
-        for name, edit, error in (
-                ("states", lambda a: a[:, :30], GridMismatch),
-                ("states", lambda a: np.full_like(a, np.nan), ValueError),
-                ("log_weights_girsanov", lambda a: np.where(a == a[3, 7], np.inf, a),
-                 ValueError)):
-            np.savez_compressed(tmp_path / "bad.npz", **{**saved, name: edit(saved[name])})
-            with pytest.raises(error, match=name):
-                PathEnsemble.from_npz(tmp_path / "bad.npz")
+        inn = simulate_innovation_ensemble(lg_scalar, grid_500, obs, 20, seed=8)
+        nan_at = lambda a: np.where(a == a.flat[7], np.nan, a)
+        inf_at = lambda a: np.where(a == a.flat[7], -np.inf, a)
+        drop = None
+        for record, cases in (
+                (ens, [("states", lambda a: a[:, :30], GridMismatch),
+                       ("states", lambda a: np.full_like(a, np.nan), ValueError),
+                       ("log_weights_girsanov", lambda a: np.where(a == a[3, 7], np.inf, a),
+                        ValueError),
+                       ("states", drop, ValueError), ("t_end", drop, ValueError),
+                       ("n_steps", drop, ValueError),
+                       ("n_steps", lambda a: np.float64(2.5), ValueError)]),
+                (inn, [(name, edit, ValueError) for edit in (nan_at, inf_at)
+                       for name in ("states", "log_weights_innovation", "pi_h_path",
+                                    "innovation_increments")]),
+                (obs, [("Z", drop, ValueError), ("dZ", drop, ValueError),
+                       ("t_end", drop, ValueError), ("n_steps", drop, ValueError)]
+                 + [(name, edit, ValueError) for edit in (nan_at, inf_at)
+                    for name in ("Z", "dZ", "X_truth", "noise_cum")])):
+            record.to_npz(tmp_path / "good.npz")
+            with np.load(tmp_path / "good.npz") as data:
+                saved = dict(data)
+            for name, edit, error in cases:
+                bad = {k: v for k, v in saved.items() if k != name}
+                if edit is not None:
+                    bad[name] = edit(saved[name])
+                np.savez_compressed(tmp_path / "bad.npz", **bad)
+                with pytest.raises(error, match=rf"\b{name}\b"):
+                    type(record).from_npz(tmp_path / "bad.npz")
+
+    def test_a_record_with_non_finite_arrays_is_not_written(self, lg_scalar, grid_500,
+                                                            tmp_path):
+        obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
+        ens = simulate_innovation_ensemble(lg_scalar, grid_500, obs, 20, seed=8)
+        for record, name in ((ens, "states"), (ens, "pi_h_path"), (obs, "X_truth"),
+                             (obs, "noise_cum")):
+            value = getattr(record, name).copy()
+            value[5] = np.inf
+            with pytest.raises(ValueError, match=f"'{name}' holds non-finite values"):
+                dataclasses.replace(record, **{name: value}).to_npz(tmp_path / "bad.npz")
+            assert not (tmp_path / "bad.npz").exists()
 
 
 class TestInnovationEnsemble:
