@@ -18,6 +18,7 @@ from .model import (  # noqa: F401
     TimeGrid,
     build_model,
     registry_eval,
+    serialize_model,
 )
 from .sde_sim import (  # noqa: F401
     ObservationRecord,
@@ -29,10 +30,7 @@ from .sde_sim import (  # noqa: F401
     simulate_truth_and_obs,
 )
 from .pde_backward import (  # noqa: F401
-    BackwardVector,
     GridFunction,
-    linear_backward_closed_loop,
-    linear_backward_vector,
     solve_backward_kolmogorov,
     solve_backward_with_source,
     solve_feynman_kac,
@@ -66,8 +64,10 @@ from .control import (  # noqa: F401
     ControlRunReport,
     PolicyField,
     certainty_equivalence_run,
+    full_information_lq_cost,
     hjb_policy,
     lqg_alternating_iteration,
+    lqg_optimal_cost,
     remark_consistency_check,
     separated_cost_estimate,
 )

@@ -18,7 +18,7 @@ from .errors import FilterDivergence, IterationNotConverged
 from .estimators import (
     closed_loop_dual_controls,
     estimate_pi_innovation,
-    open_loop_dual_path,
+    open_loop_dual_estimate,
 )
 from .io import write_csv
 from .kalman import (
@@ -376,29 +376,26 @@ def remark_consistency_check(model: LinearGaussianModelSpec,
 
     Computes |f_bar^T m_T - (ybar_0^T m_0 - sum alpha_k^T pi_k[h] dt
     + sum (ybar_{k+1}^T Sigma_k H) dI_k)| with alpha the closed-loop control
-    (alpha="optimal") or zero (alpha="zero", reducing to the averaged
-    innovation estimator identity).  All quantities come from the Kalman-Bucy
-    closed forms on the observation grid.
+    (alpha="optimal") or zero (alpha="zero": the averaged innovation estimator
+    identity, `open_loop_dual_estimate`).  All quantities come from the
+    Kalman-Bucy closed forms on the observation grid.
     """
+    if alpha not in ("optimal", "zero"):
+        raise ValueError(f"unknown alpha mode {alpha!r}")
     grid = obs.grid
-    dt = grid.dt
     Sigma = model_riccati(model, grid)
     state = model_kalman(model, obs, Sigma)
     dI = np.diff(state.innovation, axis=0)
+    lhs = float(model.f_bar @ state.mean[-1])
+    if alpha == "zero":
+        return abs(lhs - open_loop_dual_estimate(model.A, model.H, Sigma, model.f_bar,
+                                                 model.m0, dI, grid))
 
-    if alpha == "optimal":
-        ybar, alpha_path = closed_loop_dual_controls(model.A, model.H, Sigma, model.f_bar, grid)
-    elif alpha == "zero":
-        ybar = open_loop_dual_path(model.A, model.f_bar, grid)
-    else:
-        raise ValueError(f"unknown alpha mode {alpha!r}")
-
+    ybar, alpha_path = closed_loop_dual_controls(model.A, model.H, Sigma, model.f_bar, grid)
     pi_h = state.mean @ model.H  # (K+1, m)
     rhs = float(ybar[0] @ model.m0)
-    if alpha == "optimal":
-        rhs -= float(np.einsum("km,km->", alpha_path, pi_h[:-1])) * dt
+    rhs -= float(np.einsum("km,km->", alpha_path, pi_h[:-1])) * grid.dt
     rhs += float(np.einsum("kn,knm,km->", ybar[1:], Sigma[:-1] @ model.H, dI))
-    lhs = float(model.f_bar @ state.mean[-1])
     return abs(lhs - rhs)
 
 

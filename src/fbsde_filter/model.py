@@ -648,23 +648,6 @@ def build_model(config) -> ScalarModelSpec | LinearGaussianModelSpec:
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def specs_equal(a, b) -> bool:
-    """Structural equality for model specs (numpy fields compared elementwise)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, LinearGaussianModelSpec):
-        return (
-            np.array_equal(a.A, b.A)
-            and np.array_equal(a.H, b.H)
-            and np.array_equal(a.G, b.G)
-            and a.sigma == b.sigma
-            and np.array_equal(a.m0, b.m0)
-            and np.array_equal(a.Sigma0, b.Sigma0)
-            and np.array_equal(a.f_bar, b.f_bar)
-        )
-    return a == b
-
-
 def build_time_grid(config) -> TimeGrid:
     config = _parsed(config)
     return TimeGrid(t_end=setting(config, "grid", "t_end", float),

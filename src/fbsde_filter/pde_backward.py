@@ -1,10 +1,9 @@
-"""Deterministic backward-in-time PDE and ODE solvers.
+"""Deterministic backward-in-time PDE solvers on a space grid.
 
 Realizes the backward equations behind the estimators: the backward
 Kolmogorov equation, its Feynman-Kac variant with multiplicative killing,
-policy-evaluation equations with a running-cost source, the quadratic-cost
-HJB equation, and the linear-Gaussian backward vector ODEs (open loop and
-closed loop).
+policy-evaluation equations with a running-cost source, and the quadratic-cost
+HJB equation.  The linear-Gaussian backward side is `kalman.dual_sweep`.
 
 Grid solvers use implicit reverse-time stepping (backward Euler in reverse
 time) with tridiagonal solves, central differencing of the advection term,
@@ -35,8 +34,7 @@ registered module, so `scipy.linalg.lapack.dgttrf` and `dgttrs` are the very
 objects the solves call.  Nothing is loaded at import: the linear-Gaussian
 closed forms, the simulators and the particle filters never solve on a grid.
 
-scipy.linalg itself (`_linalg`) is imported only for `expm`, which only
-`linear_backward_vector` uses, and for `solve_banded`, served by the module
+scipy.linalg itself is imported only for `solve_banded`, served by the module
 `__getattr__` for `perfbench/tracer.py`, which looks it up by name; nothing here
 calls it.
 """
@@ -55,15 +53,7 @@ import numpy as np
 
 from .errors import CFLWarning, GridMismatch, LinearSolveFailure
 from .io import fmt, write_columns
-from .kalman import backward_rk4_sweep, covariance_path, dual_sweep
 from .model import CELL_AVERAGES, NamedFunction, ScalarModelSpec, SpaceGrid, TimeGrid
-
-
-@functools.cache
-def _linalg():
-    """scipy.linalg, imported on the first call (see the module docstring)."""
-    import scipy.linalg
-    return scipy.linalg
 
 
 @functools.cache
@@ -94,7 +84,8 @@ def _lapack():
 
 def __getattr__(name: str):
     if name == "solve_banded":
-        return _linalg().solve_banded
+        import scipy.linalg
+        return scipy.linalg.solve_banded
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -198,18 +189,6 @@ class GridFunction:
         columns = {"t": self.time_grid.times()}
         columns.update(zip(map(fmt, self.space_grid.points()), self.values.T))
         write_columns(path, columns)
-
-
-@dataclass(frozen=True)
-class BackwardVector:
-    """Time-indexed n-vector path of a linear backward ODE solution."""
-
-    time_grid: TimeGrid
-    values: np.ndarray  # (n_steps + 1, n)
-
-    def __post_init__(self):
-        if self.values.shape[0] != self.time_grid.n_steps + 1:
-            raise GridMismatch("values must have n_steps + 1 rows")
 
 
 # ---------------------------------------------------------------------------
@@ -435,41 +414,3 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
     value = GridFunction.from_values(space_grid, time_grid, values)
     return value, -g * value.gradient
 
-
-# ---------------------------------------------------------------------------
-# linear-Gaussian backward ODEs
-# ---------------------------------------------------------------------------
-
-def linear_backward_vector(A, f_bar, time_grid: TimeGrid) -> BackwardVector:
-    """Solve -dy/dt = A y, y_T = f_bar: y_{t_k} = exp((T - t_k) A) f_bar.
-
-    The `dual_sweep` on the scaling-and-squaring matrix exponential of dt*A
-    (as Phi_k = expm(dt A)^T), so each step is exact to machine precision.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    E = _linalg().expm(time_grid.dt * A)
-    Phi = np.broadcast_to(E.T, (time_grid.n_steps,) + E.shape)
-    return BackwardVector(time_grid, dual_sweep(Phi, np.asarray(f_bar, dtype=float).reshape(-1)))
-
-
-def linear_backward_closed_loop(A, H, Sigma_path, f_bar, time_grid: TimeGrid):
-    """Solve the closed-loop equation -dy/dt = A y - H H^T Sigma_t y.
-
-    Fourth-order Runge-Kutta backward integration with the covariance path
-    interpolated linearly at half steps.  Also emits the control path
-    u_k = -H^T Sigma_k y_k.  Returns (BackwardVector, u) with u of shape
-    (n_steps + 1, n_obs).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    f_bar = np.asarray(f_bar, dtype=float).reshape(-1)
-    Sigma = covariance_path(Sigma_path, time_grid)
-    HHt = H @ H.T
-
-    def rate(y, S):
-        # dy/dt for the forward-time variable (integrated backward)
-        return -(A @ y - HHt @ (S @ y))
-
-    values = backward_rk4_sweep(rate, f_bar, time_grid, coeffs=Sigma)
-    u = -np.einsum("ji,kjl,kl->ki", H, Sigma, values)
-    return BackwardVector(time_grid, values), u

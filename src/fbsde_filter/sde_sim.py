@@ -57,7 +57,7 @@ import os
 import threading
 import warnings
 import zipfile
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -670,17 +670,3 @@ def compute_observation_error(model, obs: ObservationRecord) -> np.ndarray:
         raise MissingTruthPath("observation record carries no truth path")
     signal = np.asarray(model.obs(obs.X_truth[:-1]), dtype=float) * obs.grid.dt
     return cumulative_path(np.asarray(obs.dZ).reshape(signal.shape) - signal)
-
-
-def with_scaled_initial_weights(ensemble: PathEnsemble, scale: float) -> PathEnsemble:
-    """Copy of an ensemble with every weight process multiplied by `scale`.
-
-    Testing hook for the weight-linearity property of the estimators.
-    """
-    shift = np.log(scale)
-    kwargs = {}
-    if ensemble.log_weights_innovation is not None:
-        kwargs["log_weights_innovation"] = ensemble.log_weights_innovation + shift
-    if ensemble.log_weights_girsanov is not None:
-        kwargs["log_weights_girsanov"] = ensemble.log_weights_girsanov + shift
-    return replace(ensemble, **kwargs)

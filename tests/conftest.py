@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,28 @@ from fbsde_filter.model import (
     SpaceGrid,
     TimeGrid,
 )
+
+
+def with_scaled_initial_weights(ensemble, scale: float):
+    """Copy of an ensemble with every weight process multiplied by `scale`, for the
+    weight-linearity checks of the estimators."""
+    shift = np.log(scale)
+    kwargs = {}
+    if ensemble.log_weights_innovation is not None:
+        kwargs["log_weights_innovation"] = ensemble.log_weights_innovation + shift
+    if ensemble.log_weights_girsanov is not None:
+        kwargs["log_weights_girsanov"] = ensemble.log_weights_girsanov + shift
+    return replace(ensemble, **kwargs)
+
+
+def specs_equal(a, b) -> bool:
+    """Structural equality for model specs (numpy fields compared elementwise)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, LinearGaussianModelSpec):
+        return all(np.array_equal(getattr(a, name), getattr(b, name))
+                   for name in ("A", "H", "G", "sigma", "m0", "Sigma0", "f_bar"))
+    return a == b
 
 
 def make_scalar(drift, drift_params=None, sigma=1.0, h="linear", h_params=None,

@@ -116,8 +116,6 @@ print("after the library grid solves:", loaded("scipy.linalg"), loaded("numpy.f2
 import scipy.linalg
 
 print("scipy.linalg.lapack's routines:", same_routines())
-y = pde_backward.linear_backward_vector([[-1.0]], [1.0], TimeGrid(1.0, 10))
-print("linear_backward_vector:", np.isclose(y.values[0, 0], np.exp(-1.0), rtol=1e-12, atol=0))
 print("solve_banded is scipy's:", pde_backward.solve_banded is scipy.linalg.solve_banded)
 try:
     pde_backward.no_such_name
@@ -163,7 +161,6 @@ def test_grid_solves_load_only_the_lapack_module(tmp_path):
         "after the grid CLI runs: False False",
         "after the library grid solves: False False",
         "scipy.linalg.lapack's routines: True",
-        "linear_backward_vector: True",
         "solve_banded is scipy's: True",
         "module 'fbsde_filter.pde_backward' has no attribute 'no_such_name'",
     ]

@@ -31,10 +31,9 @@ from fbsde_filter.sde_sim import (
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
-    with_scaled_initial_weights,
 )
 
-from conftest import make_scalar
+from conftest import make_scalar, with_scaled_initial_weights
 
 ONES = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
@@ -92,15 +91,6 @@ class TestSigmaObs:
         target = sig1.values[-1] * float(state.mean[-1, 0])
         se = np.hypot(report.mc_std_err, sig1.std_err[-1] * abs(state.mean[-1, 0]))
         assert abs(report.point_estimate - target) < 3 * se
-
-    def test_weight_linearity(self, lg_scalar, lg_setup):
-        grid, sg, obs, Sigma, state, y = lg_setup
-        ens = simulate_girsanov_ensemble(lg_scalar, grid, obs, 500, seed=21)
-        base = estimate_sigma_obs(lg_scalar, obs, y, ens)
-        doubled = estimate_sigma_obs(lg_scalar, obs, y,
-                                     with_scaled_initial_weights(ens, 2.0))
-        assert doubled.point_estimate == pytest.approx(2.0 * base.point_estimate,
-                                                       rel=1e-12)
 
     def test_rejects_resampled_ensemble(self, lg_scalar, lg_setup):
         grid, sg, obs, Sigma, state, y = lg_setup
@@ -368,6 +358,47 @@ class TestFoldHealth:
             cost_functional_per_path(lg_scalar, estimator_id, ens, y)
         with pytest.raises(ResamplingForbiddenInEstimatorMode):
             variance_decay(lg_scalar, y, ens, flavor=flavor)
+
+
+# Each Monte Carlo read-out of a weighted ensemble: whether it takes the innovation
+# ensemble, its power in the weights, and the read-out on (model, obs, y, y_fk, ensemble).
+WEIGHTED_READOUTS = {
+    "sigma_obs": (False, 1, lambda m, obs, y, y_fk, ens:
+                  estimate_sigma_obs(m, obs, y, ens).point_estimate),
+    "pi_innovation": (True, 1, lambda m, obs, y, y_fk, ens:
+                      estimate_pi_innovation(m, obs, y, ens).point_estimate),
+    "sigma_obs_error": (False, 1, lambda m, obs, y, y_fk, ens:
+                        estimate_sigma_obs_error(m, obs, y_fk, ens).point_estimate),
+    "variance_decay_sigma": (False, 2, lambda m, obs, y, y_fk, ens:
+                             variance_decay(m, y, ens, flavor="sigma").var_y),
+    "variance_decay_pi": (True, 2, lambda m, obs, y, y_fk, ens:
+                          variance_decay(m, y, ens, flavor="pi").var_y),
+    "cost_functional": (False, 2, lambda m, obs, y, y_fk, ens:
+                        cost_functional(m, "sigma_obs", ens, y)),
+}
+
+
+@pytest.fixture(scope="module")
+def ou_ensembles(lg_scalar):
+    grid, sg = TimeGrid(1.0, 200), SpaceGrid(-8, 8, 401)
+    obs = simulate_truth_and_obs(lg_scalar, grid, seed=21)
+    y = solve_backward_kolmogorov(lg_scalar, sg, grid)
+    y_fk = solve_feynman_kac(lg_scalar, sg, grid, reaction="growth")
+    ens_g = simulate_girsanov_ensemble(lg_scalar, grid, obs, 300, seed=21)
+    ens_i = simulate_innovation_ensemble(lg_scalar, grid, obs, 300, seed=22)
+    return obs, y, y_fk, ens_g, ens_i
+
+
+@pytest.mark.parametrize("readout", WEIGHTED_READOUTS)
+def test_weight_linearity(lg_scalar, ou_ensembles, readout):
+    # doubling every initial weight doubles estimators I, II and IV, and
+    # quadruples the backward variance and the quadratic cost
+    innovation, power, read = WEIGHTED_READOUTS[readout]
+    obs, y, y_fk, ens_g, ens_i = ou_ensembles
+    ens = ens_i if innovation else ens_g
+    base = read(lg_scalar, obs, y, y_fk, ens)
+    doubled = read(lg_scalar, obs, y, y_fk, with_scaled_initial_weights(ens, 2.0))
+    np.testing.assert_allclose(doubled, 2.0**power * base, rtol=1e-12, atol=0)
 
 
 class TestPiObs:

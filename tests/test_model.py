@@ -23,10 +23,9 @@ from fbsde_filter.model import (
     registry_eval,
     registry_names,
     serialize_model,
-    specs_equal,
 )
 
-from conftest import make_scalar
+from conftest import make_scalar, specs_equal
 
 
 LG_DOC = """

@@ -1,15 +1,19 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from fbsde_filter.errors import CFLWarning, GridMismatch, LinearSolveFailure
-from fbsde_filter.estimators import _scalar_fixed_point
+from fbsde_filter.estimators import (
+    _scalar_fixed_point,
+    closed_loop_dual_controls,
+    estimate_pi_obs,
+    open_loop_dual_path,
+)
 from fbsde_filter.kalman import lq_control_riccati
 from fbsde_filter.model import SpaceGrid, TimeGrid
 from fbsde_filter.pde_backward import (
-    linear_backward_closed_loop,
-    linear_backward_vector,
     solve_backward_kolmogorov,
     solve_backward_with_source,
     solve_feynman_kac,
@@ -273,54 +277,65 @@ class TestHjbQuadratic:
                     solve_hjb_quadratic(self._double_well(sigma), sg, tg)
 
 
-class TestLinearBackwardVector:
-    def test_zero_matrix(self):
-        bv = linear_backward_vector([[0.0]], [3.0], TimeGrid(1.0, 10))
-        np.testing.assert_array_equal(bv.values, 3.0)
+S_STAR = np.sqrt(2.0) - 1.0  # the stationary filter variance of lg_benchmark
 
-    def test_scalar_exponential(self):
-        bv = linear_backward_vector([[-1.0]], [1.0], TimeGrid(1.0, 1000))
-        assert abs(bv.values[0, 0] - np.exp(-1.0)) < 1e-12
+
+def _sup_errors(path_and_exact):
+    """sup_k |path_k - exact_k| on TimeGrid(1, K) for K = 1 000 and 2 000."""
+    return [np.max(np.abs(np.subtract(*path_and_exact(TimeGrid(1.0, K)))))
+            for K in (1000, 2000)]
+
+
+class TestOpenLoopDual:
+    # ybar_k = (I + A dt) ybar_{k+1}, the dual of the Euler mean recursion
+    def test_zero_matrix(self):
+        ybar = open_loop_dual_path([[0.0]], [3.0], TimeGrid(1.0, 10))
+        np.testing.assert_array_equal(ybar, 3.0)
+
+    def test_scalar_exponential_first_order(self):
+        # A = -1, f = 1: ybar_t -> exp(-(T - t)), with the error halving with dt
+        coarse, fine = _sup_errors(lambda tg: (open_loop_dual_path([[-1.0]], [1.0], tg)[:, 0],
+                                               np.exp(-(1.0 - tg.times()))))
+        assert coarse < 2e-4 and 1.9 < coarse / fine < 2.1
 
     def test_nilpotent(self):
-        bv = linear_backward_vector([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0],
-                                    TimeGrid(1.0, 10))
-        np.testing.assert_allclose(bv.values[0], [1.0, 1.0], atol=1e-14)
+        # A^2 = 0: (I + A dt)^K = I + A T = exp(A T)
+        ybar = open_loop_dual_path([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], TimeGrid(1.0, 10))
+        np.testing.assert_allclose(ybar[0], [1.0, 1.0], atol=1e-14)
 
 
-class TestClosedLoopBackward:
+class TestClosedLoopDual:
     def test_zero_h_matches_open_loop(self):
         tg = TimeGrid(1.0, 500)
-        sigma_path = np.ones((501, 1, 1))
-        open_bv = linear_backward_vector([[-1.0]], [1.0], tg)
-        closed_bv, u = linear_backward_closed_loop([[-1.0]], [[0.0]], sigma_path,
-                                                   [1.0], tg)
-        np.testing.assert_allclose(closed_bv.values, open_bv.values, atol=1e-12)
+        ybar, u = closed_loop_dual_controls([[-1.0]], [[0.0]], np.ones((501, 1, 1)), [1.0], tg)
+        np.testing.assert_array_equal(ybar, open_loop_dual_path([[-1.0]], [1.0], tg))
         np.testing.assert_array_equal(u, 0.0)
 
-    def test_stationary_covariance_closed_form(self):
-        # constant Sigma = sqrt(2) - 1: ybar_t = exp(-(1 + Sigma*)(T - t)) f
-        tg = TimeGrid(1.0, 1000)
-        s_star = np.sqrt(2.0) - 1.0
-        sigma_path = np.full((1001, 1, 1), s_star)
-        bv, u = linear_backward_closed_loop([[-1.0]], [[1.0]], sigma_path, [1.0], tg)
-        exact = np.exp(-(1.0 + s_star) * (1.0 - tg.times()))
-        assert np.max(np.abs(bv.values[:, 0] - exact)) < 1e-8
-        np.testing.assert_allclose(u[:, 0], -s_star * bv.values[:, 0], rtol=1e-12)
+    def test_stationary_covariance_first_order(self):
+        # constant Sigma* : ybar_t -> exp(-(1 + Sigma*)(T - t)), u_k = -Sigma* ybar_{k+1}
+        def closed(tg):
+            ybar, u = closed_loop_dual_controls([[-1.0]], [[1.0]],
+                                                np.full((tg.n_steps + 1, 1, 1), S_STAR),
+                                                [1.0], tg)
+            np.testing.assert_array_equal(u[:, 0], -S_STAR * ybar[1:, 0])
+            return ybar[:, 0], np.exp(-(1.0 + S_STAR) * (1.0 - tg.times()))
 
-    def test_fixed_point_consistency_with_estimator_iteration(self, lg_benchmark):
-        # the estimator-III control iteration converges to the closed-loop path
-        from fbsde_filter.estimators import estimate_pi_obs
-        from fbsde_filter.kalman import model_riccati
-        from fbsde_filter.sde_sim import simulate_truth_and_obs
-        tg = TimeGrid(1.0, 1000)
-        obs = simulate_truth_and_obs(lg_benchmark, tg, seed=7)
-        Sigma = model_riccati(lg_benchmark, tg)
-        _, u_closed = linear_backward_closed_loop(lg_benchmark.A, lg_benchmark.H,
-                                                  Sigma, lg_benchmark.f_bar, tg)
-        report = estimate_pi_obs(lg_benchmark, obs, mode="fixed_point",
-                                 Sigma_path=Sigma, tol=1e-10)
-        assert np.max(np.abs(report.control_path - u_closed)) < 1e-6
+        coarse, fine = _sup_errors(closed)
+        assert coarse < 3e-4 and 1.9 < coarse / fine < 2.1
+
+    def test_fixed_point_control_second_order(self, lg_benchmark):
+        # estimator III's trapezoidal control from the stationary prior Sigma0 = Sigma*:
+        # u_t -> -Sigma* exp(-(1 + Sigma*)(T - t)), with the error quartering with dt
+        model = dataclasses.replace(lg_benchmark, Sigma0=[[S_STAR]])
+
+        def control(tg):
+            obs = simulate_truth_and_obs(model, tg, seed=7)
+            report = estimate_pi_obs(model, obs, mode="fixed_point", tol=1e-10)
+            exact = -S_STAR * np.exp(-(1.0 + S_STAR) * (1.0 - tg.times()))
+            return report.control_path[:, 0], exact
+
+        coarse, fine = _sup_errors(control)
+        assert coarse < 3e-8 and 3.8 < coarse / fine < 4.2
 
 
 def test_grid_function_csv(tmp_path):

@@ -15,7 +15,6 @@ from fbsde_filter.sde_sim import (
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
-    with_scaled_initial_weights,
 )
 
 from conftest import make_scalar, ou_terminal_variance
@@ -298,14 +297,6 @@ class TestDerivedProcesses:
         bare = ObservationRecord(grid=grid_500, Z=obs.Z, dZ=obs.dZ)
         with pytest.raises(MissingTruthPath):
             compute_observation_error(lg_scalar, bare)
-
-
-def test_scaled_initial_weights_helper(lg_scalar, grid_500):
-    obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
-    ens = simulate_girsanov_ensemble(lg_scalar, grid_500, obs, 32, seed=8)
-    doubled = with_scaled_initial_weights(ens, 2.0)
-    np.testing.assert_allclose(np.exp(doubled.log_weights_girsanov),
-                               2.0 * np.exp(ens.log_weights_girsanov), rtol=1e-12)
 
 
 def test_ensemble_ess_bounds(lg_scalar, grid_500):
