@@ -22,13 +22,13 @@ from .estimators import (
 )
 from .io import write_csv
 from .kalman import (
-    backward_rk4_sweep,
     kalman_bucy_mean,
     kalman_mean_step,
     kalman_transitions,
     lq_control_riccati,
     model_kalman,
     model_riccati,
+    riccati_sweep,
 )
 from .model import (
     LinearGaussianModelSpec,
@@ -284,15 +284,17 @@ class LqgIterationResult:
 def _policy_value_path(A, G, gains, Qf, grid: TimeGrid) -> np.ndarray:
     """Backward Lyapunov solve for the value Hessian of a fixed linear law.
 
-    -dP/dt = F^T P + P F + K^T K with F = A^T - G K, P_T = Q_f; RK4 with the
-    gain path interpolated linearly at half steps.
+    -dP/dt = F^T P + P F + K^T K with F = A^T - G K, P_T = Q_f: `riccati_sweep`
+    in reversed time s = T - t on the reversed gains, substepped by 2 ||F||.
     """
     def rate(P, Kg):
         F = A.T - G @ Kg
-        return -(F.T @ P + P @ F + Kg.T @ Kg)
+        return F.T @ P + P @ F + Kg.T @ Kg
 
-    return backward_rk4_sweep(rate, np.atleast_2d(np.asarray(Qf, dtype=float)), grid,
-                              coeffs=gains, finish=lambda P: 0.5 * (P + P.T))
+    def scale(P, Kg):
+        return 2.0 * np.linalg.norm(A.T - G @ Kg, 2)
+
+    return riccati_sweep(rate, Qf, grid, scale, coeffs=gains[::-1])[::-1]
 
 
 def lqg_alternating_iteration(model: LinearGaussianModelSpec, grid: TimeGrid,

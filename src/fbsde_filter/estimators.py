@@ -55,7 +55,6 @@ from .sde_sim import (
     PathEnsemble,
     cumulative_path,
     normalized_weights,
-    per_step_path,
     raw_weights,
 )
 
@@ -234,22 +233,16 @@ def estimate_sigma_obs(model, obs: ObservationRecord, y: GridFunction,
 
 
 def estimate_pi_innovation(model, obs: ObservationRecord, y: GridFunction,
-                           ensemble: PathEnsemble,
-                           pi_h_source=None) -> EstimatorReport:
+                           ensemble: PathEnsemble) -> EstimatorReport:
     """Innovation-driven estimator of the normalized expectation pi_T[f].
 
     estimate = mu[y_0] + sum_k mean_i( w_ik y_k(X_ik) (h - pi_k[h]) ) dI_k
-    with mean-field innovation weights.  The pi[h] path and innovation
-    increments stored on the ensemble are used; an explicit pi_h_source only
-    validates against them.
+    with mean-field innovation weights, on the pi[h] path and innovation
+    increments stored on the ensemble.
     """
     _check_grids(obs, ensemble)
     if ensemble.pi_h_path is None or ensemble.innovation_increments is None:
         raise ValueError("ensemble was not simulated with innovation weights")
-    if pi_h_source is not None:
-        given = per_step_path(pi_h_source, ensemble.grid, "pi_h source")
-        if not np.allclose(given, ensemble.pi_h_path, atol=1e-12):
-            raise GridMismatch("pi_h source differs from the ensemble's realized path")
     dI = ensemble.innovation_increments
     fold = _weighted_fold(model, y, ensemble, "innovation", True,
                           lambda rows, h: dI[rows, None])

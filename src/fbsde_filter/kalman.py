@@ -14,8 +14,11 @@ and the filtered mean is stepped as
 The transpose conventions are pinned by the cross-module consistency tests
 rather than assumed.
 
-Shared linear-Gaussian kernels: `rk4_step` and `backward_rk4_sweep` (every
-Runge-Kutta loop), `covariance_path` (every Sigma-path check), the forward
+By the Kalman-Bucy duality the LQ control Riccati is this filter Riccati of
+the dual system (A^T, G, no noise) run in reversed time s = T - t.
+
+Shared linear-Gaussian kernels: `riccati_sweep` (every Runge-Kutta loop, on the
+one `rk4_step`), `covariance_path` (every Sigma-path check), the forward
 kernel `kalman_mean_step` (every filtered-mean step, of one or of stacked means,
 on the transitions `kalman_transitions` forms once per Sigma path) and its
 adjoint `dual_sweep` (every discrete dual recursion y_k = Phi_k^T y_{k+1}).
@@ -113,60 +116,50 @@ def rk4_step(rate, y, h: float, c0=None, c_half=None, c1=None):
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def backward_rk4_sweep(rate, y_end, grid: TimeGrid, coeffs=None, finish=None) -> np.ndarray:
-    """RK4 path of dy/dt = rate(y, c_t) backward from y(T) = y_end.
+def riccati_sweep(rate, S0, grid: TimeGrid, scale, coeffs=None) -> np.ndarray:
+    """RK4 path (n_steps + 1, n, n) of the symmetric dS/dt = rate(S, c_t) from S0.
 
-    The coefficient path `coeffs` (None: constant rate) is interpolated
-    linearly at half steps; `finish` post-processes every new value.
-    """
-    K = grid.n_steps
-    y = np.asarray(y_end, dtype=float)
-    path = np.empty((K + 1,) + y.shape)
-    path[K] = y
-    for k in range(K - 1, -1, -1):
-        if coeffs is None:
-            y = rk4_step(rate, y, -grid.dt)
-        else:
-            y = rk4_step(rate, y, -grid.dt, coeffs[k + 1],
-                         0.5 * (coeffs[k] + coeffs[k + 1]), coeffs[k])
-        if finish is not None:
-            y = finish(y)
-        path[k] = y
-    return path
+    Step k splits into ceil(4 dt scale(S_k, c_k)) substeps, with the coefficient
+    path `coeffs` (None: a constant rate) read as (1 - theta) c_k + theta c_{k+1}
+    at the stage times.  S is symmetrized after every substep; RiccatiBlowup once
+    an entry exceeds RICCATI_OVERFLOW or is NaN."""
+    S = _symmetrize(np.atleast_2d(np.asarray(S0, dtype=float)))
+    path = [S]
+    for k in range(grid.n_steps):
+        c0, c1 = (None, None) if coeffs is None else coeffs[k:k + 2]
+        n_sub = max(1, int(np.ceil(4.0 * grid.dt * scale(S, c0))))
+        for j in range(n_sub):
+            stages = () if coeffs is None else \
+                [(1.0 - t) * c0 + t * c1 for t in ((j + i) / n_sub for i in (0.0, 0.5, 1.0))]
+            S = _symmetrize(rk4_step(rate, S, grid.dt / n_sub, *stages))
+            if not np.abs(S).max() <= RICCATI_OVERFLOW:  # a NaN fails too
+                raise RiccatiBlowup(f"covariance entry exceeded {RICCATI_OVERFLOW:g}")
+        path.append(S)
+    return np.array(path)
 
 
-def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
-    """Integrate the filter covariance ODE with classical Runge-Kutta.
-
-    Returns the covariance path of shape (n_steps + 1, n, n); symmetry is
-    enforced after every step.  Stiff initial transients (large observation
-    gains) are handled by automatic substepping based on the local Jacobian
-    scale 2(||A|| + ||H H^T Sigma||), spectral norms: the stiffness of
-    -Sigma H H^T Sigma, which a Sigma growing where H does not see leaves alone.
-    """
+def _filter_sweep(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
+    """`riccati_sweep` of the filter covariance ODE, substepped by 2(||A|| + ||H H^T Sigma||):
+    the stiffness of -Sigma H H^T Sigma, which a Sigma growing unseen by H leaves alone."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    n = A.shape[0]
-    S = _symmetrize(np.atleast_2d(np.asarray(Sigma0, dtype=float)).copy())
     HHt = H @ H.T
-    Q = sigma * sigma * np.eye(n)
-    dt = grid.dt
+    Q = sigma * sigma * np.eye(A.shape[0])
     norm_A = np.linalg.norm(A, 2)
 
     def rate(S, _):
         return A.T @ S + S @ A + Q - S @ HHt @ S
 
-    path = np.empty((grid.n_steps + 1, n, n))
-    path[0] = S
-    for k in range(grid.n_steps):
-        stiffness = 2.0 * (norm_A + np.linalg.norm(HHt @ S, 2))
-        n_sub = max(1, int(np.ceil(4.0 * dt * stiffness)))
-        for _ in range(n_sub):
-            S = _symmetrize(rk4_step(rate, S, dt / n_sub))
-        if np.any(np.abs(S) > RICCATI_OVERFLOW):
-            raise RiccatiBlowup(f"covariance entry exceeded {RICCATI_OVERFLOW:g}")
-        path[k + 1] = S
-    return _clip_psd(path)
+    def scale(S, _):
+        return 2.0 * (norm_A + np.linalg.norm(HHt @ S, 2))
+
+    return riccati_sweep(rate, Sigma0, grid, scale)
+
+
+def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
+    """The filter covariance path (n_steps + 1, n, n) of `_filter_sweep`, every
+    step's negative eigenvalues clipped to zero."""
+    return _clip_psd(_filter_sweep(A, H, sigma, Sigma0, grid))
 
 
 def kalman_transitions(A, H, Sigma, dt: float, G=None, gains=None):
@@ -238,28 +231,15 @@ def lq_control_riccati(A, G, terminal_hessian, grid: TimeGrid,
 
         -dP/dt = A P + P A^T - P G G^T P,  P_T = Q_f,
 
-    with gain K_t = G^T P_t and policy a_t(x) = -K_t x.  When sigma is given,
-    the additive value offset r_t (-dr/dt = sigma^2/2 tr P) is integrated as
-    well.
+    with gain K_t = G^T P_t and policy a_t(x) = -K_t x.  P_{T-s} is the
+    `_filter_sweep` of the dual system (A^T, G, no noise) from Q_f, unclipped, as
+    Q_f may be indefinite.  When sigma is given, the additive value offset r_t
+    (-dr/dt = sigma^2/2 tr P) is integrated as well.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    Qf = _symmetrize(np.atleast_2d(np.asarray(terminal_hessian, dtype=float)))
-    GGt = G @ G.T
     dt = grid.dt
     K = grid.n_steps
-
-    def rate(P, _):
-        # forward-time derivative dP/dt, integrated backward
-        return -(A @ P + P @ A.T - P @ GGt @ P)
-
-    def finish(P):
-        P = _symmetrize(P)
-        if np.any(np.abs(P) > RICCATI_OVERFLOW):
-            raise RiccatiBlowup(f"Riccati entry exceeded {RICCATI_OVERFLOW:g}")
-        return P
-
-    path = backward_rk4_sweep(rate, Qf, grid, finish=finish)
+    path = _filter_sweep(np.transpose(A), G, 0.0, terminal_hessian, grid)[::-1]
     gains = np.einsum("ij,kjl->kil", G.T, path)
     trace = 0.5 * sigma * sigma * np.trace(path, axis1=1, axis2=2)
     offset = np.zeros(K + 1)

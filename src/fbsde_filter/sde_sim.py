@@ -192,14 +192,16 @@ def _ensemble_noise(seed: int, stream: int, n_paths: int, n_steps: int,
     return gen.random(n_paths), gen.standard_normal(n_paths), rows
 
 
-def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float, out=None):
+def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float, step: int, out=None):
     """One forward step of a weighted ensemble, with b, c and d read at the
     pre-move state: the Euler-Maruyama move x + b dt + sigma sqrt(dt) noise and
     the exponential-martingale step d(log w) = c d - c^2 dt / 2.
 
     Returns (x_row, lw_row), (x + b dt) + (sigma sqrt(dt)) noise and
     (lw + c d) - ((0.5 c) c) dt, written into out=(x_row, lw_row) when it is
-    given and into new arrays otherwise.
+    given and into new arrays otherwise.  The log-weights are formed with numpy's
+    overflow reports off and checked by one sum: SimulationDiverged naming
+    `step` when it is not finite.
     """
     scale = sigma * np.sqrt(dt)
     if out is None:
@@ -208,12 +210,17 @@ def weighted_step(x, lw, b, c, d, noise, sigma: float, dt: float, out=None):
     np.multiply(b, dt, out=x_row)
     x_row += x
     x_row += np.multiply(noise, scale)
-    np.multiply(c, d, out=lw_row)
-    lw_row += lw
-    square = np.multiply(c, 0.5)
-    square *= c
-    square *= dt
-    lw_row -= square
+    # here, not around the loop of `weighted_paths`: its consumer runs between yields
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(c, d, out=lw_row)
+        lw_row += lw
+        square = np.multiply(c, 0.5)
+        square *= c
+        square *= dt
+        lw_row -= square
+        total = np.add.reduce(lw_row)
+    if not math.isfinite(total):
+        raise SimulationDiverged(f"log-weights not finite at step {step}")
     return out
 
 
@@ -538,7 +545,8 @@ def weighted_paths(model, grid: TimeGrid, n_paths: int, seed: int, stream: int,
         row = next(rows) if k < K else None
         b, c, d = yield x, w, wsum, ess, acted, row  # not resumed after step K
         x, lw = weighted_step(x, lw, b, c, d, row[0] if obs_noise else row, sm.sigma,
-                              grid.dt, None if out is None else (out[0][k + 1], out[1][k + 1]))
+                              grid.dt, k + 1,
+                              None if out is None else (out[0][k + 1], out[1][k + 1]))
         _check_state(x, k + 1, label)
 
 
@@ -603,8 +611,6 @@ def _simulate_weighted_ensemble(
             if not fresh:
                 dI[k] = d
         b = np.asarray(sm.drift(xk) if drift_fn is None else drift_fn(k, xk), dtype=float)
-    if not np.all(np.isfinite(lw)):
-        raise SimulationDiverged("log-weights became non-finite")
 
     return PathEnsemble(
         grid=grid,

@@ -216,6 +216,17 @@ class TestControl:
         costs = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(c >= 0.0 for c in costs)
 
+    @pytest.mark.parametrize("mode", ["certainty_equivalence", "lqg_iteration"])
+    def test_stiff_terminal_hessian(self, tmp_path, mode):
+        # Q_f dt = 5 (CE) and 1.5 (iteration): the backward solves substep near T
+        hessian = "500" if mode == "certainty_equivalence" else "150"
+        config = LG_CONFIG.replace("terminal_hessian = 1.0", f"terminal_hessian = {hessian}")
+        cfg, out = write_config(tmp_path, config.replace("n_steps = 200", "n_steps = 100"))
+        assert main(["control", "--config", str(cfg), "--seed", "4", "--mode", mode]) == EXIT_OK
+        table = "control_runs.csv" if mode == "certainty_equivalence" else "lqg_iteration.csv"
+        rows = (out / table).read_text().strip().split("\n")[1:]
+        assert rows and all(np.isfinite(float(r.split(",")[1])) for r in rows)
+
     def test_hjb_policy_grid(self, tmp_path):
         cfg, out = write_config(tmp_path, template=DW_CONFIG, name="dw.ini")
         code = main(["control", "--config", str(cfg), "--seed", "4",

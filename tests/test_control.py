@@ -229,6 +229,15 @@ class TestAlternatingIteration:
         result_2 = lqg_alternating_iteration(louder, grid, QF)
         np.testing.assert_array_equal(result_1.gains, result_2.gains)
 
+    def test_stiff_terminal_hessian_converges_to_riccati_gains(self, lg_benchmark):
+        # Q_f dt = 1.5: the trial gains of the first sweeps make the value solve stiff
+        result = lqg_alternating_iteration(lg_benchmark, TimeGrid(1.0, 100), [[150.0]])
+        assert result.n_sweeps <= 20 and np.all(np.isfinite(result.gains))
+        grid = TimeGrid(1.0, 200)
+        gains = lqg_alternating_iteration(lg_benchmark, grid, [[150.0]]).gains
+        ric = lq_control_riccati(lg_benchmark.A, lg_benchmark.G, [[150.0]], grid)
+        assert np.max(np.abs(gains - ric.gains) / np.abs(ric.gains)) < 5e-3
+
     def test_sweep_cap(self, lg_benchmark):
         with pytest.raises(IterationNotConverged):
             lqg_alternating_iteration(lg_benchmark, TimeGrid(1.0, 200), QF,

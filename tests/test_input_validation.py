@@ -531,11 +531,9 @@ def test_resampling_takes_only_an_integer_step_on_the_grid(at_step):
         assert resample_multinomial(ens, seed=1, at_step=k).resample_steps == (k,)
 
 
-# h = 1e200 x makes the particle control filter's weights overflow: every realized
-# cost is NaN.  In a fresh interpreter without a warnings filter the run reaches the
-# CSV writer, which refuses the NaN; with RuntimeWarning as an error the weight
-# step's overflow warning stops it first.
-_NAN_COST = """
+# h = 1e200 x: the log-weight step c d - c^2 dt / 2 overflows at the first step of
+# the Girsanov ensemble (estimate, variance) and of the particle control filter
+_HUGE_H = """
 [model]
 drift = double_well
 sigma = 0.5
@@ -547,8 +545,8 @@ control_gain = 1
 [grid]
 t_end = 1
 n_steps = 20
-x_min = -5.5
-x_max = 5.5
+x_min = -6
+x_max = 6
 n_points = 61
 
 [control]
@@ -558,14 +556,17 @@ filter_particles = 50
 """
 
 
-def test_cli_control_with_non_finite_costs_exits_1_and_writes_no_table(tmp_path):
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("args", [["estimate", "--estimator", "sigma_obs", "--particles", "50"],
+                                  ["variance", "--estimator", "sigma_obs", "--particles", "50"],
+                                  ["control"]], ids=["estimate", "variance", "control"])
+def test_cli_runs_whose_log_weights_overflow_exit_1_naming_the_step(tmp_path, capsys,
+                                                                    args, action):
     cfg = tmp_path / "model.ini"
-    cfg.write_text(_NAN_COST)
-    out = run_python(["-m", "fbsde_filter.cli", "control", "--config", str(cfg),
-                      "--seed", "3", "--out", str(tmp_path / "out")], warnings_filter=None)
-    assert out.returncode == 1, out.stderr
-    assert out.stderr.splitlines()[-1] == (f"error: {tmp_path / 'out' / 'control_runs.csv'} "
-                                           "not written: column 'realized_cost' holds nan")
-    assert "Traceback" not in out.stderr
-    assert out.stdout == ""
-    assert not (tmp_path / "out" / "control_runs.csv").exists()
+    cfg.write_text(_HUGE_H)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code = main([*args, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: log-weights not finite at step 1\n"
+    assert not list((tmp_path / "out").glob("*.csv"))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -200,6 +202,23 @@ class TestControlRiccati:
         fine = lq_control_riccati([[-1.0]], [[1.0]], [[1.0]], TimeGrid(1.0, 20000),
                                   sigma=1.0)
         assert abs(ric.P[0, 0, 0] - fine.P[0, 0, 0]) < 1e-8
+
+    @pytest.mark.parametrize("Qf", [50.0, 500.0, 5000.0, -1.0])
+    def test_stiff_and_indefinite_terminal_hessians_follow_the_closed_form(self, Qf):
+        # a = -1, g = 1: P(s) = 2a / (g^2 + (2a/Q_f - g^2) e^{-2as}), s = T - t.  Q_f dt
+        # = 0.5, 5 and 50 make the first steps back from T stiff (substepped); a
+        # negative Q_f keeps its sign, as no PSD clip touches the value Hessian.
+        tg = TimeGrid(1.0, 100)
+        s = 1.0 - tg.times()
+        exact = -2.0 / (1.0 + (-2.0 / Qf - 1.0) * np.exp(2.0 * s))
+        P = lq_control_riccati([[-1.0]], [[1.0]], [[Qf]], tg).P[:, 0, 0]
+        assert np.max(np.abs(P - exact) / np.abs(exact)) < 1e-5
+
+    def test_benchmark_path_is_pinned_bitwise(self):
+        # the sha256 of P for a = -1, g = 1, Q_f = 1, K = 1000, where nothing substeps
+        ric = lq_control_riccati([[-1.0]], [[1.0]], [[1.0]], TimeGrid(1.0, 1000))
+        assert hashlib.sha256(ric.P.tobytes()).hexdigest() == \
+            "ecd66aa3c8ed45199909299e6d6d457e3b56bd26d02065674afa053a4d95269c"
 
     def test_value_matches_hjb_grid(self):
         from fbsde_filter.model import SpaceGrid

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from fbsde_filter.errors import FixedPointNotConverged, GridMismatch
 from fbsde_filter.estimators import estimate_pi_obs, open_loop_dual_estimate
-from fbsde_filter.kalman import backward_rk4_sweep, kalman_bucy_mean, model_riccati
+from fbsde_filter.kalman import kalman_bucy_mean, model_riccati, riccati_sweep
 from fbsde_filter.model import GaussianMixturePrior, TimeGrid
 from fbsde_filter.sde_sim import (
     STREAM_RESAMPLE,
@@ -76,21 +76,24 @@ def test_prior_from_draws_matches_sample_bitwise():
     assert sampled.tobytes() == drawn.tobytes()
 
 
+@pytest.mark.parametrize("n_sub", [1, 3])
 @pytest.mark.parametrize("linear_coeff", [False, True])
-def test_backward_rk4_sweep_is_fourth_order(linear_coeff):
-    # dy/dt = a(t) y with y(T) = 1: y(0) = exp(-int_0^T a); a linear in t is
-    # interpolated exactly at half steps, so the order is that of RK4.
+def test_riccati_sweep_is_fourth_order(linear_coeff, n_sub):
+    # dy/dt = a(t) y with y(0) = 1: y(T) = exp(int_0^T a); a linear in t is read
+    # exactly at the stage times, substeps or not, so the order is that of RK4.
+    # A scale of (n_sub - 1/2) / (4 dt) forces n_sub substeps per step.
     a0, a1, T = 1.3, (0.8 if linear_coeff else 0.0), 2.0
-    exact = math.exp(-(a0 * T + 0.5 * a1 * T * T))
+    exact = math.exp(a0 * T + 0.5 * a1 * T * T)
 
     def error(n_steps):
         grid = TimeGrid(T, n_steps)
+        scale = lambda y, _: (n_sub - 0.5) / (4.0 * grid.dt)
         if linear_coeff:
-            path = backward_rk4_sweep(lambda y, a: a * y, 1.0, grid,
-                                      coeffs=a0 + a1 * grid.times())
+            path = riccati_sweep(lambda y, a: a * y, [[1.0]], grid, scale,
+                                 coeffs=a0 + a1 * grid.times())
         else:
-            path = backward_rk4_sweep(lambda y, _: a0 * y, 1.0, grid)
-        return abs(path[0] - exact)
+            path = riccati_sweep(lambda y, _: a0 * y, [[1.0]], grid, scale)
+        return abs(path[-1, 0, 0] - exact)
 
     ratio = error(20) / error(40)
     assert 14.0 < ratio < 18.0
