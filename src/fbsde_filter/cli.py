@@ -354,21 +354,25 @@ def _arg_type(convert):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand, taking in full only the flags its run reads."""
     ap = argparse.ArgumentParser(prog="fbsde-filter",
                                  description="Minimum-variance filtering estimators")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, fn in (("simulate", cmd_simulate), ("estimate", cmd_estimate),
                      ("variance", cmd_variance), ("control", cmd_control),
                      ("sweep", cmd_sweep)):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # --particles is no --particles-list
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=_arg_type(lambda t: check_seed(int(t))), default=0)
-        p.add_argument("--particles", type=_arg_type(_ensemble_size), default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--estimator", default=None)
-        p.add_argument("--mode", default=None)
-        p.add_argument("--obs", default=None,
-                       help="load an observation record (.npz) instead of simulating")
+        if name in ("simulate", "estimate", "variance"):
+            p.add_argument("--particles", type=_arg_type(_ensemble_size), default=None)
+        if name in ("estimate", "variance", "sweep"):
+            p.add_argument("--estimator", default=None)
+        if name != "simulate":
+            p.add_argument("--mode", default=None)
+            p.add_argument("--obs", default=None,
+                           help="load an observation record (.npz) instead of simulating")
         if name == "sweep":
             p.add_argument("--particles-list", default="100,1000,10000",
                            type=_arg_type(lambda t: [_ensemble_size(v) for v in t.split(",")]),

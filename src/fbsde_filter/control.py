@@ -4,7 +4,8 @@ Provides the HJB state-control law, certainty-equivalence closed-loop runs
 (control = filtered mean of the state policy), the separated-cost estimator
 driven by the innovation ensemble, the linear-Gaussian alternating
 filter/control iteration, and the consistency identity linking the running
-cost h * alpha to the observation-based estimator of pi_T[f].
+cost h * alpha to the observation-based estimator of pi_T[f].  Both closed
+loops draw their truth path from `sde_sim.truth_draws` on the control streams.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ from .sde_sim import (
     STREAM_FILTER,
     ObservationRecord,
     PathEnsemble,
-    _check_state,
     check_ess_floor,
     check_n_paths,
     path_dot,
-    path_generator,
+    truth_draws,
     truth_step,
     weighted_paths,
 )
@@ -157,24 +157,16 @@ def certainty_equivalence_batch(model: LinearGaussianModelSpec,
     S = len(seeds)
     if S == 0:
         raise ValueError("certainty_equivalence_batch needs at least one seed")
-    n, m_obs, p = model.n_state, model.n_obs, model.G.shape[1]
+    n, p = model.n_state, model.G.shape[1]
     K, dt, sqdt = grid.n_steps, grid.dt, math.sqrt(grid.dt)
     Qf = np.atleast_2d(np.asarray(terminal_hessian, dtype=float))
 
     Sigma = model_riccati(model, grid)
     Phi, SH = kalman_transitions(model.A, model.H, Sigma, dt)
 
-    # per-seed noise; state stream also carries the prior draw
-    X = np.empty((S, n))
-    xi = np.empty((S, K, n))
-    eta = np.empty((S, K, m_obs))
-    for s, seed in enumerate(seeds):
-        gx = path_generator(seed, STREAM_CONTROL_STATE, 0)
-        gz = path_generator(seed, STREAM_CONTROL_OBS, 0)
-        X[s] = model.draw_initial_state(gx)
-        xi[s] = gx.standard_normal((K, n))
-        eta[s] = gz.standard_normal((K, m_obs))
-    _check_state(X, 0, "state")
+    draws = [truth_draws(model, seed, K, STREAM_CONTROL_STATE, STREAM_CONTROL_OBS)
+             for seed in seeds]
+    X, xi, eta = (np.stack(d) for d in zip(*draws))  # (S, n), (S, K, n), (S, K, m)
 
     m = np.tile(model.m0, (S, 1))
     cost = np.zeros(S)
@@ -218,13 +210,7 @@ def certainty_equivalence_run(model, policy: PolicyField, grid: TimeGrid,
     n_particles = check_n_paths(filter_particles)
     steps = weighted_paths(model, grid, n_particles, seed, STREAM_FILTER,
                            ess_floor * n_particles, 0)
-
-    gen_x = path_generator(seed, STREAM_CONTROL_STATE, 0)
-    gen_z = path_generator(seed, STREAM_CONTROL_OBS, 0)
-    x_truth = float(model.prior.sample(gen_x, 1)[0])
-    _check_state(x_truth, 0, "state")
-    xi = gen_x.standard_normal(K)
-    eta = gen_z.standard_normal(K)
+    x_truth, xi, eta = truth_draws(model, seed, K, STREAM_CONTROL_STATE, STREAM_CONTROL_OBS)
 
     cost = 0.0
     trace = np.empty(K + 1)
@@ -250,14 +236,14 @@ def certainty_equivalence_run(model, policy: PolicyField, grid: TimeGrid,
 # separated cost estimator
 # ---------------------------------------------------------------------------
 
-def separated_cost_estimate(model: ScalarModelSpec, policy: PolicyField,
-                            obs: ObservationRecord, ensemble: PathEnsemble,
+def separated_cost_estimate(model: ScalarModelSpec, obs: ObservationRecord,
+                            ensemble: PathEnsemble,
                             y_value: GridFunction) -> ControlRunReport:
     """Estimate the conditional (separated) cost of a fixed Markov policy.
 
     y_value must be the policy-evaluation backward solution (running cost
-    included) for `policy`, and the ensemble must have been simulated under
-    the controlled drift.  The estimate is estimator II with y_value,
+    included) for the policy, and the ensemble must have been simulated under
+    its controlled drift.  The estimate is estimator II with y_value,
     mu[y_0] + sum_k mean_i( w_ik y_k(X_ik) (h - pi_k[h]) ) dI_k, with its
     checks; its average over observation records is the unconditional cost
     mu[y_0].
@@ -285,14 +271,14 @@ def _policy_value_path(A, G, gains, Qf, grid: TimeGrid) -> np.ndarray:
     """Backward Lyapunov solve for the value Hessian of a fixed linear law.
 
     -dP/dt = F^T P + P F + K^T K with F = A^T - G K, P_T = Q_f: `riccati_sweep`
-    in reversed time s = T - t on the reversed gains, substepped by 2 ||F||.
+    in reversed time s = T - t on the reversed gains, substepped by 2 ||F|| (Frobenius).
     """
     def rate(P, Kg):
         F = A.T - G @ Kg
         return F.T @ P + P @ F + Kg.T @ Kg
 
     def scale(P, Kg):
-        return 2.0 * np.linalg.norm(A.T - G @ Kg, 2)
+        return 2.0 * np.hypot.reduce(A.T - G @ Kg, axis=None)
 
     return riccati_sweep(rate, Qf, grid, scale, coeffs=gains[::-1])[::-1]
 

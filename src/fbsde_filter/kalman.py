@@ -119,39 +119,45 @@ def rk4_step(rate, y, h: float, c0=None, c_half=None, c1=None):
 def riccati_sweep(rate, S0, grid: TimeGrid, scale, coeffs=None) -> np.ndarray:
     """RK4 path (n_steps + 1, n, n) of the symmetric dS/dt = rate(S, c_t) from S0.
 
-    Step k splits into ceil(4 dt scale(S_k, c_k)) substeps, with the coefficient
-    path `coeffs` (None: a constant rate) read as (1 - theta) c_k + theta c_{k+1}
-    at the stage times.  S is symmetrized after every substep; RiccatiBlowup once
-    an entry exceeds RICCATI_OVERFLOW or is NaN."""
+    With a fraction r of a step left, the next substep is r / ceil(4 r dt scale(S, c))
+    of it, the count re-read at every substep and capped at 2**62.  The coefficient
+    path `coeffs` (None: a constant rate) is read as (1 - theta) c_k + theta c_{k+1}
+    at the stage times.  S is symmetrized after every substep; RiccatiBlowup once an
+    entry exceeds RICCATI_OVERFLOW or is NaN."""
     S = _symmetrize(np.atleast_2d(np.asarray(S0, dtype=float)))
     path = [S]
     for k in range(grid.n_steps):
         c0, c1 = (None, None) if coeffs is None else coeffs[k:k + 2]
-        n_sub = max(1, int(np.ceil(4.0 * grid.dt * scale(S, c0))))
-        for j in range(n_sub):
-            stages = () if coeffs is None else \
-                [(1.0 - t) * c0 + t * c1 for t in ((j + i) / n_sub for i in (0.0, 0.5, 1.0))]
-            S = _symmetrize(rk4_step(rate, S, grid.dt / n_sub, *stages))
+        at = (lambda t: None) if coeffs is None else (lambda t: (1.0 - t) * c0 + t * c1)
+        done, n_sub = 0.0, 2
+        while n_sub > 1:  # the last substep covers the rest of the step
+            cut = np.fmin(4.0 * grid.dt * (1.0 - done) * scale(S, at(done)), 2.0**62)
+            n_sub = max(1, int(np.ceil(cut)))  # NaN/inf: 2**62, and the check below fails
+            h = (1.0 - done) / n_sub
+            S = _symmetrize(rk4_step(rate, S, grid.dt * h,
+                                     *(at(done + i * h) for i in (0.0, 0.5, 1.0))))
             if not np.abs(S).max() <= RICCATI_OVERFLOW:  # a NaN fails too
                 raise RiccatiBlowup(f"covariance entry exceeded {RICCATI_OVERFLOW:g}")
+            done += h
         path.append(S)
     return np.array(path)
 
 
 def _filter_sweep(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
-    """`riccati_sweep` of the filter covariance ODE, substepped by 2(||A|| + ||H H^T Sigma||):
-    the stiffness of -Sigma H H^T Sigma, which a Sigma growing unseen by H leaves alone."""
+    """`riccati_sweep` of the filter covariance ODE, substepped by 2(||A|| + ||H H^T Sigma||)
+    in Frobenius norms (by `np.hypot`: no SVD, and no square to overflow): the stiffness
+    of -Sigma H H^T Sigma, which a Sigma growing unseen by H leaves alone."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     HHt = H @ H.T
     Q = sigma * sigma * np.eye(A.shape[0])
-    norm_A = np.linalg.norm(A, 2)
+    norm_A = np.hypot.reduce(A, axis=None)
 
     def rate(S, _):
         return A.T @ S + S @ A + Q - S @ HHt @ S
 
     def scale(S, _):
-        return 2.0 * (norm_A + np.linalg.norm(HHt @ S, 2))
+        return 2.0 * (norm_A + np.hypot.reduce(HHt @ S, axis=None))
 
     return riccati_sweep(rate, Sigma0, grid, scale)
 

@@ -40,8 +40,8 @@ read a contiguous row at a time.  The arrays handed out keep their path-major
 drift, observation slope and increment its consumer sends back.  The consumers
 share `path_dot` (every weighted sum over the paths), `normalized_weights` and
 `raw_weights` (every weight read-out: shifted by the max with the ESS, or raw
-with an underflow check), `per_step_path` and `cumulative_path`.  `truth_step`
-is the one move of every truth path, open- or closed-loop.
+with an underflow check), `per_step_path` and `cumulative_path`.  Every truth path,
+open- or closed-loop, draws from `truth_draws` and moves by `truth_step`.
 
 `_save_npz` and `_load_npz` are the one npz writer and reader of both records,
 `ObservationRecord` and `PathEnsemble`: the grid's t_end and n_steps, then every
@@ -460,47 +460,47 @@ def truth_step(x, b, noise, sigma: float, dt: float, step: int):
     return x
 
 
+def truth_draws(model, seed: int, n_steps: int, state_stream: int, obs_stream: int):
+    """(x0, xi, eta) of one truth path: key index 0 of state_stream gives the checked
+    prior draw x0 (a scalar spec's mixture sampler, a float, or a linear-Gaussian
+    `draw_initial_state`) and then the state normals xi, (n_steps,) + shape(x0);
+    key index 0 of obs_stream the observation normals eta, (n_steps,) + shape(h(x0))."""
+    gen = path_generator(seed, state_stream, 0)
+    if isinstance(model, LinearGaussianModelSpec):
+        x0, obs_shape = model.draw_initial_state(gen), (model.n_obs,)
+    else:
+        x0, obs_shape = float(model.prior.sample(gen, 1)[0]), ()
+    _check_state(x0, 0, "state")
+    xi = gen.standard_normal((n_steps,) + np.shape(x0))
+    return x0, xi, path_generator(seed, obs_stream, 0).standard_normal((n_steps,) + obs_shape)
+
+
 def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
                            drift_fn=None) -> ObservationRecord:
     """Simulate one signal path and its observation record.
 
     X_{k+1} = X_k + b(X_k) dt + sigma sqrt(dt) xi_k,
-    Z_{k+1} = Z_k + h(X_k) dt + sqrt(dt) eta_k,  Z_0 = 0,  X_0 ~ prior.
+    Z_{k+1} = Z_k + h(X_k) dt + sqrt(dt) eta_k,  Z_0 = 0,  X_0 ~ prior,
 
-    An optional drift_fn(k, x) overrides the model drift (controlled truth
+    on the truth streams' `truth_draws`; a 1-D state runs on the scalar view, a float
+    per step.  An optional drift_fn(k, x) overrides the model drift (controlled truth
     dynamics); supported on the scalar path only.
     """
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    K = grid.n_steps
-
-    gen_x = path_generator(seed, STREAM_TRUTH_STATE, 0)
-    gen_z = path_generator(seed, STREAM_TRUTH_OBS, 0)
-    if isinstance(model, LinearGaussianModelSpec) and model.n_state > 1:
-        if drift_fn is not None:
-            raise ValueError("drift_fn override is supported on the scalar path only")
-        X = np.empty((K + 1, model.n_state))
-        X[0] = model.draw_initial_state(gen_x)
-        _check_state(X[0], 0, "state")
-        xi = gen_x.standard_normal((K, model.n_state))
-        eta = gen_z.standard_normal((K, model.n_obs))
-        for k in range(K):
-            X[k + 1] = truth_step(X[k], model.A.T @ X[k], xi[k], model.sigma, dt, k + 1)
-        if not np.all(np.isfinite(X)):
-            raise SimulationDiverged("state became non-finite")
-        signal = (X[:-1] @ model.H) * dt
-    else:
-        sm = scalar_view(model)
-        X = np.empty(K + 1)
-        X[0] = sm.prior.sample(gen_x, 1)[0]
-        _check_state(X[0], 0, "state")
-        xi = gen_x.standard_normal(K)
-        eta = gen_z.standard_normal(K)
-        for k in range(K):
-            b = sm.drift(X[k]) if drift_fn is None else float(drift_fn(k, X[k]))
-            X[k + 1] = truth_step(X[k], b, xi[k], sm.sigma, dt, k + 1)
-        signal = np.asarray(sm.obs(X[:-1])) * dt
-    dZ = signal + sqdt * eta
+    dt, K = grid.dt, grid.n_steps
+    vector = isinstance(model, LinearGaussianModelSpec) and model.n_state > 1
+    if vector and drift_fn is not None:
+        raise ValueError("drift_fn override is supported on the scalar path only")
+    spec = model if vector else scalar_view(model)
+    x0, xi, eta = truth_draws(spec, seed, K, STREAM_TRUTH_STATE, STREAM_TRUTH_OBS)
+    X = np.empty((K + 1,) + np.shape(x0))
+    X[0] = x0
+    for k in range(K):
+        b = spec.drift(X[k]) if drift_fn is None else float(drift_fn(k, X[k]))
+        X[k + 1] = truth_step(X[k], b, xi[k], spec.sigma, dt, k + 1)
+    if not np.isfinite(X).all():
+        raise SimulationDiverged("state became non-finite")
+    signal = np.asarray(spec.obs(X[:-1])) * dt
+    dZ = signal + np.sqrt(dt) * eta
     return ObservationRecord(grid=grid, Z=cumulative_path(dZ), dZ=dZ, X_truth=X,
                              noise_cum=cumulative_path(dZ - signal), seed=seed)
 

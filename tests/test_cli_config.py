@@ -175,6 +175,22 @@ def no_work(monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--estimator", "bogus", "--mode", "nonsense"),
+    ("simulate", "--obs", "missing.npz"),
+    ("control", "--estimator", "bogus", "--particles", "7"),
+    ("sweep", "--particles", "5"),  # not read as --particles-list
+], ids=["simulate-estimator-mode", "simulate-obs", "control-estimator-particles",
+        "sweep-particles"])
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, no_work, argv):
+    config = OU + "\n[estimator]\nid = sigma_obs\n\n[control]\nmode = hjb\n"
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, config, *argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ("--estimator", "bogus"),
     ("--estimator", "pi_obs"),

@@ -138,10 +138,9 @@ class TestSeparatedCost:
         model = make_scalar("linear", {"a": -1.0}, f="constant",
                             f_params={"c": 1.0}, control_gain=1.0)
         obs = simulate_truth_and_obs(model, grid_500, seed=21)
-        policy = PolicyField.zero(grid_500)
         y = solve_backward_with_source(model, SpaceGrid(-8, 8, 401), grid_500)
         ens = simulate_innovation_ensemble(model, grid_500, obs, 300, seed=21)
-        report = separated_cost_estimate(model, policy, obs, ens, y)
+        report = separated_cost_estimate(model, obs, ens, y)
         assert report.separated_cost_estimate == pytest.approx(1.0, abs=1e-12)
         assert report.mu_y0 == pytest.approx(1.0, abs=1e-12)
 
@@ -149,20 +148,19 @@ class TestSeparatedCost:
         model = make_scalar("linear", {"a": -1.0}, f="quadratic",
                             f_params={"weight": 1.0}, control_gain=1.0)
         obs = simulate_truth_and_obs(model, grid_500, seed=21)
-        policy = PolicyField.zero(grid_500)
         sg = SpaceGrid(-8, 8, 401)
         y = solve_backward_with_source(model, sg, grid_500)
         ens = simulate_innovation_ensemble(model, grid_500, obs, 300, seed=21)
-        report = separated_cost_estimate(model, policy, obs, ens, y)
+        report = separated_cost_estimate(model, obs, ens, y)
         ii = estimate_pi_innovation(model, obs, y, ens)
         assert (report.separated_cost_estimate, report.mc_std_err, report.mu_y0,
                 report.seed) == (ii.point_estimate, ii.mc_std_err, ii.y0_prior_term, 21)
         with pytest.raises(ResamplingForbiddenInEstimatorMode):
-            separated_cost_estimate(model, policy, obs, resample_multinomial(ens, seed=3), y)
+            separated_cost_estimate(model, obs, resample_multinomial(ens, seed=3), y)
         # y on twice the horizon, on twice the steps and on half the steps
         for other in (TimeGrid(2.0, 1000), TimeGrid(1.0, 1000), TimeGrid(1.0, 250)):
             with pytest.raises(GridMismatch):
-                separated_cost_estimate(model, policy, obs, ens,
+                separated_cost_estimate(model, obs, ens,
                                         solve_backward_with_source(model, sg, other))
 
     def test_zero_h_returns_unconditional_cost(self):
@@ -171,10 +169,9 @@ class TestSeparatedCost:
                             control_gain=1.0)
         grid = TimeGrid(1.0, 200)
         obs = simulate_truth_and_obs(model, grid, seed=4)
-        policy = PolicyField.zero(grid)
         y = solve_backward_with_source(model, SpaceGrid(-8, 8, 401), grid)
         ens = simulate_innovation_ensemble(model, grid, obs, 200, seed=4)
-        report = separated_cost_estimate(model, policy, obs, ens, y)
+        report = separated_cost_estimate(model, obs, ens, y)
         assert report.separated_cost_estimate == report.mu_y0
 
     def test_tower_property(self):
@@ -196,7 +193,7 @@ class TestSeparatedCost:
                                          drift_fn=drift_fn)
             ens = simulate_innovation_ensemble(model, grid, obs, 600, seed=400 + r,
                                                drift_fn=drift_fn)
-            report = separated_cost_estimate(model, policy, obs, ens, y)
+            report = separated_cost_estimate(model, obs, ens, y)
             vals.append(report.separated_cost_estimate)
             mu = report.mu_y0
         vals = np.array(vals)

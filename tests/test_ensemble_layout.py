@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fbsde_filter.control import PolicyField, separated_cost_estimate
+from fbsde_filter.control import separated_cost_estimate
 from fbsde_filter.estimators import (
     cost_functional_per_path,
     estimate_pi_innovation,
@@ -107,9 +107,8 @@ def test_estimators_are_bitwise_the_same_on_a_path_major_copy():
         a, b = (variance_decay(MODEL, y, e, flavor) for e in (ens, path_major(ens)))
         for field in ("var_y", "var_std_err", "dirichlet_rhs", "cumulative_rhs"):
             assert same_bits(getattr(a, field), getattr(b, field)), (flavor, field)
-    policy = PolicyField.zero(GRID)
-    a = separated_cost_estimate(MODEL, policy, obs, innovation, y)
-    b = separated_cost_estimate(MODEL, policy, obs, path_major(innovation), y)
+    a = separated_cost_estimate(MODEL, obs, innovation, y)
+    b = separated_cost_estimate(MODEL, obs, path_major(innovation), y)
     assert a == b
 
 

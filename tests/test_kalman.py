@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from fbsde_filter import kalman
 from fbsde_filter.errors import RiccatiBlowup
 from fbsde_filter.estimators import (
     closed_loop_dual_controls,
@@ -59,6 +60,36 @@ class TestRiccatiFilter:
     def test_blowup_guard(self):
         with pytest.raises(RiccatiBlowup):
             riccati_filter([[5.0]], [[0.0]], 100.0, [[1.0]], TimeGrid(5.0, 500))
+
+    def test_a_stiff_prior_substeps_only_while_it_is_stiff(self, monkeypatch):
+        # Sigma_0 = 1e6 (a = -1, h = 1, sigma = 1, K = 100): step 0 starts at
+        # ceil(4 dt 2(1 + 1e6)) = 80 001 substeps, but Sigma ~ 1 / t falls so fast that
+        # re-reading the count after every substep makes about 200 in all (784 rate
+        # calls); a count fixed at each step's start made 80 100 (320 476 calls)
+        calls, rk4_step = 0, kalman.rk4_step
+
+        def counting(rate, *args):
+            def counted(S, c):
+                nonlocal calls
+                calls += 1
+                return rate(S, c)
+            return rk4_step(counted, *args)
+
+        monkeypatch.setattr(kalman, "rk4_step", counting)
+        grid = TimeGrid(1.0, 100)
+        S = riccati_filter([[-1.0]], [[1.0]], 1.0, [[1e6]], grid)[:, 0, 0]
+        assert calls <= 1000
+        # -2S + 1 - S^2 has the roots p = sqrt(2) - 1 and q = -1 - sqrt(2)
+        p, q = np.sqrt(2.0) - 1.0, -1.0 - np.sqrt(2.0)
+        decay = (1e6 - p) / (1e6 - q) * np.exp(-(p - q) * grid.times())
+        exact = (p - q * decay) / (1.0 - decay)
+        assert np.max(np.abs(S - exact) / exact) < 1e-5
+
+    def test_a_non_finite_substep_scale_fails_the_entry_check(self):
+        # h = 1e160: H H^T overflows, so the substep scale is inf; the count is capped
+        # and the first substep's NaN raises, where an uncapped count could not be made
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RiccatiBlowup):
+            riccati_filter([[-1.0]], [[1e160]], 1.0, [[1.0]], TimeGrid(1.0, 10))
 
     def test_stiff_observation_gain(self):
         S = riccati_filter([[-1.0]], [[100.0]], 1.0, [[1.0]], TimeGrid(1.0, 1000))
@@ -203,10 +234,10 @@ class TestControlRiccati:
                                   sigma=1.0)
         assert abs(ric.P[0, 0, 0] - fine.P[0, 0, 0]) < 1e-8
 
-    @pytest.mark.parametrize("Qf", [50.0, 500.0, 5000.0, -1.0])
+    @pytest.mark.parametrize("Qf", [50.0, 500.0, 5000.0, 1e6, -1.0])
     def test_stiff_and_indefinite_terminal_hessians_follow_the_closed_form(self, Qf):
         # a = -1, g = 1: P(s) = 2a / (g^2 + (2a/Q_f - g^2) e^{-2as}), s = T - t.  Q_f dt
-        # = 0.5, 5 and 50 make the first steps back from T stiff (substepped); a
+        # = 0.5, 5, 50 and 1e4 make the first steps back from T stiff (substepped); a
         # negative Q_f keeps its sign, as no PSD clip touches the value Hessian.
         tg = TimeGrid(1.0, 100)
         s = 1.0 - tg.times()
