@@ -69,6 +69,7 @@ from .sde_sim import (
     check_ess_floor,
     check_n_paths,
     check_seed,
+    compute_observation_error,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
@@ -150,23 +151,17 @@ def _ess_floor(parser):
     return setting(parser, "estimator", "ess_floor", check_ess_floor, None)
 
 
-def _write_obs_csv(path, obs: ObservationRecord) -> None:
+def _write_obs_csv(path, model, obs: ObservationRecord) -> None:
     """One row per grid time; a record with several components gets one column
     per component (x_truth_1 .. x_truth_n, and likewise z, dz, noise_cum)."""
     columns = {"t": obs.grid.times()}
     dz = np.concatenate([np.zeros_like(obs.dZ[:1]), obs.dZ])
     for name, values in (("z", obs.Z), ("dz", dz), ("x_truth", obs.X_truth),
-                         ("noise_cum", obs.noise_cum)):
+                         ("noise_cum", compute_observation_error(model, obs))):
         values = np.asarray(values, dtype=float).reshape(len(columns["t"]), -1).T
         columns.update((name if len(values) == 1 else f"{name}_{i + 1}", column)
                        for i, column in enumerate(values))
     write_columns(path, columns)
-
-
-def _load_or_simulate_obs(args, model, grid) -> ObservationRecord:
-    if args.obs:
-        return ObservationRecord.from_npz(args.obs, grid, getattr(model, "n_obs", 1))
-    return simulate_truth_and_obs(model, grid, args.seed)
 
 
 def _estimator_id(args, parser, model, ids=ESTIMATOR_IDS) -> tuple[str, bool]:
@@ -207,7 +202,8 @@ def _run_estimators(args, parser, model, sizes, ids=ESTIMATOR_IDS, variance=Fals
     report is the `variance_decay` of the ensemble in place of the estimate."""
     estimator_id, kalman = _estimator_id(args, parser, model, ids)
     tgrid = build_time_grid(parser)
-    obs = _load_or_simulate_obs(args, model, tgrid)
+    obs = (ObservationRecord.from_npz(args.obs, tgrid, getattr(model, "n_obs", 1)) if args.obs
+           else simulate_truth_and_obs(model, tgrid, args.seed))
     if estimator_id == "pi_obs" and isinstance(model, LinearGaussianModelSpec):
         closed_form = estimate_pi_obs(model, obs, mode=args.mode or "lg_closed_form")
         return estimator_id, [closed_form for _ in sizes]
@@ -261,7 +257,7 @@ def _terminal(parser) -> NamedFunction | None:
 def cmd_simulate(args, parser, model, manifest) -> None:
     tgrid = build_time_grid(parser)
     obs = simulate_truth_and_obs(model, tgrid, args.seed)
-    _write_obs_csv(manifest.add("obs.csv"), obs)
+    _write_obs_csv(manifest.add("obs.csv"), model, obs)
     obs.to_npz(manifest.add("obs.npz"))
     if setting(parser, "output", "dump_ensembles", _boolean, False):
         ens = simulate_girsanov_ensemble(scalar_view(model), tgrid, obs,
@@ -292,8 +288,7 @@ def cmd_control(args, parser, model, manifest) -> None:
         if not lg:
             raise ConfigError("lqg_iteration requires a linear-Gaussian model")
         hessian = _terminal_hessian(parser, model.n_state)
-        obs = _load_or_simulate_obs(args, model, tgrid)
-        result = lqg_alternating_iteration(model, tgrid, hessian, obs=obs)
+        result = lqg_alternating_iteration(model, tgrid, hessian)
         ric = lq_control_riccati(model.A, model.G, hessian, tgrid, sigma=model.sigma)
         gain_err = float(np.max(np.abs(result.gains - ric.gains)))
         rows = [(s + 1, change, "") for s, change in enumerate(result.convergence)]
@@ -327,7 +322,7 @@ def cmd_control(args, parser, model, manifest) -> None:
     elif mode == "hjb":
         scalar, sgrid = _scalar_on_grid(model, parser)
         policy, value = hjb_policy(scalar, sgrid, tgrid, terminal=_terminal(parser))
-        GridFunction.from_values(sgrid, tgrid, policy.values).to_csv(manifest.add("policy.csv"))
+        GridFunction(sgrid, tgrid, policy.values).to_csv(manifest.add("policy.csv"))
         value.to_csv(manifest.add("value.csv"))
     else:
         raise ConfigError(f"unknown control mode {mode!r}")
@@ -367,10 +362,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         if name in ("simulate", "estimate", "variance"):
             p.add_argument("--particles", type=_arg_type(_ensemble_size), default=None)
-        if name in ("estimate", "variance", "sweep"):
-            p.add_argument("--estimator", default=None)
         if name != "simulate":
             p.add_argument("--mode", default=None)
+        if name in ("estimate", "variance", "sweep"):
+            p.add_argument("--estimator", default=None)
             p.add_argument("--obs", default=None,
                            help="load an observation record (.npz) instead of simulating")
         if name == "sweep":

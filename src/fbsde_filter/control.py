@@ -286,31 +286,25 @@ def _policy_value_path(A, G, gains, Qf, grid: TimeGrid) -> np.ndarray:
 def lqg_alternating_iteration(model: LinearGaussianModelSpec, grid: TimeGrid,
                               terminal_hessian, obs: ObservationRecord | None = None,
                               tol: float = 1e-6, max_sweeps: int = 20) -> LqgIterationResult:
-    """Alternate filtering and backward value/gain recomputation.
+    """Policy iteration on the linear law, then the filter under it.
 
-    Sweep: (i) run the Kalman-Bucy mean under the current linear law along
-    the observation record (the filter trace), (ii) evaluate the law's value
-    Hessian backward and improve the gains via K = G^T P.  Converged gains
-    equal the certainty-equivalence LQ Riccati gains.
+    Each sweep evaluates the current law's value Hessian backward and improves
+    the gains via K = G^T P; converged gains equal the certainty-equivalence LQ
+    Riccati gains.  With an observation record the Kalman-Bucy mean is then run
+    once along it under the returned gains (the filter trace).
     """
     A, G = model.A, model.G
-    n = model.n_state
-    p = G.shape[1]
-    K_steps = grid.n_steps
-    gains = np.zeros((K_steps + 1, p, n))
-    Sigma = model_riccati(model, grid)
-    trace = None
+    gains = np.zeros((grid.n_steps + 1, G.shape[1], model.n_state))
     convergence = []
-    P = None
     for sweep in range(max_sweeps):
-        if obs is not None:
-            trace = kalman_bucy_mean(A, model.H, Sigma, model.m0, obs, G=G, gains=gains).mean
         P = _policy_value_path(A, G, gains, terminal_hessian, grid)
         new_gains = np.einsum("ij,kjl->kil", G.T, P)
         change = float(np.max(np.abs(new_gains - gains)))
         convergence.append(change)
         gains = new_gains
         if change < tol:
+            trace = None if obs is None else kalman_bucy_mean(
+                A, model.H, model_riccati(model, grid), model.m0, obs, G=G, gains=gains).mean
             return LqgIterationResult(gains=gains, P=P, filter_trace=trace,
                                       convergence=tuple(convergence),
                                       n_sweeps=sweep + 1)
@@ -363,10 +357,11 @@ def remark_consistency_check(model: LinearGaussianModelSpec,
     """Residual of the running-cost identity recovering pi_T[f].
 
     Computes |f_bar^T m_T - (ybar_0^T m_0 - sum alpha_k^T pi_k[h] dt
-    + sum (ybar_{k+1}^T Sigma_k H) dI_k)| with alpha the closed-loop control
-    (alpha="optimal") or zero (alpha="zero": the averaged innovation estimator
-    identity, `open_loop_dual_estimate`).  All quantities come from the
-    Kalman-Bucy closed forms on the observation grid.
+    + sum ybar_{k+1}^T g_k dI_k)| on the gains g_k of `kalman_transitions`, with alpha
+    the closed-loop control (alpha="optimal", where the last sum is -sum alpha_k^T dI_k)
+    or zero (alpha="zero": the averaged innovation estimator identity,
+    `open_loop_dual_estimate`).  All quantities come from the Kalman-Bucy closed
+    forms on the observation grid.
     """
     if alpha not in ("optimal", "zero"):
         raise ValueError(f"unknown alpha mode {alpha!r}")
@@ -383,7 +378,7 @@ def remark_consistency_check(model: LinearGaussianModelSpec,
     pi_h = state.mean @ model.H  # (K+1, m)
     rhs = float(ybar[0] @ model.m0)
     rhs -= float(np.einsum("km,km->", alpha_path, pi_h[:-1])) * grid.dt
-    rhs += float(np.einsum("kn,knm,km->", ybar[1:], Sigma[:-1] @ model.H, dI))
+    rhs -= float(np.einsum("km,km->", alpha_path, dI))
     return abs(lhs - rhs)
 
 

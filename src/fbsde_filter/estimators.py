@@ -79,10 +79,9 @@ class VarianceDecayReport:
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Point estimate of one conditional-expectation estimator."""
+    """Point estimate (prior term + integral term) of one conditional-expectation estimator."""
 
     estimator_id: str
-    point_estimate: float
     mc_std_err: float
     y0_prior_term: float
     stochastic_integral_term: float
@@ -94,6 +93,10 @@ class EstimatorReport:
     n_iterations: int | None = None
     # share of the states outside the space grid (estimator III: their pi-mass); None without one
     grid_exit_fraction: float | None = None
+
+    @property
+    def point_estimate(self) -> float:
+        return self.y0_prior_term + self.stochastic_integral_term
 
     def csv_row(self):
         return (self.estimator_id, self.point_estimate, self.mc_std_err,
@@ -201,7 +204,6 @@ def _finish_report(estimator_id, model, y, ensemble, acc, control, grid_exit_fra
     integral = float(acc.mean())
     return EstimatorReport(
         estimator_id=estimator_id,
-        point_estimate=mu_term + integral,
         mc_std_err=float(acc.std(ddof=1) / math.sqrt(n)),
         y0_prior_term=float(mu_term),
         stochastic_integral_term=integral,
@@ -280,17 +282,15 @@ def estimate_sigma_obs_error(model, obs: ObservationRecord, y_fk: GridFunction,
 def closed_loop_dual_controls(A, H, Sigma_path, f_bar, grid: TimeGrid):
     """Discrete-dual closed-loop backward recursion.
 
-    ybar_k = Phi_k^T ybar_{k+1} = (I + A dt - H H^T Sigma_k dt) ybar_{k+1},
-    u_k    = -(Sigma_k H)^T ybar_{k+1},
+    ybar_k = Phi_k^T ybar_{k+1} = (I + A dt - H g_k^T dt) ybar_{k+1},
+    u_k    = -g_k^T ybar_{k+1},
 
-    the `dual_sweep` on the transitions of the filtered-mean recursion
-    (`kalman_transitions`): the left-point discretization of the closed-loop
-    backward equation paired exactly with that recursion, so the estimate
+    the `dual_sweep` on the transitions Phi_k and gains g_k = Sigma_{k+1} H of the
+    filtered-mean recursion (`kalman_transitions`): the discretization of the
+    closed-loop backward equation paired exactly with that recursion, so the estimate
     ybar_0^T m_0 - sum u_k^T dZ_k telescopes to f_bar^T m_T to machine
     precision on the same grid.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
     Phi, SH = kalman_transitions(A, H, covariance_path(Sigma_path, grid), grid.dt)
     ybar = dual_sweep(Phi, np.asarray(f_bar, dtype=float).reshape(-1))
     return ybar, -np.einsum("knm,kn->km", SH, ybar[1:])
@@ -309,16 +309,14 @@ def open_loop_dual_estimate(A, H, Sigma_path, f_bar, m0, innovation_increments,
                             grid: TimeGrid) -> float:
     """Averaged innovation estimator in closed form.
 
-    Uses the open-loop dual path and the left-point sum of
-    ybar_{k+1}^T Sigma_k H dI_k, which telescopes exactly against the
-    filtered-mean recursion (duality identity).
+    Uses the open-loop dual path and the sum of ybar_{k+1}^T g_k dI_k over the
+    gains g_k of `kalman_transitions`, which telescopes exactly against the
+    filtered-mean recursion on those gains (duality identity).
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    Sigma = covariance_path(Sigma_path, grid)
-    K = grid.n_steps
-    dI = np.asarray(innovation_increments, dtype=float).reshape(K, H.shape[1])
+    _, SH = kalman_transitions(A, H, covariance_path(Sigma_path, grid), grid.dt)
+    dI = np.asarray(innovation_increments, dtype=float).reshape(SH.shape[0], SH.shape[2])
     ybar = open_loop_dual_path(A, f_bar, grid)
-    total = np.einsum("kn,knm,km->", ybar[1:], Sigma[:-1] @ H, dI)
+    total = np.einsum("kn,knm,km->", ybar[1:], SH, dI)
     return float(ybar[0] @ np.asarray(m0, dtype=float).reshape(-1) + total)
 
 
@@ -399,7 +397,7 @@ def _scalar_fixed_point(model: ScalarModelSpec, grid: TimeGrid, space_grid: Spac
                     step=control_step, factored=factored)
     u[K] = -np.dot(P[K], values[K])
     _check_fixed_point(u + np.einsum("kj,kj->k", P, values), tol)
-    return u, GridFunction.from_values(space_grid, grid, values), float(exits)
+    return u, GridFunction(space_grid, grid, values), float(exits)
 
 
 def check_pi_obs_mode(model, mode: str) -> None:
@@ -460,7 +458,6 @@ def estimate_pi_obs(model, obs: ObservationRecord, ensemble: PathEnsemble | None
         integral = -float(np.dot(u[:-1], np.asarray(obs.dZ, dtype=float).reshape(-1)))
     return EstimatorReport(
         estimator_id="pi_obs",
-        point_estimate=mu_term + integral,
         mc_std_err=0.0,
         y0_prior_term=mu_term,
         stochastic_integral_term=integral,

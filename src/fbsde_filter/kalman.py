@@ -8,11 +8,15 @@ h(x) = H^T x with unit observation noise: the covariance obeys
 
 and the filtered mean is stepped as
 
-    m_{k+1} = m_k + A^T m_k dt + Sigma_k H (dZ_k - H^T m_k dt)
-            = Phi_k m_k + Sigma_k H dZ_k,  Phi_k = I + (A^T - Sigma_k H H^T) dt.
+    m_{k+1} = m_k + A^T m_k dt + Sigma_{k+1} H (dZ_k - H^T m_k dt)
+            = Phi_k m_k + Sigma_{k+1} H dZ_k,  Phi_k = I + (A^T - Sigma_{k+1} H H^T) dt,
 
-The transpose conventions are pinned by the cross-module consistency tests
-rather than assumed.
+on the step-end gain Sigma_{k+1} H: the discrete posterior gain, which the
+substepped Riccati sweep forms stably, where the step-start gain Sigma_k H would
+multiply the mean by about -Sigma_0 |H|^2 dt on the first step of a diffuse prior.
+`kalman_transitions` alone forms the gain path, so the mean and its duals telescope
+exactly.  The transpose conventions are pinned by the cross-module consistency
+tests rather than assumed.
 
 By the Kalman-Bucy duality the LQ control Riccati is this filter Riccati of
 the dual system (A^T, G, no noise) run in reversed time s = T - t.
@@ -169,13 +173,15 @@ def riccati_filter(A, H, sigma: float, Sigma0, grid: TimeGrid) -> np.ndarray:
 
 
 def kalman_transitions(A, H, Sigma, dt: float, G=None, gains=None):
-    """Every step's transition Phi_k = I + (A^T - Sigma_k H H^T) dt and gain
-    Sigma_k H of the Kalman-Bucy mean, k = 0 .. n_steps - 1, in one vectorised call.
+    """Every step's transition Phi_k = I + (A^T - Sigma_{k+1} H H^T) dt and gain
+    Sigma_{k+1} H of the Kalman-Bucy mean, k = 0 .. n_steps - 1, in one vectorised
+    call: the one source of the gain path (see the module docstring).
 
     With a linear law (control matrix G and a gain path gains_k) Phi_k also
     subtracts G gains_k dt; zero gains give bitwise the Phi_k of no gains.
     """
-    SH = Sigma[:-1] @ H
+    A, H = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, H))
+    SH = Sigma[1:] @ H
     rate = A.T - SH @ H.T
     if gains is not None:
         rate -= G @ gains[:len(SH)]
@@ -195,9 +201,9 @@ def dual_sweep(Phi, y_end) -> np.ndarray:
 
 
 def kalman_mean_step(m, dz, Phi_k, SH_k, dt: float, shift=None):
-    """Kalman-Bucy step m -> Phi_k m + Sigma_k H dz + shift dt (`kalman_transitions`)
+    """Kalman-Bucy step m -> Phi_k m + Sigma_{k+1} H dz + shift dt (`kalman_transitions`)
     of one mean (n,) or row-stacked means (S, n) (dz and shift alike).  It is
-    m + (A^T m + shift) dt + Sigma_k H (dz - H^T m dt) with the products of m
+    m + (A^T m + shift) dt + Sigma_{k+1} H (dz - H^T m dt) with the products of m
     gathered into Phi_k.  Every product is formed on column vectors."""
     out = (Phi_k @ m.T).T + (SH_k @ dz.T).T
     return out if shift is None else out + shift * dt
@@ -209,7 +215,7 @@ def kalman_bucy_mean(A, H, Sigma_path, m0, obs: ObservationRecord,
 
     With a linear law (control matrix G and a gain path of shape
     (n_steps + 1, p, n)) the mean is driven by alpha_k = -gains_k m_k as well:
-    m_{k+1} = m_k + (A^T m_k + G alpha_k) dt + Sigma_k H dI_k.  Emits the
+    m_{k+1} = m_k + (A^T m_k + G alpha_k) dt + Sigma_{k+1} H dI_k.  Emits the
     realized innovation path dI_k = dZ_k - H^T m_k dt alongside the Gaussian
     state.
     """

@@ -157,12 +157,12 @@ def interp_matrix(space_grid: SpaceGrid, x, c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A space-time field y[k][j] with its spatial gradient dy[k][j]."""
+    """A space-time field y[k][j] on the nodes; its spatial gradient dy[k][j] (central
+    differences, one-sided at the boundaries) is formed on the first read."""
 
     space_grid: SpaceGrid
     time_grid: TimeGrid
     values: np.ndarray    # (n_steps + 1, n_points), time-major
-    gradient: np.ndarray  # central differences, one-sided at boundaries
 
     def __post_init__(self):
         expected = (self.time_grid.n_steps + 1, self.space_grid.n_points)
@@ -171,10 +171,9 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise LinearSolveFailure("grid function contains non-finite values")
 
-    @staticmethod
-    def from_values(space_grid, time_grid, values) -> "GridFunction":
-        grad = np.gradient(values, space_grid.dx, axis=1)
-        return GridFunction(space_grid, time_grid, values, grad)
+    @functools.cached_property
+    def gradient(self) -> np.ndarray:
+        return np.gradient(self.values, self.space_grid.dx, axis=1)
 
     def eval(self, k: int | slice, x) -> np.ndarray:
         """y_k(x) for one step k, or, for a slice k of B steps and x of shape
@@ -266,7 +265,7 @@ def solve_backward_kolmogorov(model: ScalarModelSpec, space_grid: SpaceGrid,
     """Solve -dy/dt = b dy/dx + (sigma^2/2) d2y/dx2 backward from y_T = f."""
     values = _sweep(model, space_grid, time_grid, "backward Kolmogorov solve",
                     terminal_slice(model, space_grid))
-    return GridFunction.from_values(space_grid, time_grid, values)
+    return GridFunction(space_grid, time_grid, values)
 
 
 def solve_feynman_kac(model: ScalarModelSpec, space_grid: SpaceGrid,
@@ -288,7 +287,7 @@ def solve_feynman_kac(model: ScalarModelSpec, space_grid: SpaceGrid,
     values = _sweep(model, space_grid, time_grid, "backward Kolmogorov solve",
                     terminal_slice(model, space_grid),
                     step=lambda k, y: damp * y)
-    return GridFunction.from_values(space_grid, time_grid, values)
+    return GridFunction(space_grid, time_grid, values)
 
 
 def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
@@ -309,7 +308,7 @@ def solve_backward_with_source(model: ScalarModelSpec, space_grid: SpaceGrid,
     values = _sweep(model, space_grid, time_grid, "sourced backward solve",
                     terminal_slice(model, space_grid, terminal), policy=policy,
                     running_cost=running_cost)
-    return GridFunction.from_values(space_grid, time_grid, values)
+    return GridFunction(space_grid, time_grid, values)
 
 
 def terminal_slice(model, space_grid: SpaceGrid, terminal=None) -> np.ndarray:
@@ -411,6 +410,6 @@ def solve_hjb_quadratic(model: ScalarModelSpec, space_grid: SpaceGrid,
             raise LinearSolveFailure("HJB log transform: the sweep of psi left the positive range")
         values = c - (np.log1p(values) if weak else np.log(values)) / inv_lambda
         values[-1] = f_end
-    value = GridFunction.from_values(space_grid, time_grid, values)
+    value = GridFunction(space_grid, time_grid, values)
     return value, -g * value.gradient
 

@@ -45,9 +45,11 @@ open- or closed-loop, draws from `truth_draws` and moves by `truth_step`.
 
 `_save_npz` and `_load_npz` are the one npz writer and reader of both records,
 `ObservationRecord` and `PathEnsemble`: the grid's t_end and n_steps, then every
-field that is set.  The reader rejects a file that lacks t_end, n_steps or a
-field without a default, and both reject a float array holding NaN or +-inf
-(ValueError naming the array); the writer then makes no file.
+field that is set, and no derived value (an observation record's Z).  The reader
+ignores arrays that are no field (an older file's Z and noise_cum) and rejects a
+file that lacks t_end, n_steps or a field without a default, and both reject a
+float array holding NaN or +-inf (ValueError naming the array); the writer then
+makes no file.
 """
 
 from __future__ import annotations
@@ -340,27 +342,24 @@ def _load_npz(cls, path):
 
 @dataclass(frozen=True)
 class ObservationRecord:
-    """A simulated (or supplied) observation path on a time grid.
-
-    Z is the cumulative observation with Z[0] = 0; dZ holds the per-step
-    increments, so Z = [0, cumsum(dZ)] bitwise.  Synthetic records carry the
-    truth path and the recoverable measurement-noise accumulation.
+    """A simulated (or supplied) observation path on a time grid: the increments dZ
+    and, for a synthetic record, the truth path.  The cumulative observation
+    Z = [0, cumsum(dZ)] is derived on each read and the measurement-noise
+    accumulation is `compute_observation_error`, so no stored copy can disagree with dZ.
     """
 
     grid: TimeGrid
-    Z: np.ndarray
     dZ: np.ndarray
     X_truth: np.ndarray | None = None
-    noise_cum: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if np.shape(self.Z)[:1] != (self.grid.n_steps + 1,):
-            raise GridMismatch("Z must have n_steps + 1 entries")
         if np.shape(self.dZ)[:1] != (self.grid.n_steps,):
             raise GridMismatch("dZ must have n_steps entries")
-        if np.any(np.atleast_1d(self.Z[0]) != 0.0):
-            raise ValueError("Z must start at 0")
+
+    @property
+    def Z(self) -> np.ndarray:
+        return cumulative_path(self.dZ)
 
     to_npz = _save_npz
 
@@ -499,10 +498,8 @@ def simulate_truth_and_obs(model, grid: TimeGrid, seed: int,
         X[k + 1] = truth_step(X[k], b, xi[k], spec.sigma, dt, k + 1)
     if not np.isfinite(X).all():
         raise SimulationDiverged("state became non-finite")
-    signal = np.asarray(spec.obs(X[:-1])) * dt
-    dZ = signal + np.sqrt(dt) * eta
-    return ObservationRecord(grid=grid, Z=cumulative_path(dZ), dZ=dZ, X_truth=X,
-                             noise_cum=cumulative_path(dZ - signal), seed=seed)
+    dZ = np.asarray(spec.obs(X[:-1])) * dt + np.sqrt(dt) * eta
+    return ObservationRecord(grid=grid, dZ=dZ, X_truth=X, seed=seed)
 
 
 def weighted_paths(model, grid: TimeGrid, n_paths: int, seed: int, stream: int,
@@ -669,8 +666,9 @@ def compute_innovation(obs: ObservationRecord, pi_h_path) -> np.ndarray:
 def compute_observation_error(model, obs: ObservationRecord) -> np.ndarray:
     """Observation-error path W_k = Z_k - sum_{j<k} h(X_j) dt.
 
-    Requires the synthetic truth path; for simulator output this reproduces
-    the stored measurement-noise accumulation bit-exactly.
+    The one source of a record's measurement-noise accumulation: for simulator
+    output it is the running sum of sqrt(dt) eta_k, formed as the cumulative sum
+    of dZ_k - h(X_k) dt.  Requires the synthetic truth path.
     """
     if obs.X_truth is None:
         raise MissingTruthPath("observation record carries no truth path")

@@ -125,7 +125,7 @@ class TestEstimate:
         cfg, out = write_config(tmp_path)
         grid = TimeGrid(1.0, 200)
         obs = simulate_truth_and_obs(lg_scalar, grid, seed=1)
-        bare = ObservationRecord(grid=grid, Z=obs.Z, dZ=obs.dZ)
+        bare = ObservationRecord(grid=grid, dZ=obs.dZ)
         npz = tmp_path / "bare_obs.npz"
         bare.to_npz(npz)
         code = main(["estimate", "--config", str(cfg), "--seed", "1",

@@ -1,8 +1,9 @@
 """The CLI config schema, typed settings ([model] included), --obs checks, ensemble sizes,
 the estimator id, --mode and pi_h_source checks made before any work, the grid check of
-control, variance on a Kalman pi[h] path, and 2-state runs."""
+control, variance on a Kalman pi[h] path, 2-state runs and the bytes of simulate's obs.csv."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -22,6 +23,7 @@ from fbsde_filter.model import (
 from fbsde_filter.pde_backward import solve_backward_kolmogorov
 from fbsde_filter.sde_sim import (
     ObservationRecord,
+    compute_observation_error,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
 )
@@ -179,9 +181,10 @@ def no_work(monkeypatch):
     ("simulate", "--estimator", "bogus", "--mode", "nonsense"),
     ("simulate", "--obs", "missing.npz"),
     ("control", "--estimator", "bogus", "--particles", "7"),
+    ("control", "--obs", "missing.npz"),
     ("sweep", "--particles", "5"),  # not read as --particles-list
 ], ids=["simulate-estimator-mode", "simulate-obs", "control-estimator-particles",
-        "sweep-particles"])
+        "control-obs", "sweep-particles"])
 def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, no_work, argv):
     config = OU + "\n[estimator]\nid = sigma_obs\n\n[control]\nmode = hjb\n"
     with pytest.raises(SystemExit) as exc:
@@ -257,6 +260,25 @@ def test_estimator_iv_matches_the_constant_h_closed_form(tmp_path):
     assert float(row["estimate"]) == pytest.approx(target, rel=5e-3)
 
 
+# sha256 of the obs.csv each config and seed gave while the record stored Z and
+# noise_cum beside dZ; the derived columns must keep every byte
+@pytest.mark.parametrize("config, seed, digest", [
+    (DW, 0, "4bc32070a73cc02d177ada5068025e1316e644627b7572baef38ef3a403eff0b"),
+    (DW, 7, "9ccfdf9d273c1435b91eb146382344f9dd8f3529c9b43b15d1483df31596a355"),
+    (OU, 0, "c675bc08e46450abcc48c54986bd08169b427da0a597cb035bcb2f04a94dc5f5"),
+    (OU, 7, "f4edc89b2a636a567c4d04b74a8a2dcb06ba9f04d1529dc2bddd044eec5a20cd"),
+    (LG2, 0, "f4451414fba82524ed708d9cfc2a58ffa8d7b6214d1ef24e066c34033f60f26e"),
+    (LG2, 7, "6e9a2ae21e9a515c071a9f870881d6497b0d82ff1788b73e021a11b70b2e5c13"),
+], ids=["double_well-0", "double_well-7", "linear-0", "linear-7", "two_state-0",
+        "two_state-7"])
+def test_simulate_writes_the_pinned_obs_csv(tmp_path, config, seed, digest):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(config)
+    assert main(["simulate", "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "out" / "obs.csv").read_bytes()).hexdigest() == digest
+
+
 def test_two_state_obs_csv_rows_equal_the_npz_record(tmp_path):
     assert run(tmp_path, LG2, "simulate") == EXIT_OK
     with open(tmp_path / "out" / "obs.csv", newline="") as fh:
@@ -265,7 +287,8 @@ def test_two_state_obs_csv_rows_equal_the_npz_record(tmp_path):
     table = np.array(rows[1:], dtype=float)
     obs = ObservationRecord.from_npz(tmp_path / "out" / "obs.npz")
     expected = np.column_stack([obs.grid.times(), obs.Z, np.vstack([[0.0], obs.dZ]),
-                                obs.X_truth, obs.noise_cum])
+                                obs.X_truth,
+                                compute_observation_error(build_model(LG2), obs)])
     assert np.array_equal(table, expected)
 
 
@@ -336,15 +359,14 @@ def _truncated_npz_bytes():
     (b"", "is not an npz archive"),
     (_truncated_npz_bytes(), "is not an npz archive"),
     ({"t_end": np.ones(2), "n_steps": 20, "Z": np.zeros(21), "dZ": np.zeros(20)}, "size 1"),
-    ({"t_end": 1.0, "n_steps": 20, "Z": np.float64(0.0), "dZ": np.zeros(20)}, "Z must have"),
-], ids=["npy", "empty", "truncated", "t_end_vector", "scalar_z"])
+], ids=["npy", "empty", "truncated", "t_end_vector"])
 def test_a_malformed_obs_file_exits_1(tmp_path, capsys, content, reason):
     assert _obs_exit(tmp_path, capsys, content, reason) == EXIT_ERROR
 
 
 def test_obs_record_with_another_channel_count_is_rejected(tmp_path, capsys):
     grid = TimeGrid(1.0, 20)
-    record = ObservationRecord(grid, np.zeros((21, 2)), np.zeros((20, 2)))
+    record = ObservationRecord(grid, np.zeros((20, 2)))
     assert _obs_exit(tmp_path, capsys, record, "channels") == EXIT_ERROR
 
 

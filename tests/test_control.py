@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from fbsde_filter.errors import (
     ResamplingForbiddenInEstimatorMode,
 )
 from fbsde_filter.estimators import estimate_pi_innovation
-from fbsde_filter.kalman import lq_control_riccati
+from fbsde_filter.kalman import (
+    kalman_bucy_mean,
+    lq_control_riccati,
+    model_kalman,
+    model_riccati,
+)
 from fbsde_filter.model import LinearGaussianModelSpec, SpaceGrid, TimeGrid
 from fbsde_filter.particle import resample_multinomial
 from fbsde_filter.pde_backward import solve_backward_with_source
@@ -218,6 +225,16 @@ class TestAlternatingIteration:
         assert np.max(np.abs(result.gains - ric.gains)) < 1e-6
         assert result.filter_trace.shape == (grid.n_steps + 1, 1)
 
+    def test_the_filter_trace_is_the_kalman_mean_under_the_returned_gains(self, lg_benchmark):
+        grid = TimeGrid(1.0, 200)
+        obs = simulate_truth_and_obs(lg_benchmark, grid, seed=3)
+        result = lqg_alternating_iteration(lg_benchmark, grid, QF, obs=obs)
+        m = lg_benchmark
+        expected = kalman_bucy_mean(m.A, m.H, model_riccati(m, grid), m.m0, obs,
+                                    m.G, result.gains).mean
+        assert result.filter_trace.tobytes() == expected.tobytes()
+        assert lqg_alternating_iteration(m, grid, QF).filter_trace is None
+
     def test_gains_independent_of_noise_level(self, lg_benchmark):
         grid = TimeGrid(1.0, 500)
         result_1 = lqg_alternating_iteration(lg_benchmark, grid, QF)
@@ -249,6 +266,31 @@ class TestRemarkIdentity:
     def test_zero_control_reduces_to_innovation_estimator(self, lg_benchmark, grid_1k):
         obs = simulate_truth_and_obs(lg_benchmark, grid_1k, seed=43)
         assert remark_consistency_check(lg_benchmark, obs, alpha="zero") < 1e-8
+
+    def test_both_identities_telescope_on_any_gain_path(self, lg_benchmark, grid_1k,
+                                                        monkeypatch):
+        # every module reads the gain path of kalman_transitions: with the midpoint
+        # covariance's gains in its place, both identities still hold to rounding
+        obs = simulate_truth_and_obs(lg_benchmark, grid_1k, seed=42)
+        mean = model_kalman(lg_benchmark, obs).mean
+
+        def midpoint_transitions(A, H, Sigma, dt, G=None, gains=None):
+            SH = 0.5 * (Sigma[:-1] + Sigma[1:]) @ H
+            rate = A.T - SH @ H.T
+            if gains is not None:
+                rate = rate - G @ gains[:len(SH)]
+            return np.eye(A.shape[0]) + rate * dt, SH
+
+        importers = [module for name, module in sorted(sys.modules.items())
+                     if name.startswith("fbsde_filter.")
+                     and hasattr(module, "kalman_transitions")]
+        assert {"fbsde_filter.kalman", "fbsde_filter.estimators",
+                "fbsde_filter.control"} <= {module.__name__ for module in importers}
+        for module in importers:
+            monkeypatch.setattr(module, "kalman_transitions", midpoint_transitions)
+        assert np.abs(model_kalman(lg_benchmark, obs).mean - mean).max() > 1e-6
+        assert remark_consistency_check(lg_benchmark, obs) < 1e-13
+        assert remark_consistency_check(lg_benchmark, obs, alpha="zero") < 1e-13
 
     def test_zero_h_trivial(self):
         model = LinearGaussianModelSpec(A=[[-1.0]], H=[[0.0]], sigma=1.0,

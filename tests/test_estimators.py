@@ -167,7 +167,7 @@ class TestSigmaObsError:
         grid, sg, obs, Sigma, state, y = lg_setup
         y_fk = solve_feynman_kac(lg_scalar, sg, grid, reaction="growth")
         ens = simulate_girsanov_ensemble(lg_scalar, grid, obs, 50, seed=1)
-        bare = ObservationRecord(grid=grid, Z=obs.Z, dZ=obs.dZ)
+        bare = ObservationRecord(grid=grid, dZ=obs.dZ)
         with pytest.raises(MissingTruthPath):
             estimate_sigma_obs_error(lg_scalar, bare, y_fk, ens)
 

@@ -204,7 +204,7 @@ def reference_kalman_mean(A, H, Sigma, m0, obs, G=None, gains=None):
     for k in range(K):
         m = mean[k]
         innovation[k + 1] = innovation[k] + (dZ[k] - np.einsum("n,nm->m", m, H) * dt)
-        SH = Sigma[k] @ H
+        SH = Sigma[k + 1] @ H
         rate = A.T - SH @ H.T if gains is None else A.T - SH @ H.T - G @ gains[k]
         mean[k + 1] = (np.eye(A.shape[0]) + rate * dt) @ m + SH @ dZ[k]
     return mean, innovation
@@ -234,7 +234,7 @@ def reference_ce_batch(model, policy, grid, seeds, terminal_hessian):
         dZ = (X @ H) * dt + sqdt * eta[:, k, :]
         X = X + drift_truth * dt + model.sigma * sqdt * xi[:, k, :]
         dI = dZ - (m @ H) * dt
-        m = m + (m @ model.A + alpha @ G.T) * dt + dI @ (Sigma[k] @ H).T
+        m = m + (m @ model.A + alpha @ G.T) * dt + dI @ (Sigma[k + 1] @ H).T
         trace[k + 1] = m[0]
     return cost + 0.5 * np.einsum("si,ij,sj->s", X, Qf, X), trace
 

@@ -161,7 +161,7 @@ def test_grid_function_and_policy_field_read_interp_uniform():
     sg, tg = SpaceGrid(-4.0, 4.0, 81), TimeGrid(1.0, 3)
     rng = np.random.default_rng(11)
     values = rng.standard_normal((4, 81))
-    y = GridFunction.from_values(sg, tg, values)
+    y = GridFunction(sg, tg, values)
     policy = PolicyField(time_grid=tg, provenance="hjb", values=values, space_grid=sg)
     x = probe_points(sg, rng)
     for k in range(4):
@@ -495,7 +495,7 @@ def reference_fixed_point(model, obs, sg, ensemble=None, pi_source=None,
     u = np.zeros(K + 1)
     for _ in range(max_iter):
         source = [u[k] * np.asarray(h(xs), dtype=float) for k in range(K)]
-        y = GridFunction.from_values(sg, grid, reference_sweep(model, sg, grid, source=source))
+        y = GridFunction(sg, grid, reference_sweep(model, sg, grid, source=source))
         if pi_source is not None:
             projected = np.array([float(np.dot(wq, y.eval(k, xq) * (h(xq) - pih[k])))
                                   for k, (xq, wq) in enumerate(quad)])
@@ -793,7 +793,7 @@ def test_blocked_fold_equals_the_per_step_fold(n_paths, n_steps, h, path_major, 
     grid, space = TimeGrid(1.0, n_steps), SpaceGrid(-3.0, 3.0, 121)
     dt = grid.dt
     model = make_scalar("linear", {"a": -1.0}, h=h, h_params={"c": 0.7})
-    y = GridFunction.from_values(space, grid, rng.standard_normal((n_steps + 1, 121)))
+    y = GridFunction(space, grid, rng.standard_normal((n_steps + 1, 121)))
     states = 1.5 * rng.standard_normal((n_steps + 1, n_paths))  # some beyond +-3
     lw = rng.standard_normal((n_steps + 1, n_paths))
     dZ, dI = np.sqrt(dt) * rng.standard_normal((2, n_steps))
@@ -876,7 +876,7 @@ def test_blocked_cost_and_variance_equal_the_per_step_loops(n_paths, path_major)
     n_steps = 50
     grid, space = TimeGrid(1.0, n_steps), SpaceGrid(-3.0, 3.0, 121)
     model = make_scalar("linear", {"a": -1.0}, sigma=0.7, h="cubic", h_params={"c": 0.7})
-    y = GridFunction.from_values(space, grid, rng.standard_normal((n_steps + 1, 121)))
+    y = GridFunction(space, grid, rng.standard_normal((n_steps + 1, 121)))
     states = 1.5 * rng.standard_normal((n_steps + 1, n_paths))  # some beyond +-3
     lw_g, lw_i = rng.standard_normal((2, n_steps + 1, n_paths))
     order = "C" if path_major else "K"

@@ -33,8 +33,8 @@ TABLES = {
                                     np.cumsum(BASE), 0.25),
         "4e7e8b0a2a0cc26600be6e178793ec2a4a2ddfcba985c100e7b1865a6399a1b2"),
     "grid_function": (
-        lambda: GridFunction.from_values(SpaceGrid(-1.5, 2.0, 5), GRID,
-                                         np.outer(BASE, [1.0, -0.5, 0.25, 3.0, 1e-5])),
+        lambda: GridFunction(SpaceGrid(-1.5, 2.0, 5), GRID,
+                             np.outer(BASE, [1.0, -0.5, 0.25, 3.0, 1e-5])),
         "5a9fe63ac6047f748f293f91763501023dc18a55cb44463c3d8dcdf7b77909e2"),
 }
 

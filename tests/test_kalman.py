@@ -102,7 +102,7 @@ class TestKalmanBucyMean:
         grid = TimeGrid(1.0, 2000)
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         dZ = np.zeros((grid.n_steps, 1))
-        obs = ObservationRecord(grid=grid, Z=np.zeros((grid.n_steps + 1, 1)), dZ=dZ)
+        obs = ObservationRecord(grid=grid, dZ=dZ)
         S = riccati_filter(A, np.zeros((2, 1)), 0.5, np.eye(2), grid)
         state = kalman_bucy_mean(A, np.zeros((2, 1)), S, [1.0, 2.0], obs)
         expected = expm(A.T * grid.t_end) @ np.array([1.0, 2.0])
@@ -110,8 +110,7 @@ class TestKalmanBucyMean:
 
     def test_zero_noise_equilibrium(self, lg_benchmark):
         grid = TimeGrid(1.0, 100)
-        obs = ObservationRecord(grid=grid, Z=np.zeros(101), dZ=np.zeros(100),
-                                X_truth=np.zeros(101))
+        obs = ObservationRecord(grid=grid, dZ=np.zeros(100), X_truth=np.zeros(101))
         state = model_kalman(lg_benchmark, obs)
         np.testing.assert_array_equal(state.mean, 0.0)
         np.testing.assert_array_equal(state.innovation, 0.0)
@@ -129,6 +128,17 @@ class TestKalmanBucyMean:
         se = errs.std(ddof=1) / np.sqrt(len(errs))
         assert abs(errs.mean()) < 3 * se
         assert abs(errs.var(ddof=1) / Sigma[-1, 0, 0] - 1.0) < 0.10
+
+    def test_a_diffuse_prior_mean_stays_within_the_posterior_spread(self):
+        # Sigma_0 |H|^2 dt = 5e5: a step-start gain Sigma_0 H would multiply the mean by
+        # about -5e5 on the first step (an rms miss of 1 702 here)
+        model = LinearGaussianModelSpec(A=[[-1.0]], H=[[1.0]], sigma=1.0, m0=[0.0],
+                                        Sigma0=[[5e7]], f_bar=[1.0])
+        grid = TimeGrid(1.0, 100)
+        Sigma = model_riccati(model, grid)
+        misses = [model_kalman(model, obs, Sigma).mean[-1, 0] - obs.X_truth[-1]
+                  for obs in (simulate_truth_and_obs(model, grid, seed=s) for s in range(20))]
+        assert np.sqrt(np.mean(np.square(misses))) < 2.0 * np.sqrt(Sigma[-1, 0, 0])
 
     def test_duality_identity(self, lg_benchmark):
         # estimator assembled from the dual recursion equals f_bar^T m_T
@@ -179,13 +189,13 @@ class TestClosedLoopDualTwoStates:
         self.Sigma = riccati_filter(self.A, self.H, 0.8, np.eye(2), self.grid)
 
     def reference_loop(self):
-        """The hand-written closed-loop dual: u_k = -H^T Sigma_k ybar_{k+1},
+        """The hand-written closed-loop dual: u_k = -H^T Sigma_{k+1} ybar_{k+1},
         ybar_k = ybar_{k+1} + dt A ybar_{k+1} + dt H u_k."""
         K, dt, H, A = self.grid.n_steps, self.grid.dt, self.H, self.A
         ybar, u = np.empty((K + 1, 2)), np.empty((K, 1))
         ybar[K] = self.f_bar
         for k in range(K - 1, -1, -1):
-            u[k] = -H.T @ (self.Sigma[k] @ ybar[k + 1])
+            u[k] = -H.T @ (self.Sigma[k + 1] @ ybar[k + 1])
             ybar[k] = ybar[k + 1] + dt * (A @ ybar[k + 1]) + dt * (H @ u[k])
         return ybar, u
 

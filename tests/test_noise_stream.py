@@ -57,7 +57,7 @@ def digest(n_paths: int = N_PATHS) -> str:
     grid = TimeGrid(1.0, 60)
     obs = simulate_truth_and_obs(model, grid, seed=41)
     space = SpaceGrid(-3.0, 3.0, 121)
-    y = GridFunction.from_values(space, grid, np.tanh(space.points()) * np.ones((61, 1)))
+    y = GridFunction(space, grid, np.tanh(space.points()) * np.ones((61, 1)))
     h = hashlib.sha256()
     for ens, flavor in ((simulate_innovation_ensemble(model, grid, obs, n_paths, seed=42), "pi"),
                         (simulate_girsanov_ensemble(model, grid, None, n_paths, seed=43),

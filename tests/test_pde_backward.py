@@ -80,6 +80,17 @@ class TestBackwardKolmogorov:
         per_time_slope = y.values[:, 201] / xs[201]
         assert np.max(np.abs(y.gradient[:, window] - per_time_slope[:, None])) < 1e-4
 
+    def test_the_gradient_is_formed_on_its_first_read(self):
+        model = make_scalar("double_well", sigma=0.5, f="indicator_positive")
+        sg = SpaceGrid(-5.5, 5.5, 601)
+        with pytest.warns(CFLWarning):
+            y = solve_backward_kolmogorov(model, sg, TimeGrid(1.0, 50))
+        y.eval(3, np.linspace(-1.0, 1.0, 7))
+        assert "gradient" not in vars(y)  # an unread gradient is never formed
+        expected = np.gradient(y.values, sg.dx, axis=1)
+        assert y.gradient.tobytes() == expected.tobytes()
+        assert y.gradient is y.gradient
+
 
 class TestTerminalSlice:
     def test_interpolated_indicator_has_no_half_cell_bias(self):

@@ -7,14 +7,18 @@ from fbsde_filter.errors import GridMismatch, MissingTruthPath, SimulationDiverg
 from fbsde_filter.kalman import model_kalman, model_riccati
 from fbsde_filter.model import TimeGrid
 from fbsde_filter.sde_sim import (
+    STREAM_TRUTH_OBS,
+    STREAM_TRUTH_STATE,
     ObservationRecord,
     PathEnsemble,
     compute_innovation,
     compute_observation_error,
+    cumulative_path,
     normalized_weights,
     simulate_girsanov_ensemble,
     simulate_innovation_ensemble,
     simulate_truth_and_obs,
+    truth_draws,
 )
 
 from conftest import make_scalar, ou_terminal_variance
@@ -146,6 +150,22 @@ class TestGirsanovEnsemble:
                 assert np.array_equal(loaded, saved) if isinstance(saved, np.ndarray) \
                     else loaded == saved, field.name
 
+    def test_an_npz_z_that_disagrees_with_its_dz_is_ignored(self, lg_scalar, grid_500,
+                                                            tmp_path):
+        obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
+        obs.to_npz(tmp_path / "obs.npz")
+        with np.load(tmp_path / "obs.npz") as data:
+            saved = dict(data)
+        # an older file also stores Z and noise_cum; here its Z is not dZ's
+        np.savez_compressed(tmp_path / "old.npz", **{**saved, "Z": 2.0 * obs.Z,
+                                                     "noise_cum": np.zeros_like(obs.Z)})
+        back = ObservationRecord.from_npz(tmp_path / "old.npz")
+        assert back.Z.tobytes() == cumulative_path(obs.dZ).tobytes()
+        assert back.Z.tobytes() == obs.Z.tobytes()
+        assert "Z" not in saved and "noise_cum" not in saved
+        assert [f.name for f in dataclasses.fields(ObservationRecord)] == [
+            "grid", "dZ", "X_truth", "seed"]
+
     def test_malformed_arrays_are_rejected(self, lg_scalar, grid_500):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
         ens = simulate_innovation_ensemble(lg_scalar, grid_500, obs, 16, seed=8)
@@ -180,10 +200,10 @@ class TestGirsanovEnsemble:
                 (inn, [(name, edit, ValueError) for edit in (nan_at, inf_at)
                        for name in ("states", "log_weights_innovation", "pi_h_path",
                                     "innovation_increments")]),
-                (obs, [("Z", drop, ValueError), ("dZ", drop, ValueError),
+                (obs, [("dZ", drop, ValueError),
                        ("t_end", drop, ValueError), ("n_steps", drop, ValueError)]
                  + [(name, edit, ValueError) for edit in (nan_at, inf_at)
-                    for name in ("Z", "dZ", "X_truth", "noise_cum")])):
+                    for name in ("dZ", "X_truth")])):
             record.to_npz(tmp_path / "good.npz")
             with np.load(tmp_path / "good.npz") as data:
                 saved = dict(data)
@@ -200,7 +220,7 @@ class TestGirsanovEnsemble:
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=8)
         ens = simulate_innovation_ensemble(lg_scalar, grid_500, obs, 20, seed=8)
         for record, name in ((ens, "states"), (ens, "pi_h_path"), (obs, "X_truth"),
-                             (obs, "noise_cum")):
+                             (obs, "dZ")):
             value = getattr(record, name).copy()
             value[5] = np.inf
             with pytest.raises(ValueError, match=f"'{name}' holds non-finite values"):
@@ -255,8 +275,7 @@ class TestDerivedProcesses:
         grid = TimeGrid(1.0, 100)
         X = np.ones(101)
         dZ = np.full(100, grid.dt)  # h(x) = x, no noise
-        obs = ObservationRecord(grid=grid, Z=np.concatenate([[0.0], np.cumsum(dZ)]),
-                                dZ=dZ, X_truth=X)
+        obs = ObservationRecord(grid=grid, dZ=dZ, X_truth=X)
         innovation = compute_innovation(obs, np.ones(101))
         np.testing.assert_allclose(innovation, obs.Z - grid.times(), atol=1e-15)
 
@@ -274,16 +293,17 @@ class TestDerivedProcesses:
     def test_observation_error_noiseless(self, lg_scalar, grid_500):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=9)
         signal = np.asarray(lg_scalar.obs(obs.X_truth[:-1])) * grid_500.dt
-        noiseless = ObservationRecord(grid=grid_500,
-                                      Z=np.concatenate([[0.0], np.cumsum(signal)]),
-                                      dZ=signal, X_truth=obs.X_truth)
+        noiseless = ObservationRecord(grid=grid_500, dZ=signal, X_truth=obs.X_truth)
         W = compute_observation_error(lg_scalar, noiseless)
         np.testing.assert_array_equal(W, 0.0)
 
-    def test_observation_error_bit_exact_bookkeeping(self, lg_scalar, grid_500):
+    def test_observation_error_recovers_the_measurement_noise(self, lg_scalar, grid_500):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=10)
         W = compute_observation_error(lg_scalar, obs)
-        np.testing.assert_array_equal(W, obs.noise_cum)
+        *_, eta = truth_draws(lg_scalar, 10, grid_500.n_steps, STREAM_TRUTH_STATE,
+                              STREAM_TRUTH_OBS)
+        np.testing.assert_allclose(W, cumulative_path(np.sqrt(grid_500.dt) * eta),
+                                   rtol=0.0, atol=1e-13)
 
     def test_observation_error_quadratic_variation(self, lg_scalar):
         grid = TimeGrid(1.0, 1000)
@@ -294,7 +314,7 @@ class TestDerivedProcesses:
 
     def test_missing_truth(self, lg_scalar, grid_500):
         obs = simulate_truth_and_obs(lg_scalar, grid_500, seed=9)
-        bare = ObservationRecord(grid=grid_500, Z=obs.Z, dZ=obs.dZ)
+        bare = ObservationRecord(grid=grid_500, dZ=obs.dZ)
         with pytest.raises(MissingTruthPath):
             compute_observation_error(lg_scalar, bare)
 
